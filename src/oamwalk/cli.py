@@ -6,7 +6,9 @@ Subcommands
 ``run --config c.json --out dist.csv``
     Evolve the configured walk.  Writes a ``t,x,P`` CSV (final step by
     default, whole trajectory with ``emit_trajectory``) plus a
-    ``<out>.summary.json`` with per-step moments.
+    ``<out>.summary.json`` with per-step moments.  States are reduced as they
+    are produced, so memory stays O(lattice) except for the CSV rows that
+    ``emit_trajectory`` asks for.
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a split-step or generalized
     walk; with ``--verify`` each step block carries its certification
@@ -14,8 +16,9 @@ Subcommands
 ``verify``
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``
-    Ensemble of disordered generalized walks: per-seed spread histories,
-    their mean, and the ballistic baseline walk in one JSON file.
+    Ensemble of disordered generalized walks, evolved together as one batch:
+    per-seed spread histories, their mean, and the ballistic baseline walk in
+    one JSON file.
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
@@ -78,6 +81,11 @@ _KIND_KEYS = {
     "electric-dtqw": {"theta", "phi_e"},
 }
 _TABLE_KEYS = {"chi", "xi", "eta", "theta"}
+_FLAG_KEYS = ("emit_trajectory", "emit_all_sites", "verify")
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
 
 
 def load_config(path) -> dict:
@@ -86,7 +94,7 @@ def load_config(path) -> dict:
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
@@ -163,6 +171,9 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
     seed = cfg.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ConfigError("seed must be an integer")
+    for flag in _FLAG_KEYS:
+        if not isinstance(cfg.get(flag, False), bool):
+            raise ConfigError(f"{flag} must be true or false, got {cfg[flag]!r}")
 
     kwargs = dict(coin_state=coin, start=start, seed=seed)
     if kind in ("dtqw", "electric-dtqw"):
@@ -188,7 +199,10 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
             raise ConfigError("generalized walk with random tables needs a seed")
 
     spec = walk.WalkSpec(kind, steps, half_width, **kwargs)
-    spec.validate()  # LatticeGuardError propagates to exit code 3
+    try:
+        spec.validate()  # LatticeGuardError, a RuntimeError, propagates to exit code 3
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     return spec
 
 
@@ -199,23 +213,27 @@ def _fmt(value: float) -> str:
 # --- run -------------------------------------------------------------------
 
 
-def _distribution_rows(traj, emit_trajectory: bool, emit_all_sites: bool):
-    times = range(len(traj)) if emit_trajectory else [len(traj) - 1]
-    for t in times:
-        p = walk.probability(traj[t])
-        for x in sorted(p):
-            if emit_all_sites or p[x] > 0.0:
-                yield t, x, p[x]
+def _distribution_rows(t: int, sites: np.ndarray, p: np.ndarray, emit_all_sites: bool):
+    for x, v in zip(sites.tolist(), p.tolist()):
+        if emit_all_sites or v > 0.0:
+            yield f"{t},{x},{_fmt(v)}"
 
 
 def run_command(cfg: dict, out_path: str) -> int:
     spec = build_spec(cfg)
-    emit_trajectory = bool(cfg.get("emit_trajectory", False))
-    emit_all_sites = bool(cfg.get("emit_all_sites", False))
-    traj = walk.evolve(spec)
+    emit_trajectory = cfg.get("emit_trajectory", False)
+    emit_all_sites = cfg.get("emit_all_sites", False)
 
     lines = ["t,x,P"]
-    lines += [f"{t},{x},{_fmt(p)}" for t, x, p in _distribution_rows(traj, emit_trajectory, emit_all_sites)]
+    moments = []
+    for t, state in enumerate(walk.iterate(spec)):
+        p = walk.site_probabilities(state.amps)
+        mean, var = (float(m) for m in walk.site_moments(p, state.sites))
+        # Python's sequential sum in site order: np.sum adds pairwise and
+        # would change the last digits of the reported total
+        moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": sum(p.tolist())})
+        if emit_trajectory or t == spec.steps:
+            lines += _distribution_rows(t, state.sites, p, emit_all_sites)
     Path(out_path).write_text("\n".join(lines) + "\n")
 
     summary = {
@@ -223,14 +241,8 @@ def run_command(cfg: dict, out_path: str) -> int:
         "walk": spec.walk_kind,
         "steps": spec.steps,
         "half_width": spec.half_width,
-        "moments": [],
+        "moments": moments,
     }
-    for t, state in enumerate(traj):
-        p = walk.probability(state)
-        mean, var = walk.moments(p)
-        summary["moments"].append(
-            {"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": sum(p.values())}
-        )
     _write_json(_summary_path(out_path), summary)
     return EXIT_OK
 
@@ -342,7 +354,7 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
         raise ConfigError("compile needs walk \"ssqw\" or \"generalized\"")
     if spec.steps < 1:
         raise ConfigError("compile needs at least one step")
-    verify_flag = verify_flag or bool(cfg.get("verify", False))
+    verify_flag = verify_flag or cfg.get("verify", False)
 
     spec = spec.resolved()
     if spec.walk_kind == "ssqw":
@@ -376,8 +388,9 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
 # --- localize ---------------------------------------------------------------
 
 
-def _sigma_history(traj) -> list[float]:
-    return [walk.spread(walk.probability(s)) for s in traj]
+def _sigmas(amps: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Spread of each walk in amplitudes of shape (..., 2, n)."""
+    return np.sqrt(walk.site_moments(walk.site_probabilities(amps), sites)[1])
 
 
 def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
@@ -392,9 +405,8 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         raise ConfigError("localize needs a seed")
 
     seeds = [spec.seed + i for i in range(n_seeds)]
-    per_seed = []
-    for s in seeds:
-        member = walk.WalkSpec(
+    members = [
+        walk.WalkSpec(
             "generalized",
             spec.steps,
             spec.half_width,
@@ -404,7 +416,13 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
             table2=spec.table2,
             seed=s,
         )
-        per_seed.append(_sigma_history(walk.evolve(member)))
+        for s in seeds
+    ]
+    sites = spec.initial_state().sites
+    history = [_sigmas(amps, sites) for amps in walk.iterate_ensemble(members)]
+    per_seed = np.array(history).T.tolist()
+    # averaged over a C-ordered (seeds, steps) array, which fixes the order
+    # in which the seeds are summed and so the digits of the mean
     mean = np.mean(np.asarray(per_seed), axis=0).tolist()
 
     baseline_spec = walk.WalkSpec(
@@ -415,7 +433,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         start=spec.start,
         theta1=math.pi / 4,
     )
-    ballistic = _sigma_history(walk.evolve(baseline_spec))
+    ballistic = [float(_sigmas(state.amps, sites)) for state in walk.iterate(baseline_spec)]
 
     _write_json(
         out_path,

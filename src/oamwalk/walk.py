@@ -17,13 +17,23 @@ Four walk flavours are provided, all as pure functions returning new states:
 Truncation is exact in practice as long as no appreciable amplitude reaches
 the boundary sites; every shift enforces that guard and raises
 :class:`LatticeGuardError` when it would push amplitude off the lattice.
+
+The step kernel works on bare amplitude arrays of shape ``(..., 2, n_sites)``:
+one walk has no leading axis, and an ensemble of walks that differ only in
+their coin tables is one ``(S, 2, n_sites)`` array advanced by the same code
+(:func:`iterate_ensemble`).  :func:`iterate` streams a walk state by state,
+building its coin operators once, so a consumer that reduces each state as it
+arrives holds O(n_sites) memory whatever the step count; :func:`evolve`
+collects the whole trajectory.  The reductions :func:`site_probabilities` and
+:func:`site_moments` act on arrays; :func:`probability` and :func:`moments`
+are their mapping views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +54,11 @@ __all__ = [
     "shift_plus",
     "electric_phase",
     "step",
+    "iterate",
+    "iterate_ensemble",
     "evolve",
+    "site_probabilities",
+    "site_moments",
     "probability",
     "moments",
     "spread",
@@ -185,6 +199,8 @@ class CoinTable:
                 n = a.size
             elif a.size != n:
                 raise ValueError("coin table columns must have equal length")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"coin table column {name} must be finite")
             a.setflags(write=False)
             arrays[name] = a
         if not n:
@@ -265,66 +281,81 @@ def make_state(coin: Iterable[complex], x0: int, half_width: int) -> WalkerState
     return WalkerState(-half_width, amps)
 
 
-def _apply_sitewise(state: WalkerState, mats: np.ndarray) -> WalkerState:
-    """Multiply each site's coin pair by a 2x2 matrix.
+def _site_coefficients(table: CoinTable) -> np.ndarray:
+    """Per-site coin entries as a contiguous (2, 2, n_sites) array: [i, j, x] = U_x[i, j]."""
+    return np.ascontiguousarray(table.matrices().transpose(1, 2, 0))
 
-    ``mats`` is either a single (2, 2) matrix applied everywhere or a
-    (n_sites, 2, 2) stack applied site by site.
+
+def _coin(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
+    """Apply a coin to amplitudes of shape (..., 2, n).
+
+    ``coin`` is a single (2, 2) matrix applied everywhere, or per-site
+    entries of shape (..., 2, 2, n) as built by :func:`_site_coefficients`.
     """
-    if mats.ndim == 2:
-        new = mats @ state.amps
-    else:
-        new = np.einsum("xij,jx->ix", mats, state.amps)
-    return state.with_amps(new)
+    if coin.ndim == 2:
+        return coin @ amps
+    # einsum forms each complex product with separately rounded real
+    # multiplies; numpy's vectorized complex multiply may fuse them (FMA) and
+    # move the last bit, which would change every disordered-walk output.
+    terms = np.einsum("...ijx,...jx->...ijx", coin, amps)
+    return terms[..., 0, :] + terms[..., 1, :]
 
 
-def apply_coin(state: WalkerState, table: CoinTable) -> WalkerState:
-    """Apply the position-dependent coin: site x gets the U(2) of table[x]."""
+def _require_cover(table: CoinTable, state: WalkerState) -> None:
     if not table.covers(state):
         raise ValueError(
             f"coin table on [{table.lattice_min}, {table.lattice_max}] does not match "
             f"state lattice [{state.lattice_min}, {state.lattice_max}]"
         )
-    return _apply_sitewise(state, table.matrices())
 
 
-def _guard_check(value: complex, state: WalkerState, side: str) -> None:
-    if abs(value) > GUARD:
+def apply_coin(state: WalkerState, table: CoinTable) -> WalkerState:
+    """Apply the position-dependent coin: site x gets the U(2) of table[x]."""
+    _require_cover(table, state)
+    return state.with_amps(_coin(state.amps, _site_coefficients(table)))
+
+
+def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
+    """Raise if any walk's boundary amplitude in ``edge`` exceeds :data:`GUARD`."""
+    worst = float(np.max(np.abs(edge)))
+    if worst > GUARD:
         raise LatticeGuardError(
-            f"shift would move amplitude of magnitude {abs(value):.3e} off the {side} "
-            f"edge of the lattice [{state.lattice_min}, {state.lattice_max}]; "
+            f"shift would move amplitude of magnitude {worst:.3e} off the {side} "
+            f"edge of the lattice [{lattice_min}, {lattice_min + n_sites - 1}]; "
             "enlarge the lattice half-width",
         )
 
 
+def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool) -> np.ndarray:
+    """Move the left mover one site left and/or the right mover one site right."""
+    n_sites = amps.shape[-1]
+    if left:
+        _guard_check(amps[..., 0, 0], lattice_min, n_sites, "left")
+    if right:
+        _guard_check(amps[..., 1, -1], lattice_min, n_sites, "right")
+    new = amps.copy()
+    if left:
+        new[..., 0, :-1] = amps[..., 0, 1:]
+        new[..., 0, -1] = 0.0
+    if right:
+        new[..., 1, 1:] = amps[..., 1, :-1]
+        new[..., 1, 0] = 0.0
+    return new
+
+
 def shift_minus(state: WalkerState) -> WalkerState:
     """Move the left-moving component one site left; leave the other fixed."""
-    _guard_check(state.amps[0, 0], state, "left")
-    new = state.amps.copy()
-    new[0, :-1] = state.amps[0, 1:]
-    new[0, -1] = 0.0
-    return state.with_amps(new)
+    return state.with_amps(_shift(state.amps, state.lattice_min, left=True, right=False))
 
 
 def shift_plus(state: WalkerState) -> WalkerState:
     """Move the right-moving component one site right; leave the other fixed."""
-    _guard_check(state.amps[1, -1], state, "right")
-    new = state.amps.copy()
-    new[1, 1:] = state.amps[1, :-1]
-    new[1, 0] = 0.0
-    return state.with_amps(new)
+    return state.with_amps(_shift(state.amps, state.lattice_min, left=False, right=True))
 
 
 def shift_full(state: WalkerState) -> WalkerState:
     """Conditional shift: left mover to x-1, right mover to x+1."""
-    _guard_check(state.amps[0, 0], state, "left")
-    _guard_check(state.amps[1, -1], state, "right")
-    new = np.empty_like(state.amps)
-    new[0, :-1] = state.amps[0, 1:]
-    new[0, -1] = 0.0
-    new[1, 1:] = state.amps[1, :-1]
-    new[1, 0] = 0.0
-    return state.with_amps(new)
+    return state.with_amps(_shift(state.amps, state.lattice_min, left=True, right=True))
 
 
 def _reduced_phase(phi: float) -> float:
@@ -334,17 +365,22 @@ def _reduced_phase(phi: float) -> float:
     return math.remainder(phi, _TWO_PI)
 
 
+def _site_phases(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
+    """Factors exp(i * phi_e * x) over the lattice, or None when they are all 1."""
+    r = _reduced_phase(phi_e)
+    if r == 0.0:
+        return None
+    return np.exp(1j * (r * np.arange(lattice_min, lattice_min + n_sites)))
+
+
 def electric_phase(state: WalkerState, phi_e: float) -> WalkerState:
     """Multiply site x by exp(i * phi_e * x).
 
     The angle is reduced modulo 2*pi first; on integer sites that leaves the
     action unchanged and makes phi_e and phi_e + 2*pi bit-identical.
     """
-    r = _reduced_phase(phi_e)
-    if r == 0.0:
-        return state
-    phases = np.exp(1j * (r * state.sites))
-    return state.with_amps(state.amps * phases)
+    phases = _site_phases(phi_e, state.lattice_min, state.n_sites)
+    return state if phases is None else state.with_amps(state.amps * phases)
 
 
 @dataclass(frozen=True)
@@ -379,6 +415,10 @@ class WalkSpec:
             raise ValueError(f"unknown walk kind {self.walk_kind!r}; expected one of {self.KINDS}")
         if self.steps < 0:
             raise ValueError("step count must be non-negative")
+        for name in ("theta1", "theta2", "phi_e"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         need = self.required_half_width()
         if self.half_width < need:
             raise LatticeGuardError(
@@ -406,52 +446,137 @@ class WalkSpec:
         return make_state(self.coin_state, self.start, self.half_width)
 
 
-def step(state: WalkerState, spec: WalkSpec) -> WalkerState:
-    """Advance one full walk step of the kind selected by ``spec``."""
-    kind = spec.walk_kind
-    if kind == "dtqw":
-        return shift_full(_apply_sitewise(state, coin_matrix(spec.theta1)))
-    if kind == "ssqw":
-        s = _apply_sitewise(state, coin_matrix(spec.theta1))
-        s = shift_minus(s)
-        s = _apply_sitewise(s, coin_matrix(spec.theta2))
-        return shift_plus(s)
-    if kind == "generalized":
+def _coins(spec: WalkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two coins of one step: (2, 2) matrices, or per-site entries for tables."""
+    if spec.walk_kind == "generalized":
         if spec.table1 is None or spec.table2 is None:
             raise ValueError("generalized step needs resolved coin tables; call spec.resolved() first")
-        s = apply_coin(state, spec.table1)
-        s = shift_minus(s)
-        s = apply_coin(s, spec.table2)
-        return shift_plus(s)
-    if kind == "electric-dtqw":
-        s = shift_full(_apply_sitewise(state, coin_matrix(spec.theta1)))
-        return electric_phase(s, spec.phi_e)
+        return _site_coefficients(spec.table1), _site_coefficients(spec.table2)
+    return coin_matrix(spec.theta1), coin_matrix(spec.theta2)
+
+
+def _stepper(
+    spec: WalkSpec, lattice_min: int, n_sites: int, coin1: np.ndarray, coin2: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One step of ``spec``'s walk kind on amplitudes of shape (..., 2, n_sites).
+
+    The coins come prepared by :func:`_coins` (stacked along the leading axis
+    for an ensemble) and the electric phases are built here, once per walk.
+    """
+    kind = spec.walk_kind
+    if kind in ("dtqw", "electric-dtqw"):
+        phases = _site_phases(spec.phi_e, lattice_min, n_sites) if kind == "electric-dtqw" else None
+
+        def advance(amps):
+            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=True)
+            return new if phases is None else new * phases
+
+        return advance
+    if kind in ("ssqw", "generalized"):
+
+        def advance(amps):
+            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=False)
+            return _shift(_coin(new, coin2), lattice_min, left=False, right=True)
+
+        return advance
     raise ValueError(f"unknown walk kind {kind!r}")
+
+
+def step(state: WalkerState, spec: WalkSpec) -> WalkerState:
+    """Advance one full walk step of the kind selected by ``spec``."""
+    coin1, coin2 = _coins(spec)
+    if spec.walk_kind == "generalized":
+        _require_cover(spec.table1, state)
+        _require_cover(spec.table2, state)
+    advance = _stepper(spec, state.lattice_min, state.n_sites, coin1, coin2)
+    return state.with_amps(advance(state.amps))
+
+
+def iterate(spec: WalkSpec) -> Iterator[WalkerState]:
+    """Yield the states state_0, ..., state_T of the walk one at a time.
+
+    The spec is resolved and its coin operators built once, when the first
+    step is taken; only the current state is kept.
+    """
+    spec = spec.resolved()
+    state = spec.initial_state()
+    yield state
+    advance = _stepper(spec, state.lattice_min, state.n_sites, *_coins(spec))
+    for _ in range(spec.steps):
+        state = state.with_amps(advance(state.amps))
+        yield state
+
+
+def _without_tables(spec: WalkSpec) -> WalkSpec:
+    return replace(spec, table1=None, table2=None, seed=None)
+
+
+def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
+    """Evolve walks that differ only in their coin tables (or seeds) as one batch.
+
+    Yields read-only amplitude arrays of shape (S, 2, n_sites) for t = 0..T,
+    row s being walk ``specs[s]``; row by row they equal the states of
+    :func:`iterate`.  Each spec is resolved on its own, so a seeded member
+    draws exactly the tables it would draw alone.
+    """
+    specs = [s.resolved() for s in specs]
+    if not specs:
+        raise ValueError("an ensemble needs at least one walk")
+    first = specs[0]
+    if any(_without_tables(s) != _without_tables(first) for s in specs):
+        raise ValueError("ensemble walks may differ only in their coin tables and seeds")
+    state = first.initial_state()
+    amps = np.repeat(state.amps[np.newaxis], len(specs), axis=0)
+    amps.setflags(write=False)
+    yield amps
+    # homogeneous coins are equal across members (checked above): keep one
+    coins = [c[0] if c[0].ndim == 2 else np.stack(c) for c in zip(*map(_coins, specs))]
+    advance = _stepper(first, state.lattice_min, state.n_sites, *coins)
+    for _ in range(first.steps):
+        amps = advance(amps)
+        amps.setflags(write=False)
+        yield amps
 
 
 def evolve(spec: WalkSpec) -> list[WalkerState]:
     """Run the walk and return the trajectory [state_0, ..., state_T]."""
-    spec = spec.resolved()
-    states = [spec.initial_state()]
-    for _ in range(spec.steps):
-        states.append(step(states[-1], spec))
-    return states
+    return list(iterate(spec))
+
+
+def site_probabilities(amps: np.ndarray) -> np.ndarray:
+    """Site occupations |psi_l|^2 + |psi_r|^2 of amplitudes (..., 2, n); shape (..., n)."""
+    sq = np.abs(amps) ** 2
+    return sq[..., 0, :] + sq[..., 1, :]
+
+
+def site_moments(p: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of site distributions ``p`` of shape (..., n).
+
+    ``sites`` holds the n site coordinates.  Returns two float64 arrays of
+    shape ``p.shape[:-1]`` (0-d for a single distribution).  Each row takes
+    the same operations, in the same order, as a lone 1-D distribution, so a
+    walk's moments do not depend on the batch it is reduced in.
+    """
+    xs = np.asarray(sites, dtype=np.float64)
+    rows = p.reshape(-1, p.shape[-1])
+    total = p.sum(axis=-1)
+    mean = np.array([xs @ w for w in rows]).reshape(total.shape) / total
+    dev = ((xs - mean[..., np.newaxis]) ** 2).reshape(rows.shape)
+    var = np.array([d @ w for d, w in zip(dev, rows)]).reshape(total.shape) / total
+    return mean, var
 
 
 def probability(state: WalkerState) -> dict[int, float]:
     """Site occupation probabilities |psi_l|^2 + |psi_r|^2 as a map x -> P."""
-    p = np.sum(np.abs(state.amps) ** 2, axis=0)
-    return {int(x): float(v) for x, v in zip(state.sites, p)}
+    return dict(zip(state.sites.tolist(), site_probabilities(state.amps).tolist()))
 
 
 def moments(p: Mapping[int, float]) -> tuple[float, float]:
     """Mean and variance of a site distribution."""
     xs = np.fromiter(p.keys(), dtype=np.float64, count=len(p))
     ws = np.fromiter(p.values(), dtype=np.float64, count=len(p))
-    total = ws.sum()
-    mean = float(xs @ ws / total)
-    var = float((xs - mean) ** 2 @ ws / total)
-    return mean, var
+    mean, var = site_moments(ws, xs)
+    return float(mean), float(var)
 
 
 def spread(p: Mapping[int, float]) -> float:

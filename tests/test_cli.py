@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,56 @@ class TestRun:
         assert summary["moments"][-1]["total"] == pytest.approx(1.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("emit_trajectory", [False, True])
+    @pytest.mark.parametrize("emit_all_sites", [False, True])
+    def test_documents_equal_trajectory_reductions(self, tmp_path, emit_trajectory, emit_all_sites):
+        raw = {
+            "schema_version": 1,
+            "walk": "generalized",
+            "steps": 9,
+            "half_width": 13,
+            "start": 2,
+            "seed": 8,
+            "emit_trajectory": emit_trajectory,
+            "emit_all_sites": emit_all_sites,
+        }
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "dist.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+        traj = walk.evolve(cli.build_spec(raw))
+        lines = ["t,x,P"]
+        moments = []
+        for t, state in enumerate(traj):
+            p = walk.probability(state)
+            mean, var = walk.moments(p)
+            moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": sum(p.values())})
+            if emit_trajectory or t == len(traj) - 1:
+                lines += [f"{t},{x},{p[x]:.17g}" for x in sorted(p) if emit_all_sites or p[x] > 0.0]
+        summary = {"schema_version": 1, "walk": "generalized", "steps": 9, "half_width": 13, "moments": moments}
+        assert out.read_text() == "\n".join(lines) + "\n"
+        assert (tmp_path / "dist.summary.json").read_text() == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+    def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
+        half_width, steps = 1200, 60
+        state_bytes = 2 * (2 * half_width + 1) * 16
+
+        def peak(n_steps):
+            cfg = ssqw_config(tmp_path, steps=n_steps, half_width=half_width)
+            tracemalloc.start()
+            try:
+                assert main(["run", "--config", str(cfg), "--out", str(tmp_path / f"m{n_steps}.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(steps)  # first run pays the one-time imports and caches
+        growth = peak(2 * steps) - peak(steps)
+        # a stored trajectory would add steps * state_bytes (4.6 MB here)
+        assert growth < 0.1 * steps * state_bytes
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lattice=5)
@@ -165,6 +216,34 @@ class TestConfigValidation:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, literal):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"schema_version": 1, "walk": "ssqw", "steps": 3, "half_width": 8, '
+            f'"theta1": {literal}, "theta2": 0.2}}'
+        )
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_table_angle_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"schema_version": 1, "walk": "generalized", "steps": 1, "half_width": 2, '
+            '"table1": {"theta": [0, 0, 1e999, 0, 0]}, "table2": "random", "seed": 3}'
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["emit_trajectory", "emit_all_sites", "verify"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_flags_must_be_booleans(self, tmp_path, capsys, flag, value):
+        cfg = ssqw_config(tmp_path, **{flag: value})
+        for command in (["run"], ["compile"]):
+            assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 2
+            assert f"{flag} must be true or false" in capsys.readouterr().err
 
 
 def ssqw_config(tmp_path, **overrides):

@@ -396,3 +396,155 @@ class TestDenseBuilders:
         t = CoinTable.random_disorder(L, rng)
         got = walk.coin_block_matrix(t.matrices(), L)
         assert np.allclose(got, dense_coin(t.matrices(), L), atol=1e-15)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field", ["theta1", "theta2", "phi_e"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_angles_must_be_finite(self, field, value):
+        spec = WalkSpec("electric-dtqw", 1, 8, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            spec.validate()
+
+    def test_table_columns_must_be_finite(self):
+        theta = np.zeros(5)
+        theta[2] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            CoinTable(-2, np.zeros(5), np.zeros(5), np.zeros(5), theta)
+
+
+# --- streamed and batched evolution ------------------------------------------
+#
+# The reference below is the one-walk, one-step-at-a-time kernel written out
+# with the operations earlier releases used (einsum for per-site coins, a
+# matrix product for homogeneous ones).  The streamed and batched paths must
+# reproduce it bit for bit, since every recorded output depends on it.
+
+
+def reference_step(amps: np.ndarray, spec: WalkSpec) -> np.ndarray:
+    def coin(a, c):
+        return c @ a if c.ndim == 2 else np.einsum("xij,jx->ix", c, a)
+
+    def minus(a):
+        new = a.copy()
+        new[0, :-1], new[0, -1] = a[0, 1:], 0.0
+        return new
+
+    def plus(a):
+        new = a.copy()
+        new[1, 1:], new[1, 0] = a[1, :-1], 0.0
+        return new
+
+    if spec.walk_kind in ("ssqw", "generalized"):
+        if spec.walk_kind == "ssqw":
+            c1, c2 = coin_matrix(spec.theta1), coin_matrix(spec.theta2)
+        else:
+            c1, c2 = spec.table1.matrices(), spec.table2.matrices()
+        return plus(coin(minus(coin(amps, c1)), c2))
+    new = plus(minus(coin(amps, coin_matrix(spec.theta1))))
+    r = math.remainder(spec.phi_e, 2 * math.pi)
+    if spec.walk_kind == "electric-dtqw" and r != 0.0:
+        new = new * np.exp(1j * (r * np.arange(-spec.half_width, spec.half_width + 1)))
+    return new
+
+
+def four_kinds(rng, steps=15, half_width=21, start=0):
+    t1, t2 = random_tables(rng, 2, half_width)
+    common = dict(coin_state=(0.6, 0.8j), start=start)
+    return [
+        WalkSpec("dtqw", steps, half_width, theta1=0.9, **common),
+        WalkSpec("ssqw", steps, half_width, theta1=0.9, theta2=-0.4, **common),
+        WalkSpec("generalized", steps, half_width, table1=t1, table2=t2, **common),
+        WalkSpec("electric-dtqw", steps, half_width, theta1=0.9, phi_e=0.5, **common),
+    ]
+
+
+def random_tables(rng, count, half_width):
+    n = 2 * half_width + 1
+    return [CoinTable(-half_width, *(rng.uniform(-3, 3, n) for _ in range(4))) for _ in range(count)]
+
+
+class TestIterate:
+    @pytest.mark.parametrize("start", [0, -3])
+    def test_matches_step_loop_and_reference_bitwise(self, rng, start):
+        for spec in four_kinds(rng, start=start):
+            streamed = list(walk.iterate(spec))
+            state, amps = spec.initial_state(), spec.initial_state().amps
+            assert np.array_equal(streamed[0].amps, amps)
+            for got in streamed[1:]:
+                state = step(state, spec)
+                amps = reference_step(amps, spec)
+                assert np.array_equal(got.amps, state.amps), spec.walk_kind
+                assert np.array_equal(got.amps, amps), spec.walk_kind
+            assert len(streamed) == spec.steps + 1
+
+    def test_evolve_is_collected_iterate(self):
+        spec = WalkSpec("generalized", 9, 12, seed=5)
+        for a, b in zip(evolve(spec), walk.iterate(spec), strict=True):
+            assert np.array_equal(a.amps, b.amps)
+
+    def test_is_lazy_and_validates_on_first_state(self):
+        stream = walk.iterate(WalkSpec("dtqw", 10, 5))
+        with pytest.raises(LatticeGuardError):
+            next(stream)
+
+    def test_builds_each_coin_table_once(self, monkeypatch):
+        calls = []
+        original = CoinTable.matrices
+        monkeypatch.setattr(CoinTable, "matrices", lambda self: calls.append(1) or original(self))
+        for _ in walk.iterate(WalkSpec("generalized", 20, 22, seed=1)):
+            pass
+        assert len(calls) == 2
+
+
+class TestReductions:
+    def test_probability_and_moments_are_views_of_arrays(self, rng):
+        state = random_state(rng)
+        p = walk.site_probabilities(state.amps)
+        assert list(probability(state).values()) == p.tolist()
+        mean, var = walk.site_moments(p, state.sites)
+        assert (float(mean), float(var)) == moments(probability(state))
+
+    def test_batched_rows_equal_single_rows(self, rng):
+        amps = rng.normal(size=(4, 2, 33)) + 1j * rng.normal(size=(4, 2, 33))
+        sites = np.arange(-16, 17)
+        p = walk.site_probabilities(amps)
+        mean, var = walk.site_moments(p, sites)
+        assert mean.shape == var.shape == (4,)
+        for s in range(4):
+            assert np.array_equal(p[s], walk.site_probabilities(amps[s]))
+            m, v = walk.site_moments(p[s], sites)
+            assert m == mean[s] and v == var[s]
+
+
+class TestEnsemble:
+    def ensemble_sigmas(self, members):
+        sites = np.arange(-members[0].half_width, members[0].half_width + 1)
+        return np.array(
+            [np.sqrt(walk.site_moments(walk.site_probabilities(a), sites)[1]) for a in walk.iterate_ensemble(members)]
+        ).T
+
+    @pytest.mark.parametrize("start", [0, 4])
+    def test_seeded_members_match_single_walks(self, start):
+        members = [WalkSpec("generalized", 20, 26, start=start, coin_state=(0.6, 0.8j), seed=s) for s in range(30, 35)]
+        got = self.ensemble_sigmas(members)
+        for row, member in zip(got, members, strict=True):
+            assert row.tolist() == [walk.spread(probability(s)) for s in evolve(member)]
+
+    def test_explicit_tables_match_single_walks(self, rng):
+        tables = random_tables(rng, 6, 15)
+        members = [WalkSpec("generalized", 11, 15, start=-2, table1=a, table2=b) for a, b in zip(tables[::2], tables[1::2])]
+        for row, member in zip(self.ensemble_sigmas(members), members, strict=True):
+            assert row.tolist() == [walk.spread(probability(s)) for s in evolve(member)]
+
+    def test_rows_are_the_streamed_states(self):
+        members = [WalkSpec("generalized", 8, 10, seed=s) for s in (1, 2)]
+        for batch, *singles in zip(walk.iterate_ensemble(members), *map(walk.iterate, members), strict=True):
+            assert batch.shape == (2, 2, 21)
+            for row, single in zip(batch, singles):
+                assert np.array_equal(row, single.amps)
+
+    def test_members_must_share_everything_but_tables(self):
+        members = [WalkSpec("generalized", 8, 12, seed=1), WalkSpec("generalized", 8, 12, start=1, seed=2)]
+        with pytest.raises(ValueError, match="differ only"):
+            next(walk.iterate_ensemble(members))
