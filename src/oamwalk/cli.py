@@ -12,7 +12,8 @@ Subcommands
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a split-step or generalized
     walk; with ``--verify`` each step block carries its certification
-    against the dense walk operator and a failed check exits with code 4.
+    against the walk's dense step operator (the step kernel on every basis
+    state) and a failed check exits with code 4.
 ``verify``
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``
@@ -22,7 +23,8 @@ Subcommands
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
-config, 3 lattice guard violation, 4 verification failure.
+config or unwritable output (``--out`` in a missing directory is refused
+before any work), 3 lattice guard violation, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def run_command(cfg: dict, out_path: str) -> int:
         moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": sum(p.tolist())})
         if emit_trajectory or t == spec.steps:
             lines += _distribution_rows(t, state.sites, p, emit_all_sites)
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_text(out_path, "\n".join(lines) + "\n")
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -251,8 +253,15 @@ def _summary_path(out_path: str) -> Path:
     return Path(out_path).with_suffix(".summary.json")
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
+
+
 def _write_json(path, document: dict) -> None:
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 # --- compile / verify ------------------------------------------------------
@@ -483,6 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        out_dir = Path(args.out).parent
+        if not out_dir.is_dir():
+            raise ConfigError(f"cannot write {args.out}: {out_dir} is not an existing directory")
         cfg = load_config(args.config)
         if args.command == "run":
             return run_command(cfg, args.out)

@@ -21,8 +21,9 @@ the middle Euler z-angle; the operator algebra selects the leading one, and
 the failure of that variant stays demonstrable.
 
 Verification lifts the compiled train on the truncated lattice and compares
-it against an independently built dense walk operator with
-:func:`oamwalk.optics.equal_up_to_phase`.
+it with :func:`oamwalk.optics.equal_up_to_phase` against the walk's dense
+step operator (:func:`oamwalk.walk.step_operator`), which is the same step
+kernel that evolves the walk, applied to every basis state.
 """
 
 from __future__ import annotations
@@ -146,11 +147,10 @@ def column_params(c1: np.ndarray) -> ColumnParams:
 def pdc_plates(p: walk.CoinParams) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Pointwise J-plate parameters (delta_x, delta_y, angle) for one coin.
 
-    Returns (q2, q1); the realized coin is J(q2) @ J(q1) @ s3.
+    Returns (q2, q1); the realized coin is J(q2) @ J(q1) @ s3.  Same formula
+    as :func:`compile_pdc`, on a one-site table.
     """
-    q2 = (p.chi + p.eta, p.chi - p.eta, p.xi)
-    q1 = (0.0, math.pi, 0.5 * (p.theta + p.xi))
-    return q2, q1
+    return compile_pdc(walk.CoinTable(0, [p.chi], [p.xi], [p.eta], [p.theta])).plates(0)
 
 
 @dataclass(frozen=True)
@@ -194,16 +194,11 @@ class PdcBlock:
         n = 2 * half_width + 1
         if self.lattice_min != -half_width or self.n_sites != n:
             raise ValueError("block lattice does not match the requested half-width")
+        m = np.array([self.site_matrix(x) for x in range(-half_width, half_width + 1)])
         out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        for k in range(n):
-            m = (
-                optics.jplate_pointwise(*self.q2[k])
-                @ optics.jplate_pointwise(*self.q1[k])
-                @ SIGMA3
-            )
-            for i in range(2):
-                for j in range(2):
-                    out[i * n + k, j * n + k] = m[i, j]
+        for i in range(2):
+            for j in range(2):
+                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = np.diag(m[:, i, j])
         return out
 
 

@@ -18,6 +18,13 @@ Truncation is exact in practice as long as no appreciable amplitude reaches
 the boundary sites; every shift enforces that guard and raises
 :class:`LatticeGuardError` when it would push amplitude off the lattice.
 
+Each walk kind's sequence of operations (coin, half or full shift, electric
+phase) is written once, in the step kernel.  The dense one-step operators
+(:func:`step_operator`, :func:`split_step_operator`) are that kernel applied
+to every basis state with the guard off, so that amplitude leaving the
+lattice is dropped as a truncated matrix drops it; a certificate checked
+against them speaks about the walk that :func:`iterate` evolves.
+
 The step kernel works on bare amplitude arrays of shape ``(..., 2, n_sites)``:
 one walk has no leading axis, and an ensemble of walks that differ only in
 their coin tables is one ``(S, 2, n_sites)`` array advanced by the same code
@@ -62,11 +69,6 @@ __all__ = [
     "probability",
     "moments",
     "spread",
-    "coin_block_matrix",
-    "shift_minus_matrix",
-    "shift_plus_matrix",
-    "shift_full_matrix",
-    "electric_phase_matrix",
     "split_step_operator",
     "step_operator",
 ]
@@ -152,12 +154,6 @@ class CoinParams:
                 raise ValueError(f"coin angle {name} must be finite, got {v}")
 
 
-def _exp_i_sigma2(angle: float) -> np.ndarray:
-    """exp(i*angle*s2) = [[cos a, sin a], [-sin a, cos a]]."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, s], [-s, c]], dtype=np.complex128)
-
-
 def coin_matrix(theta: float) -> np.ndarray:
     """Balanced coin rotation [[cos t, -i sin t], [-i sin t, cos t]]."""
     c, s = math.cos(theta), math.sin(theta)
@@ -168,10 +164,10 @@ def u2_matrix(p: CoinParams) -> np.ndarray:
     """U(2) coin from its four angles, in the fixed factor order.
 
     ``exp(i*chi) * exp(i*xi*s2) * diag(e^{i*eta}, e^{-i*eta}) * exp(i*theta*s2)``.
-    The determinant phase is ``exp(2i*chi)``.
+    The determinant phase is ``exp(2i*chi)``.  Same formula as
+    :meth:`CoinTable.matrices`, on a one-site table.
     """
-    d = np.diag([np.exp(1j * p.eta), np.exp(-1j * p.eta)])
-    return np.exp(1j * p.chi) * (_exp_i_sigma2(p.xi) @ d @ _exp_i_sigma2(p.theta))
+    return CoinTable(0, [p.chi], [p.xi], [p.eta], [p.theta]).matrices()[0]
 
 
 @dataclass(frozen=True)
@@ -326,12 +322,15 @@ def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
         )
 
 
-def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool) -> np.ndarray:
-    """Move the left mover one site left and/or the right mover one site right."""
+def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool, guard: bool = True) -> np.ndarray:
+    """Move the left mover one site left and/or the right mover one site right.
+
+    With ``guard`` off, amplitude moved off the lattice is dropped silently.
+    """
     n_sites = amps.shape[-1]
-    if left:
+    if guard and left:
         _guard_check(amps[..., 0, 0], lattice_min, n_sites, "left")
-    if right:
+    if guard and right:
         _guard_check(amps[..., 1, -1], lattice_min, n_sites, "right")
     new = amps.copy()
     if left:
@@ -358,16 +357,12 @@ def shift_full(state: WalkerState) -> WalkerState:
     return state.with_amps(_shift(state.amps, state.lattice_min, left=True, right=True))
 
 
-def _reduced_phase(phi: float) -> float:
+def _site_phases(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
+    """Factors exp(i * phi_e * x) over the lattice, or None when they are all 1."""
     # IEEE remainder keeps e^{i*phi*x} bit-stable under adding full turns to
     # phi: the reduction of phi and of phi + 2*pi yield the same double
     # whenever the addition itself was exact.
-    return math.remainder(phi, _TWO_PI)
-
-
-def _site_phases(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
-    """Factors exp(i * phi_e * x) over the lattice, or None when they are all 1."""
-    r = _reduced_phase(phi_e)
+    r = math.remainder(phi_e, _TWO_PI)
     if r == 0.0:
         return None
     return np.exp(1j * (r * np.arange(lattice_min, lattice_min + n_sites)))
@@ -456,27 +451,30 @@ def _coins(spec: WalkSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stepper(
-    spec: WalkSpec, lattice_min: int, n_sites: int, coin1: np.ndarray, coin2: np.ndarray
+    spec: WalkSpec, lattice_min: int, n_sites: int, coin1: np.ndarray, coin2: np.ndarray, guard: bool = True
 ) -> Callable[[np.ndarray], np.ndarray]:
     """One step of ``spec``'s walk kind on amplitudes of shape (..., 2, n_sites).
 
-    The coins come prepared by :func:`_coins` (stacked along the leading axis
-    for an ensemble) and the electric phases are built here, once per walk.
+    This is the one place that knows each kind's sequence of operations.  The
+    coins come prepared by :func:`_coins` (stacked along the leading axis for
+    an ensemble) and the electric phases are built here, once per walk.  With
+    ``guard`` off (dense operators only), amplitude shifted off the lattice is
+    dropped instead of raising :class:`LatticeGuardError`.
     """
     kind = spec.walk_kind
     if kind in ("dtqw", "electric-dtqw"):
         phases = _site_phases(spec.phi_e, lattice_min, n_sites) if kind == "electric-dtqw" else None
 
         def advance(amps):
-            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=True)
+            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=True, guard=guard)
             return new if phases is None else new * phases
 
         return advance
     if kind in ("ssqw", "generalized"):
 
         def advance(amps):
-            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=False)
-            return _shift(_coin(new, coin2), lattice_min, left=False, right=True)
+            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=False, guard=guard)
+            return _shift(_coin(new, coin2), lattice_min, left=False, right=True, guard=guard)
 
         return advance
     raise ValueError(f"unknown walk kind {kind!r}")
@@ -586,65 +584,18 @@ def spread(p: Mapping[int, float]) -> float:
 
 # --- dense matrix representations -----------------------------------------
 #
-# These build the walk-step unitaries as explicit matrices on the basis
-# |coin> ⊗ |x>, with index coin * n_sites + (x - lattice_min).  Rows that a
-# shift would move off the lattice are dropped, matching the state-level
-# truncation.  The optical compiler verifies its element trains against
-# these references.
+# Matrices on the basis |coin> ⊗ |x>, index coin * n_sites + (x - lattice_min),
+# built by running the unguarded step kernel on every basis state at once, so
+# a certificate against them is about the walk that :func:`iterate` evolves.
 
 
-def _n(half_width: int) -> int:
-    return 2 * half_width + 1
-
-
-def _translation(m: int, half_width: int) -> np.ndarray:
-    """Matrix of |x> -> |x+m| on the truncated lattice (out-of-range rows dropped)."""
-    return np.eye(_n(half_width), k=-m)
-
-
-def coin_block_matrix(coin, half_width: int) -> np.ndarray:
-    """Lift a coin onto the lattice: one 2x2 everywhere, or one per site."""
-    coin = np.asarray(coin, dtype=np.complex128)
-    n = _n(half_width)
-    if coin.shape == (2, 2):
-        return np.kron(coin, np.eye(n))
-    if coin.shape != (n, 2, 2):
-        raise ValueError(f"coin must be (2, 2) or ({n}, 2, 2), got {coin.shape}")
-    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = np.diag(coin[:, i, j])
-    return out
-
-
-def shift_minus_matrix(half_width: int) -> np.ndarray:
-    n = _n(half_width)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = _translation(-1, half_width)
-    out[n:, n:] = np.eye(n)
-    return out
-
-
-def shift_plus_matrix(half_width: int) -> np.ndarray:
-    n = _n(half_width)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = np.eye(n)
-    out[n:, n:] = _translation(+1, half_width)
-    return out
-
-
-def shift_full_matrix(half_width: int) -> np.ndarray:
-    n = _n(half_width)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = _translation(-1, half_width)
-    out[n:, n:] = _translation(+1, half_width)
-    return out
-
-
-def electric_phase_matrix(phi_e: float, half_width: int) -> np.ndarray:
-    r = _reduced_phase(phi_e)
-    phases = np.exp(1j * (r * np.arange(-half_width, half_width + 1)))
-    return np.diag(np.concatenate([phases, phases]))
+def _dense(advance: Callable[[np.ndarray], np.ndarray], n_sites: int) -> np.ndarray:
+    """Matrix of a linear step on amplitudes (..., 2, n_sites): its image of every basis state."""
+    dim = 2 * n_sites
+    images = advance(np.eye(dim, dtype=np.complex128).reshape(dim, 2, n_sites))
+    # C order: np.linalg.norm sums in memory order, so a transposed view
+    # would move the last bits of every certificate's fidelity
+    return np.ascontiguousarray(images.reshape(dim, dim).T)
 
 
 def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
@@ -652,29 +603,19 @@ def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
 
     Each coin is a single 2x2 matrix or a per-site (n, 2, 2) stack.
     """
-    return (
-        shift_plus_matrix(half_width)
-        @ coin_block_matrix(coin2, half_width)
-        @ shift_minus_matrix(half_width)
-        @ coin_block_matrix(coin1, half_width)
-    )
+    n = 2 * half_width + 1
+    coins = []
+    for coin in (coin1, coin2):
+        coin = np.asarray(coin, dtype=np.complex128)
+        if coin.shape != (2, 2) and coin.shape != (n, 2, 2):
+            raise ValueError(f"coin must be (2, 2) or ({n}, 2, 2), got {coin.shape}")
+        coins.append(coin if coin.ndim == 2 else np.ascontiguousarray(coin.transpose(1, 2, 0)))
+    ssqw = WalkSpec("ssqw", 1, half_width)
+    return _dense(_stepper(ssqw, -half_width, n, *coins, guard=False), n)
 
 
 def step_operator(spec: WalkSpec) -> np.ndarray:
     """Dense one-step operator of the walk described by ``spec``."""
     spec = spec.resolved()
-    L = spec.half_width
-    kind = spec.walk_kind
-    if kind == "dtqw":
-        return shift_full_matrix(L) @ coin_block_matrix(coin_matrix(spec.theta1), L)
-    if kind == "ssqw":
-        return split_step_operator(coin_matrix(spec.theta1), coin_matrix(spec.theta2), L)
-    if kind == "generalized":
-        return split_step_operator(spec.table1.matrices(), spec.table2.matrices(), L)
-    if kind == "electric-dtqw":
-        return (
-            electric_phase_matrix(spec.phi_e, L)
-            @ shift_full_matrix(L)
-            @ coin_block_matrix(coin_matrix(spec.theta1), L)
-        )
-    raise ValueError(f"unknown walk kind {kind!r}")
+    n = 2 * spec.half_width + 1
+    return _dense(_stepper(spec, -spec.half_width, n, *_coins(spec), guard=False), n)

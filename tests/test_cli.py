@@ -11,6 +11,8 @@ from oamwalk import cli, compiler, walk
 from oamwalk.cli import main
 from oamwalk.optics import equal_up_to_phase
 
+from conftest import dense_shift_full
+
 
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = {
@@ -304,7 +306,7 @@ class TestCompile:
         out = tmp_path / "parts.json"
         main(["compile", "--config", str(cfg), "--out", str(out)])
         steps = cli.parse_parts_list(json.loads(out.read_text()))
-        m = equal_up_to_phase(steps[0].lift(6), walk.shift_full_matrix(6))
+        m = equal_up_to_phase(steps[0].lift(6), dense_shift_full(6))
         assert m.match
 
     def test_round_trip_reproduces_fidelity(self, tmp_path):
@@ -439,3 +441,37 @@ class TestLocalize:
     def test_rejects_non_generalized(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)
         assert main(["localize", "--config", str(cfg), "--seeds", "2", "--out", str(tmp_path / "x.json")]) == 2
+
+
+class TestUnwritableOutput:
+    def configs(self, tmp_path):
+        loc = TestLocalize().localize_config(tmp_path)
+        return {
+            "run": (write_config(tmp_path), []),
+            "compile": (ssqw_config(tmp_path), ["--verify"]),
+            "localize": (loc, ["--seeds", "2"]),
+        }
+
+    @pytest.mark.parametrize("command", ["run", "compile", "localize"])
+    def test_missing_out_directory_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        def never(*args, **kwargs):
+            raise AssertionError("the walk must not be evolved")
+
+        monkeypatch.setattr(walk, "iterate", never)
+        monkeypatch.setattr(walk, "iterate_ensemble", never)
+        monkeypatch.setattr(walk, "step_operator", never)
+        cfg, extra = self.configs(tmp_path)[command]
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "missing_dir" / "x.out"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "compile", "localize"])
+    def test_write_failure_exits_2_without_traceback(self, tmp_path, capsys, command):
+        cfg, extra = self.configs(tmp_path)[command]
+        out = tmp_path / "taken"
+        out.mkdir()  # the directory exists, so writing a file at its path fails
+        assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write" in err and "Traceback" not in err

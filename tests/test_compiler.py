@@ -21,7 +21,16 @@ from oamwalk.compiler import (
 from oamwalk.optics import JPlate, VariableWavePlate, compose, equal_up_to_phase
 from oamwalk.walk import CoinParams, CoinTable, WalkSpec, coin_matrix, u2_matrix
 
-from conftest import SIGMA2, SIGMA3, dense_shift_minus, expm_unitary, random_su2, random_u2
+from conftest import (
+    SIGMA2,
+    SIGMA3,
+    dense_coin,
+    dense_shift_full,
+    dense_shift_minus,
+    expm_unitary,
+    random_su2,
+    random_u2,
+)
 
 
 def euler_oracle(angles):
@@ -162,7 +171,7 @@ class TestPdcCompilation:
         )
         block = compile_pdc(table)
         got = block.lift(L)
-        ref = walk.coin_block_matrix(table.matrices(), L)
+        ref = dense_coin(table.matrices(), L)
         assert np.max(np.abs(got - ref)) < 1e-13
 
     def test_site_accessors(self, rng):
@@ -176,7 +185,7 @@ class TestPdcCompilation:
 class TestCompileSsqw:
     def test_identity_coins_give_full_shift(self):
         cs = compile_ssqw(np.eye(2), np.eye(2))
-        ref = walk.shift_full_matrix(5)
+        ref = dense_shift_full(5)
         m = equal_up_to_phase(cs.lift(5), ref)
         assert m.match and m.fidelity >= 1 - 1e-12
 
@@ -252,7 +261,7 @@ class TestCompileGeneralized:
         t = CoinTable.homogeneous(CoinParams(), L)
         steps = compile_generalized(WalkSpec("generalized", 1, L, table1=t, table2=t))
         assert len(steps) == 1
-        m = equal_up_to_phase(steps[0].lift(L), walk.shift_full_matrix(L))
+        m = equal_up_to_phase(steps[0].lift(L), dense_shift_full(L))
         assert m.match
 
     def test_homogeneous_tables_match_ssqw_compilation(self, rng):

@@ -188,6 +188,9 @@ class TestEqualUpToPhase:
 class TestLiftAgainstWalkMatrices:
     def test_shift_plates_equal_walk_shift_matrices(self):
         L = 7
-        assert np.array_equal(lift(JPlate(-1, 0, 0, 0, 0), L).real, walk.shift_minus_matrix(L))
-        assert np.array_equal(lift(JPlate(0, 0, 1, 0, 0), L).real, walk.shift_plus_matrix(L))
-        assert np.array_equal(lift(JPlate(-1, 0, 1, 0, 0), L).real, walk.shift_full_matrix(L))
+        assert np.array_equal(lift(JPlate(-1, 0, 0, 0, 0), L), dense_shift_minus(L))
+        assert np.array_equal(lift(JPlate(0, 0, 1, 0, 0), L), dense_shift_plus(L))
+        assert np.array_equal(lift(JPlate(-1, 0, 1, 0, 0), L), dense_shift_full(L))
+        # the walk's own step with identity coins is the same full shift
+        identity_dtqw = walk.WalkSpec("dtqw", 1, L, theta1=0.0)
+        assert np.array_equal(lift(JPlate(-1, 0, 1, 0, 0), L), walk.step_operator(identity_dtqw))

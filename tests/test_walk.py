@@ -32,6 +32,8 @@ from conftest import (
     SIGMA3,
     dense_coin,
     dense_shift_full,
+    dense_shift_minus,
+    dense_shift_plus,
     expm_unitary,
     state_vector,
 )
@@ -369,12 +371,16 @@ class TestSpecValidation:
 
 class TestDenseBuilders:
     def test_shift_matrices_match_oracle(self):
-        from conftest import dense_shift_minus, dense_shift_plus
-
+        # the kernel's shifts, unguarded and applied to every basis state
         for L in (2, 5):
-            assert np.array_equal(walk.shift_minus_matrix(L), dense_shift_minus(L).real)
-            assert np.array_equal(walk.shift_plus_matrix(L), dense_shift_plus(L).real)
-            assert np.array_equal(walk.shift_full_matrix(L), dense_shift_full(L).real)
+            n = 2 * L + 1
+            for (left, right), oracle in [
+                ((True, False), dense_shift_minus),
+                ((False, True), dense_shift_plus),
+                ((True, True), dense_shift_full),
+            ]:
+                got = walk._dense(lambda a: walk._shift(a, -L, left, right, guard=False), n)
+                assert np.array_equal(got, oracle(L))
 
     def test_step_operator_matches_state_path(self, rng):
         L = 6
@@ -394,8 +400,39 @@ class TestDenseBuilders:
     def test_per_site_coin_block(self, rng):
         L = 4
         t = CoinTable.random_disorder(L, rng)
-        got = walk.coin_block_matrix(t.matrices(), L)
+        coin = walk._site_coefficients(t)
+        got = walk._dense(lambda a: walk._coin(a, coin), 2 * L + 1)
         assert np.allclose(got, dense_coin(t.matrices(), L), atol=1e-15)
+
+    @pytest.mark.parametrize("half_width", [3, 6])
+    def test_step_operator_is_the_step_kernel(self, rng, half_width):
+        # four-angle U(2) tables and phi_e != 0 (see four_kinds)
+        L, n = half_width, 2 * half_width + 1
+        minus, plus, full = dense_shift_minus(L), dense_shift_plus(L), dense_shift_full(L)
+        for spec in four_kinds(rng, steps=1, half_width=L):
+            op = walk.step_operator(spec)
+            # every basis state that keeps clear of the edges: the operator's
+            # column is the step of that state, bit for bit
+            for coin in range(2):
+                for k in range(1, n - 1):
+                    basis = np.zeros((2, n), dtype=complex)
+                    basis[coin, k] = 1.0
+                    got = state_vector(step(walk.WalkerState(-L, basis), spec))
+                    assert np.array_equal(op[:, coin * n + k], got)
+            # the whole operator, edge columns included, against the oracles
+            if spec.walk_kind == "generalized":
+                c1, c2 = spec.table1.matrices(), spec.table2.matrices()
+            else:
+                c1, c2 = coin_matrix(spec.theta1), coin_matrix(spec.theta2)
+            if spec.walk_kind in ("ssqw", "generalized"):
+                expect = plus @ dense_coin(c2, L) @ minus @ dense_coin(c1, L)
+                assert np.array_equal(walk.split_step_operator(c1, c2, L), op)
+            else:
+                expect = full @ dense_coin(c1, L)
+            if spec.walk_kind == "electric-dtqw":
+                phases = np.exp(1j * spec.phi_e * np.arange(-L, L + 1))
+                expect = np.diag(np.concatenate([phases, phases])) @ expect
+            assert np.max(np.abs(op - expect)) < 1e-13
 
 
 class TestNonFinite:
