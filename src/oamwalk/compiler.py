@@ -20,9 +20,11 @@ the middle Euler z-angle; the operator algebra selects the leading one, and
 :func:`compile_ssqw` keeps the alternative reachable (``first_plate``) so
 the failure of that variant stays demonstrable.
 
-Verification lifts the compiled train on the truncated lattice and compares
-it with :func:`oamwalk.optics.equal_up_to_phase` against the walk's dense
-step operator (:func:`oamwalk.walk.step_operator`), which is the same step
+Verification folds the compiled train on the truncated lattice in one pass:
+each element is lifted once, its unitarity defect is recorded, and it is
+multiplied onto the running product and released.  The product is compared
+with :func:`oamwalk.optics.equal_up_to_phase` against the walk's dense step
+operator (:func:`oamwalk.walk.step_operator`), which is the same step
 kernel that evolves the walk, applied to every basis state.
 """
 
@@ -321,16 +323,23 @@ def _factor_margin(element) -> int:
 
 
 def verify(cs: CompiledStep, reference: np.ndarray, tol: float = 1e-10) -> VerificationReport:
-    """Lift a compiled train and compare it with a reference step operator."""
+    """Fold a compiled train, checking each factor, and compare it with a reference step operator.
+
+    Each element is lifted once; at most one lift is alive next to the
+    running product, the same fold as :func:`oamwalk.optics.compose`.
+    """
     reference = np.asarray(reference)
     dim = reference.shape[0]
     if reference.ndim != 2 or reference.shape[1] != dim or dim % 2 or (dim // 2) % 2 == 0:
         raise ValueError(f"reference must be square of dimension 2*(2L+1), got {reference.shape}")
     half_width = (dim // 2 - 1) // 2
-    compiled = cs.lift(half_width)
+    compiled, factors = None, []
+    for el, desc in zip(cs.elements, cs.provenance, strict=True):
+        lifted = el.lift(half_width)
+        factors.append(FactorCheck(desc, optics.unitarity_defect(lifted, margin=_factor_margin(el))))
+        compiled = lifted if compiled is None else lifted @ compiled
+        del lifted
+    if compiled is None:
+        compiled = np.eye(dim, dtype=np.complex128)
     match = optics.equal_up_to_phase(compiled, reference, tol=tol)
-    factors = tuple(
-        FactorCheck(desc, optics.unitarity_defect(el.lift(half_width), margin=_factor_margin(el)))
-        for el, desc in zip(cs.elements, cs.provenance)
-    )
-    return VerificationReport(match.match, match.fidelity, match.phase, tol, factors, cs.notes)
+    return VerificationReport(match.match, match.fidelity, match.phase, tol, tuple(factors), cs.notes)

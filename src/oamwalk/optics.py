@@ -14,9 +14,12 @@ Three element kinds are modeled:
     tunable retardance ``z`` between H and V, ``diag(e^{iz/2}, e^{-iz/2})``.
 
 Lifting an element to the truncated lattice produces a dense matrix on the
-basis ``|polarization> ⊗ |l>``; OAM-shift rows that leave the lattice are
-dropped, so lifted operators are unitary on states that keep clear of the
-boundary (the walk layer's guard) but not on the edge columns themselves.
+basis ``|polarization> ⊗ |l>``.  Each element's 2×2 grid of lattice blocks
+is placed directly (a rotated J-plate included), so no lift forms a dense
+matrix product, and :func:`compose` folds a train one lift at a time.
+OAM-shift rows that leave the lattice are dropped, so lifted operators are
+unitary on states that keep clear of the boundary (the walk layer's guard)
+but not on the edge columns themselves.
 :func:`equal_up_to_phase` therefore normalizes its overlap by Frobenius
 norms, which coincides with the unitary normalization 1/dim away from edge
 effects and keeps "fidelity 1 iff equal up to a global phase" exact.
@@ -100,17 +103,23 @@ class JPlate:
         object.__setattr__(self, "m_y", _as_multiplier(self.m_y))
 
     def lift(self, half_width: int) -> np.ndarray:
+        """Dense lift with block (a, b) = sum_c R(-angle)[a,c] e^{i c_c} R(angle)[c,b] T_{m_c}.
+
+        The blocks are placed directly, without a dense product.  Each
+        coefficient is multiplied in the order of ``R(-angle) @ core @
+        R(angle)`` on the lifted matrices, and when ``m_x != m_y`` every
+        entry holds one term, so the result is that product bit for bit.
+        """
         n = 2 * half_width + 1
-        core = np.exp(1j * self.c_x) * np.kron(
-            np.diag([1.0, 0.0]), oam_shift_matrix(self.m_x, half_width)
-        ) + np.exp(1j * self.c_y) * np.kron(
-            np.diag([0.0, 1.0]), oam_shift_matrix(self.m_y, half_width)
-        )
-        if self.angle == 0.0:
-            return core
-        rot = np.kron(jones_rotation(self.angle), np.eye(n))
-        rot_back = np.kron(jones_rotation(-self.angle), np.eye(n))
-        return rot_back @ core @ rot
+        rot, rot_back = jones_rotation(self.angle), jones_rotation(-self.angle)
+        out = np.zeros((2, n, 2, n), dtype=np.complex128)
+        for c, (m, const) in enumerate(((self.m_x, self.c_x), (self.m_y, self.c_y))):
+            shift = oam_shift_matrix(m, half_width)
+            phase = np.exp(1j * const)
+            for a in range(2):
+                for b in range(2):
+                    out[a, :, b, :] += rot_back[a, c] * phase * rot[c, b] * shift
+        return out.reshape(2 * n, 2 * n)
 
 
 @dataclass(frozen=True)
@@ -144,12 +153,17 @@ def lift(element, half_width: int) -> np.ndarray:
 
 
 def compose(elements: Sequence, half_width: int) -> np.ndarray:
-    """Operator of an element train given in application order (first applied first)."""
-    dim = 2 * (2 * half_width + 1)
-    op = np.eye(dim, dtype=np.complex128)
+    """Operator of an element train given in application order (first applied first).
+
+    The fold starts from the first lift and releases each lift once it is
+    multiplied in; an empty train is the identity.
+    """
+    op = None
     for element in elements:
-        op = element.lift(half_width) @ op
-    return op
+        lifted = element.lift(half_width)
+        op = lifted if op is None else lifted @ op
+        del lifted
+    return np.eye(2 * (2 * half_width + 1), dtype=np.complex128) if op is None else op
 
 
 class PhaseMatch(NamedTuple):

@@ -1,6 +1,7 @@
 """Tests for the optical compiler: decompositions, recipes, verification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from oamwalk import optics, walk
 from oamwalk.compiler import (
     CompiledStep,
+    PdcBlock,
     column_params,
     compile_generalized,
     compile_pdc,
@@ -321,3 +323,96 @@ class TestVerify:
         cs = compile_ssqw(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="dimension"):
             verify(cs, np.eye(7))
+
+
+def four_angle_spec(rng, half_width):
+    """One generalized step with general U(2) tables (nonzero chi, xi, eta)."""
+
+    def table():
+        return CoinTable(-half_width, *rng.uniform(-math.pi, math.pi, size=(4, 2 * half_width + 1)))
+
+    return WalkSpec("generalized", 1, half_width, table1=table(), table2=table())
+
+
+def verify_cases(rng, half_width):
+    """(name, train, reference): ssqw, its gamma2 variant, a four-angle generalized step."""
+    c1, c2 = random_u2(rng), random_u2(rng)
+    ref = walk.split_step_operator(c1, c2, half_width)
+    spec = four_angle_spec(rng, half_width)
+    return [
+        ("ssqw", compile_ssqw(c1, c2), ref),
+        ("gamma2", compile_ssqw(c1, c2, first_plate="gamma2"), ref),
+        ("generalized", compile_generalized(spec)[0], walk.step_operator(spec)),
+    ]
+
+
+def shift_margin(element) -> int:
+    """Edge sites a lifted element's OAM shift empties."""
+    return max(abs(element.m_x), abs(element.m_y)) if isinstance(element, JPlate) else 0
+
+
+def lift_methods():
+    return [optics.JPlate, optics.HalfWavePlate, optics.VariableWavePlate, PdcBlock]
+
+
+class TestVerifyFold:
+    """verify lifts each element once and reports what compose-then-relift reported."""
+
+    @pytest.mark.parametrize("half_width", [5, 40])
+    def test_each_element_lifted_once(self, rng, monkeypatch, half_width):
+        lifted = []
+        for cls in lift_methods():
+            original = cls.lift
+
+            def counting(self, hw, _original=original):
+                lifted.append(id(self))
+                return _original(self, hw)
+
+            monkeypatch.setattr(cls, "lift", counting)
+        for name, cs, ref in verify_cases(rng, half_width):
+            lifted.clear()
+            verify(cs, ref)
+            assert sorted(lifted) == sorted(id(el) for el in cs.elements), name
+
+    @pytest.mark.parametrize("half_width", [5, 40])
+    def test_report_equals_compose_then_relift(self, rng, half_width):
+        for name, cs, ref in verify_cases(rng, half_width):
+            # The report as computed before the fold: the whole train composed
+            # from the identity, then every factor lifted again for its check.
+            op = np.eye(ref.shape[0], dtype=complex)
+            for el in cs.elements:
+                op = el.lift(half_width) @ op
+            expect = equal_up_to_phase(op, ref)
+            rep = verify(cs, ref)
+            assert (rep.passed, rep.fidelity, rep.phase) == tuple(expect), name
+            assert rep.passed == (name != "gamma2")
+            defects = [
+                optics.unitarity_defect(el.lift(half_width), margin=shift_margin(el)) for el in cs.elements
+            ]
+            assert [f.unitarity_defect for f in rep.factors] == defects, name
+            assert [f.description for f in rep.factors] == list(cs.provenance)
+
+    def test_empty_train_is_the_identity(self):
+        L = 3
+        rep = verify(CompiledStep((), (), 0.0), np.eye(2 * (2 * L + 1)))
+        assert rep.passed and rep.fidelity == 1.0 and rep.factors == ()
+
+    def test_unnamed_element_is_rejected(self):
+        cs = compile_ssqw(np.eye(2), np.eye(2))
+        short = CompiledStep(cs.elements, cs.provenance[:-1], cs.phase)
+        with pytest.raises(ValueError):
+            verify(short, walk.split_step_operator(np.eye(2), np.eye(2), 3))
+
+    @pytest.mark.parametrize("kind", ["ssqw", "generalized"])
+    def test_peak_memory_is_about_three_dense_matrices(self, rng, kind):
+        L = 64
+        dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
+        _, cs, ref = next(case for case in verify_cases(rng, L) if case[0] == kind)
+        tracemalloc.start()
+        try:
+            rep = verify(cs, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak <= 3.5 * dense_bytes

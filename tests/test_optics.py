@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oamwalk import optics, walk
+from oamwalk.compiler import compile_ssqw
 from oamwalk.optics import (
     HalfWavePlate,
     JPlate,
@@ -116,6 +117,59 @@ class TestLift:
             assert unitarity_defect(op, margin=2) < 1e-14
 
 
+def shift_oracle(m: int, half_width: int) -> np.ndarray:
+    """|l> -> |l+m> on l in [-half_width, half_width], written entry by entry."""
+    n = 2 * half_width + 1
+    out = np.zeros((n, n))
+    for x in range(-half_width, half_width + 1):
+        if -half_width <= x + m <= half_width:
+            out[x + m + half_width, x + half_width] = 1.0
+    return out
+
+
+def rotated_plate_oracle(m_x, c_x, m_y, c_y, angle, half_width):
+    """kron(R(-a), I) @ core @ kron(R(a), I): the rotated plate as two dense products."""
+    n = 2 * half_width + 1
+    core = np.exp(1j * c_x) * np.kron(np.diag([1.0, 0.0]), shift_oracle(m_x, half_width))
+    core = core + np.exp(1j * c_y) * np.kron(np.diag([0.0, 1.0]), shift_oracle(m_y, half_width))
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.kron(np.array([[c, -s], [s, c]], dtype=complex), np.eye(n))
+    rot_back = np.kron(np.array([[c, s], [-s, c]], dtype=complex), np.eye(n))
+    return rot_back @ core @ rot
+
+
+# The rotation angle of the J-plate in a compiled split-step train.
+COMPILER_ALPHA = compile_ssqw(walk.coin_matrix(0.7), walk.coin_matrix(-0.35)).elements[1].angle
+
+
+class TestJPlateLiftPlacesBlocks:
+    """The placed blocks equal the dense product they replace."""
+
+    @pytest.mark.parametrize("half_width", [3, 40])
+    @pytest.mark.parametrize("m_x, m_y", [(-1, 0), (0, 1), (-1, 1), (2, -1)])
+    @pytest.mark.parametrize("angle", [0.0, COMPILER_ALPHA, -1.1, 2.5])
+    def test_distinct_multipliers_match_product_exactly(self, m_x, m_y, angle, half_width):
+        # Each entry is one product, so the values agree exactly; only the
+        # sign of some structural zeros may differ from the BLAS product.
+        got = JPlate(m_x, 0.7, m_y, -1.3, angle).lift(half_width)
+        assert np.array_equal(got, rotated_plate_oracle(m_x, 0.7, m_y, -1.3, angle, half_width))
+
+    @pytest.mark.parametrize(
+        "m_x, m_y, angle", [(-1, 0, COMPILER_ALPHA), (0, 1, 0.0), (-1, 1, 2.5), (2, -1, -1.1)]
+    )
+    def test_distinct_multipliers_match_product_exactly_at_l256(self, m_x, m_y, angle):
+        got = JPlate(m_x, 2.1, m_y, 0.4, angle).lift(256)
+        assert np.array_equal(got, rotated_plate_oracle(m_x, 2.1, m_y, 0.4, angle, 256))
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    @pytest.mark.parametrize("angle", [COMPILER_ALPHA, -1.1])
+    def test_equal_multipliers_match_product_to_rounding(self, m, angle):
+        # Two products meet in each entry; their sum may round differently.
+        L = 40
+        got = JPlate(m, 0.7, m, -1.3, angle).lift(L)
+        assert np.max(np.abs(got - rotated_plate_oracle(m, 0.7, m, -1.3, angle, L))) <= 1e-15
+
+
 class TestCompose:
     def test_empty_train_is_identity(self):
         assert np.array_equal(compose([], 3), np.eye(14))
@@ -129,15 +183,16 @@ class TestCompose:
         assert np.allclose(got, np.eye(18), atol=1e-14)
 
     def test_application_order(self):
-        # s3 then minus-shift is not minus-shift then s3 on the H channel sign.
+        # A half-waveplate off axis mixes H and V, so it does not commute with
+        # the minus-shift (at angle 0 it is s3, and the two orders agree).
         L = 3
-        a = compose([HalfWavePlate(0.0), JPlate(-1, 0, 0, 0, 0)], L)
-        b = compose([JPlate(-1, 0, 0, 0, 0), HalfWavePlate(0.0)], L)
-        expect_a = dense_shift_minus(L) @ np.kron(SIGMA3, np.eye(7))
-        assert np.allclose(a, expect_a, atol=1e-15)
-        assert not np.allclose(a, b, atol=1e-12) or True  # orders agree only on diagonal parts
-        expect_b = np.kron(SIGMA3, np.eye(7)) @ dense_shift_minus(L)
-        assert np.allclose(b, expect_b, atol=1e-15)
+        c, s = math.cos(0.6), math.sin(0.6)
+        hwp = np.kron(np.array([[c, s], [s, -c]], dtype=complex), np.eye(7))
+        a = compose([HalfWavePlate(0.3), JPlate(-1, 0, 0, 0, 0)], L)
+        b = compose([JPlate(-1, 0, 0, 0, 0), HalfWavePlate(0.3)], L)
+        assert np.allclose(a, dense_shift_minus(L) @ hwp, atol=1e-15)
+        assert np.allclose(b, hwp @ dense_shift_minus(L), atol=1e-15)
+        assert np.max(np.abs(a - b)) > 0.5
 
 
 class TestEqualUpToPhase:
