@@ -11,9 +11,10 @@ Subcommands
     ``emit_trajectory`` asks for.
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a split-step or generalized
-    walk; with ``--verify`` each step block carries its certification
-    against the walk's dense step operator (the step kernel on every basis
-    state) and a failed check exits with code 4.
+    walk.  One train realizes every step, so it is compiled once, and with
+    ``--verify`` certified once against the walk's dense step operator (the
+    step kernel on every basis state), and repeated in every step block; a
+    failed check exits with code 4.
 ``verify``
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``
@@ -30,6 +31,7 @@ before any work), 3 lattice guard violation, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -108,15 +110,26 @@ def _require(cfg: dict, key: str, kinds, what: str):
     if key not in cfg:
         raise ConfigError(f"missing required key {key!r}")
     value = cfg[key]
-    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(f"key {key!r} must be {what}, got {value!r}")
     return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number (int or float; not a boolean, string or null) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise ConfigError(f"{what} is too large for a float") from err
 
 
 def _parse_coin_state(raw) -> tuple[complex, complex]:
     try:
         (re0, im0), (re1, im1) = raw
-        coin = (complex(float(re0), float(im0)), complex(float(re1), float(im1)))
+        re0, im0, re1, im1 = (_number(v, "coin_state entry") for v in (re0, im0, re1, im1))
+        coin = (complex(re0, im0), complex(re1, im1))
     except (TypeError, ValueError) as err:
         raise ConfigError(
             "coin_state must be [[re, im], [re, im]] pairs of numbers"
@@ -127,13 +140,11 @@ def _parse_coin_state(raw) -> tuple[complex, complex]:
 
 
 def _angle_column(raw, n: int, key: str, name: str) -> np.ndarray:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return np.full(n, float(raw))
     if isinstance(raw, list):
         if len(raw) != n:
             raise ConfigError(f"{name}.{key} must list {n} angles (one per site), got {len(raw)}")
-        return np.asarray([float(v) for v in raw])
-    raise ConfigError(f"{name}.{key} must be a number or a list of numbers")
+        return np.asarray([_number(v, f"{name}.{key}[{i}]") for i, v in enumerate(raw)])
+    return np.full(n, _number(raw, f"{name}.{key}"))
 
 
 def _parse_table(raw, half_width: int, name: str) -> walk.CoinTable | None:
@@ -177,24 +188,22 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
         if not isinstance(cfg.get(flag, False), bool):
             raise ConfigError(f"{flag} must be true or false, got {cfg[flag]!r}")
 
+    def angle(key: str) -> float:
+        return _number(_require(cfg, key, (int, float), "a number"), f"key {key!r}")
+
     kwargs = dict(coin_state=coin, start=start, seed=seed)
     if kind in ("dtqw", "electric-dtqw"):
-        kwargs["theta1"] = float(_require(cfg, "theta", (int, float), "a number"))
+        kwargs["theta1"] = angle("theta")
     if kind == "electric-dtqw":
-        phi = cfg.get("phi_e", 0.0)
-        if isinstance(phi, bool) or not isinstance(phi, (int, float)):
-            raise ConfigError("phi_e must be a number")
-        kwargs["phi_e"] = float(phi)
+        kwargs["phi_e"] = _number(cfg.get("phi_e", 0.0), "phi_e")
     if kind == "ssqw":
-        kwargs["theta1"] = float(_require(cfg, "theta1", (int, float), "a number"))
-        kwargs["theta2"] = float(_require(cfg, "theta2", (int, float), "a number"))
+        kwargs["theta1"] = angle("theta1")
+        kwargs["theta2"] = angle("theta2")
     if kind == "generalized":
         for slot in ("table1", "table2"):
             raw = cfg.get(slot, "random")
             try:
                 kwargs[slot] = _parse_table(raw, half_width, slot)
-            except walk.LatticeGuardError:
-                raise
             except ValueError as err:
                 raise ConfigError(str(err)) from err
         if (kwargs["table1"] is None or kwargs["table2"] is None) and seed is None:
@@ -267,43 +276,29 @@ def _write_json(path, document: dict) -> None:
 # --- compile / verify ------------------------------------------------------
 
 
+#: Parts-list element types.  A record's parameters are its element's
+#: dataclass fields, plus the constants below, which document the train and
+#: are dropped again on reading (a PDC block's half-waveplate is fixed at 0).
+_ELEMENT_TYPES = {"jplate": JPlate, "half_waveplate": HalfWavePlate,
+                  "variable_waveplate": VariableWavePlate, "pdc_block": PdcBlock}
+_CONSTANT_PARAMETERS = {"pdc_block": {"hwp_angle": 0.0}}
+
+
 def element_to_record(element, order: int, provenance: str) -> dict:
-    if isinstance(element, JPlate):
-        kind, params = "jplate", {
-            "m_x": element.m_x,
-            "c_x": element.c_x,
-            "m_y": element.m_y,
-            "c_y": element.c_y,
-            "angle": element.angle,
-        }
-    elif isinstance(element, HalfWavePlate):
-        kind, params = "half_waveplate", {"angle": element.angle}
-    elif isinstance(element, VariableWavePlate):
-        kind, params = "variable_waveplate", {"retardance": element.retardance}
-    elif isinstance(element, PdcBlock):
-        kind, params = "pdc_block", {
-            "lattice_min": element.lattice_min,
-            "hwp_angle": 0.0,
-            "q2": element.q2.tolist(),
-            "q1": element.q1.tolist(),
-        }
-    else:
+    kind = next((k for k, cls in _ELEMENT_TYPES.items() if isinstance(element, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot serialize element of type {type(element).__name__}")
+    params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in dataclasses.asdict(element).items()}
+    params.update(_CONSTANT_PARAMETERS.get(kind, {}))
     return {"order": order, "element_type": kind, "parameters": params, "provenance": provenance}
 
 
 def element_from_record(record: dict):
     kind = record["element_type"]
-    params = record["parameters"]
-    if kind == "jplate":
-        return JPlate(params["m_x"], params["c_x"], params["m_y"], params["c_y"], params["angle"])
-    if kind == "half_waveplate":
-        return HalfWavePlate(params["angle"])
-    if kind == "variable_waveplate":
-        return VariableWavePlate(params["retardance"])
-    if kind == "pdc_block":
-        return PdcBlock(params["lattice_min"], np.asarray(params["q2"]), np.asarray(params["q1"]))
-    raise ConfigError(f"unknown element_type {kind!r} in parts list")
+    if kind not in _ELEMENT_TYPES:
+        raise ConfigError(f"unknown element_type {kind!r} in parts list")
+    constants = _CONSTANT_PARAMETERS.get(kind, {})
+    return _ELEMENT_TYPES[kind](**{k: v for k, v in record["parameters"].items() if k not in constants})
 
 
 def _report_to_json(report: VerificationReport) -> dict:
@@ -368,27 +363,15 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
     spec = spec.resolved()
     if spec.walk_kind == "ssqw":
         one = compiler.compile_ssqw(walk.coin_matrix(spec.theta1), walk.coin_matrix(spec.theta2))
-        steps = [one] * spec.steps
     else:
-        steps = compiler.compile_generalized(spec)
+        one = compiler.compile_generalized(spec)
+    report = compiler.verify(one, walk.step_operator(spec)) if verify_flag else None
+    reports = None if report is None else [report] * spec.steps
 
-    reports = None
-    if verify_flag:
-        reference = walk.step_operator(spec)
-        # identical blocks share one certification
-        unique: dict[int, VerificationReport] = {}
-        reports = []
-        for cs in steps:
-            key = id(cs)
-            if key not in unique:
-                unique[key] = compiler.verify(cs, reference)
-            reports.append(unique[key])
-
-    _write_json(out_path, parts_list_document(spec, steps, reports))
-    if reports is not None and not all(r.passed for r in reports):
-        worst = min(r.fidelity for r in reports)
+    _write_json(out_path, parts_list_document(spec, [one] * spec.steps, reports))
+    if report is not None and not report.passed:
         raise VerificationError(
-            f"compiled train failed phase-equivalence (worst fidelity {worst:.12g}); "
+            f"compiled train failed phase-equivalence (worst fidelity {report.fidelity:.12g}); "
             f"parts list with diagnostics written to {out_path}"
         )
     return EXIT_OK
@@ -414,19 +397,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         raise ConfigError("localize needs a seed")
 
     seeds = [spec.seed + i for i in range(n_seeds)]
-    members = [
-        walk.WalkSpec(
-            "generalized",
-            spec.steps,
-            spec.half_width,
-            coin_state=spec.coin_state,
-            start=spec.start,
-            table1=spec.table1,
-            table2=spec.table2,
-            seed=s,
-        )
-        for s in seeds
-    ]
+    members = [dataclasses.replace(spec, seed=s) for s in seeds]
     sites = spec.initial_state().sites
     history = [_sigmas(amps, sites) for amps in walk.iterate_ensemble(members)]
     per_seed = np.array(history).T.tolist()

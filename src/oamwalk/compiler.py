@@ -275,11 +275,13 @@ def compile_ssqw(c1: np.ndarray, c2: np.ndarray, first_plate: str = "gamma1") ->
     return CompiledStep(elements, provenance, phase, notes=(GAMMA_NOTE,))
 
 
-def compile_generalized(spec: walk.WalkSpec) -> list[CompiledStep]:
-    """Per-step trains for a generalized split-step walk.
+def compile_generalized(spec: walk.WalkSpec) -> CompiledStep:
+    """The train of one step of a generalized split-step walk.
 
-    Each step is [coin block 1, left half-shift plate, coin block 2, right
+    The train is [coin block 1, left half-shift plate, coin block 2, right
     half-shift plate]; the factors are exact, so the predicted phase is 0.
+    Every step of the walk applies the same tables, so this one train,
+    reused on each pass, realizes all ``spec.steps`` steps.
     """
     spec = spec.resolved()
     if spec.walk_kind != "generalized":
@@ -296,8 +298,7 @@ def compile_generalized(spec: walk.WalkSpec) -> list[CompiledStep]:
         "pdc block: per-site [hwp(0), J(0,pi,(theta+xi)/2), J(chi+eta,chi-eta,xi)]",
         "jplate: right half-shift, profile +phi on V",
     )
-    one_step = CompiledStep(elements, provenance, 0.0)
-    return [one_step] * spec.steps
+    return CompiledStep(elements, provenance, 0.0)
 
 
 @dataclass(frozen=True)

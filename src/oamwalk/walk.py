@@ -493,16 +493,12 @@ def step(state: WalkerState, spec: WalkSpec) -> WalkerState:
 def iterate(spec: WalkSpec) -> Iterator[WalkerState]:
     """Yield the states state_0, ..., state_T of the walk one at a time.
 
-    The spec is resolved and its coin operators built once, when the first
-    step is taken; only the current state is kept.
+    A single walk is the one-member ensemble of :func:`iterate_ensemble`:
+    its coin operators are built once and only the current state is kept.
     """
-    spec = spec.resolved()
-    state = spec.initial_state()
-    yield state
-    advance = _stepper(spec, state.lattice_min, state.n_sites, *_coins(spec))
-    for _ in range(spec.steps):
-        state = state.with_amps(advance(state.amps))
-        yield state
+    lattice_min = -spec.half_width
+    for amps in iterate_ensemble([spec]):
+        yield WalkerState(lattice_min, amps[0])
 
 
 def _without_tables(spec: WalkSpec) -> WalkSpec:
@@ -513,8 +509,8 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     """Evolve walks that differ only in their coin tables (or seeds) as one batch.
 
     Yields read-only amplitude arrays of shape (S, 2, n_sites) for t = 0..T,
-    row s being walk ``specs[s]``; row by row they equal the states of
-    :func:`iterate`.  Each spec is resolved on its own, so a seeded member
+    row s being walk ``specs[s]``; a single walk is the one-member case
+    (:func:`iterate`).  Each spec is resolved on its own, so a seeded member
     draws exactly the tables it would draw alone.
     """
     specs = [s.resolved() for s in specs]

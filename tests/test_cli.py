@@ -239,6 +239,34 @@ class TestConfigValidation:
         )
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("ssqw", {"coin_state": [["nan", 0], [1, 0]]}),
+            ("ssqw", {"coin_state": [[True, "0"], [False, 0]]}),
+            ("ssqw", {"coin_state": [[1, None], [0, 0]]}),
+            ("ssqw", {"coin_state": [[10**400, 0], [0, 0]]}),
+            ("ssqw", {"theta1": 10**400}),
+            ("electric-dtqw", {"phi_e": 10**400}),
+            ("generalized", {"table1": {"theta": ["0.1", True, 0, 0, 0]}}),
+            ("generalized", {"table1": {"chi": [0, 0, False, 0, 0]}}),
+            ("generalized", {"table2": {"eta": "0.2"}}),
+            ("generalized", {"table2": {"xi": None}}),
+            ("generalized", {"table1": {"theta": [0, 0, 10**400, 0, 0]}}),
+        ],
+    )
+    def test_numbers_must_be_json_numbers(self, tmp_path, capsys, kind, overrides):
+        """Strings, booleans, null and integers too large for a float are config errors."""
+        base = {"ssqw": {"theta1": 0.7, "theta2": -0.3}, "electric-dtqw": {"theta": 0.5}, "generalized": {"seed": 3}}
+        raw = {"schema_version": 1, "walk": kind, "steps": 1, "half_width": 2, **base[kind], **overrides}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["emit_trajectory", "emit_all_sites", "verify"])
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_flags_must_be_booleans(self, tmp_path, capsys, flag, value):
@@ -368,6 +396,39 @@ class TestCompile:
         main(["compile", "--config", str(cfg), "--out", str(out1), "--verify"])
         main(["compile", "--config", str(cfg), "--out", str(out2), "--verify"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"walk": "ssqw", "theta1": 0.7, "theta2": -0.3},
+            {"walk": "generalized", "seed": 4, "table2": {"chi": 0.2, "eta": -0.4, "theta": 1.1}},
+        ],
+        ids=["ssqw", "generalized"],
+    )
+    def test_certification_runs_once_per_command(self, tmp_path, monkeypatch, raw):
+        """One train is certified against one dense step operator, whatever the step count."""
+        calls = {"verify": 0, "step_operator": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(compiler, "verify")
+        counted(walk, "step_operator")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema_version": 1, "steps": 16, "half_width": 18, **raw}))
+        out = tmp_path / "parts.json"
+        assert main(["compile", "--config", str(path), "--out", str(out), "--verify"]) == 0
+        assert calls == {"verify": 1, "step_operator": 1}
+        blocks = json.loads(out.read_text())["step_blocks"]
+        assert len(blocks) == 16
+        assert blocks[0]["verification"]["passed"]
+        assert all(b["verification"] == blocks[0]["verification"] for b in blocks)
 
     def test_failed_verification_exits_4(self, tmp_path, monkeypatch, capsys):
         from oamwalk.compiler import VerificationReport

@@ -261,9 +261,8 @@ class TestCompileGeneralized:
     def test_identity_tables_compile_to_full_shift(self):
         L = 4
         t = CoinTable.homogeneous(CoinParams(), L)
-        steps = compile_generalized(WalkSpec("generalized", 1, L, table1=t, table2=t))
-        assert len(steps) == 1
-        m = equal_up_to_phase(steps[0].lift(L), dense_shift_full(L))
+        cs = compile_generalized(WalkSpec("generalized", 1, L, table1=t, table2=t))
+        m = equal_up_to_phase(cs.lift(L), dense_shift_full(L))
         assert m.match
 
     def test_homogeneous_tables_match_ssqw_compilation(self, rng):
@@ -273,7 +272,7 @@ class TestCompileGeneralized:
         p = CoinParams(0.2, -0.5, 0.9, 1.1)
         t1 = CoinTable.homogeneous(p, L)
         t2 = CoinTable.homogeneous(CoinParams(0.0, 0.3, -0.7, 0.4), L)
-        gen = compile_generalized(WalkSpec("generalized", 1, L, table1=t1, table2=t2))[0]
+        gen = compile_generalized(WalkSpec("generalized", 1, L, table1=t1, table2=t2))
         hom = compile_ssqw(u2_matrix(t1[0]), u2_matrix(t2[0]))
         m = equal_up_to_phase(gen.lift(L), hom.lift(L))
         assert m.match and m.fidelity >= 1 - 1e-10
@@ -281,12 +280,8 @@ class TestCompileGeneralized:
     def test_random_tables_verify(self, rng):
         L = 16
         spec = WalkSpec("generalized", 2, L, seed=5)
-        steps = compile_generalized(spec)
-        assert len(steps) == 2
-        ref = walk.step_operator(spec)
-        for cs in steps:
-            rep = verify(cs, ref)
-            assert rep.passed and rep.fidelity >= 1 - 1e-10
+        rep = verify(compile_generalized(spec), walk.step_operator(spec))
+        assert rep.passed and rep.fidelity >= 1 - 1e-10
 
     def test_rejects_other_kinds(self):
         with pytest.raises(ValueError, match="generalized"):
@@ -342,7 +337,7 @@ def verify_cases(rng, half_width):
     return [
         ("ssqw", compile_ssqw(c1, c2), ref),
         ("gamma2", compile_ssqw(c1, c2, first_plate="gamma2"), ref),
-        ("generalized", compile_generalized(spec)[0], walk.step_operator(spec)),
+        ("generalized", compile_generalized(spec), walk.step_operator(spec)),
     ]
 
 
