@@ -10,11 +10,11 @@ Subcommands
     are produced, so memory stays O(lattice) except for the CSV rows that
     ``emit_trajectory`` asks for.
 ``compile --config c.json --out parts.json [--verify]``
-    Emit the ordered optical parts list for a split-step or generalized
-    walk.  One train realizes every step, so it is compiled once, and with
-    ``--verify`` certified once against the walk's dense step operator (the
-    step kernel on every basis state), and repeated in every step block; a
-    failed check exits with code 4.
+    Emit the ordered optical parts list for a walk of any kind.  One train
+    realizes every step, so it is compiled once, and with ``--verify``
+    certified once against the walk's dense step operator (the step kernel
+    on every basis state), and repeated in every step block; a failed check
+    exits with code 4.
 ``verify``
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``
@@ -78,12 +78,15 @@ _COMMON_KEYS = {
     "emit_all_sites",
     "verify",
 }
+#: Each walk kind's config keys, in parsing order, and the WalkSpec fields they set.
 _KIND_KEYS = {
-    "dtqw": {"theta"},
-    "ssqw": {"theta1", "theta2"},
-    "generalized": {"table1", "table2"},
-    "electric-dtqw": {"theta", "phi_e"},
+    "dtqw": {"theta": "theta1"},
+    "ssqw": {"theta1": "theta1", "theta2": "theta2"},
+    "generalized": {"table1": "table1", "table2": "table2"},
+    "electric-dtqw": {"theta": "theta1", "phi_e": "phi_e"},
 }
+#: Kind keys a config may leave out, leaving WalkSpec's default: zero field, random tables.
+_OPTIONAL_KEYS = {"phi_e", "table1", "table2"}
 _TABLE_KEYS = {"chi", "xi", "eta", "theta"}
 _FLAG_KEYS = ("emit_trajectory", "emit_all_sites", "verify")
 
@@ -99,7 +102,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
         cfg = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as err:
+    except ConfigError:
+        raise
+    except ValueError as err:  # malformed JSON, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -168,7 +173,7 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
     kind = _require(cfg, "walk", str, "a string")
     if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown walk {kind!r}; expected one of {sorted(_KIND_KEYS)}")
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+    allowed = _COMMON_KEYS.union(_KIND_KEYS[kind])
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown keys for walk {kind!r}: {sorted(unknown)}")
@@ -188,29 +193,15 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
         if not isinstance(cfg.get(flag, False), bool):
             raise ConfigError(f"{flag} must be true or false, got {cfg[flag]!r}")
 
-    def angle(key: str) -> float:
-        return _number(_require(cfg, key, (int, float), "a number"), f"key {key!r}")
-
     kwargs = dict(coin_state=coin, start=start, seed=seed)
-    if kind in ("dtqw", "electric-dtqw"):
-        kwargs["theta1"] = angle("theta")
-    if kind == "electric-dtqw":
-        kwargs["phi_e"] = _number(cfg.get("phi_e", 0.0), "phi_e")
-    if kind == "ssqw":
-        kwargs["theta1"] = angle("theta1")
-        kwargs["theta2"] = angle("theta2")
-    if kind == "generalized":
-        for slot in ("table1", "table2"):
-            raw = cfg.get(slot, "random")
-            try:
-                kwargs[slot] = _parse_table(raw, half_width, slot)
-            except ValueError as err:
-                raise ConfigError(str(err)) from err
-        if (kwargs["table1"] is None or kwargs["table2"] is None) and seed is None:
-            raise ConfigError("generalized walk with random tables needs a seed")
-
-    spec = walk.WalkSpec(kind, steps, half_width, **kwargs)
     try:
+        for key, field in _KIND_KEYS[kind].items():
+            if key in cfg:
+                kwargs[field] = (_parse_table(cfg[key], half_width, key) if field in ("table1", "table2")
+                                 else _number(cfg[key], f"key {key!r}"))
+            elif key not in _OPTIONAL_KEYS:
+                raise ConfigError(f"missing required key {key!r}")
+        spec = walk.WalkSpec(kind, steps, half_width, **kwargs)
         spec.validate()  # LatticeGuardError, a RuntimeError, propagates to exit code 3
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -354,13 +345,12 @@ def parse_parts_list(document: dict) -> list[CompiledStep]:
 
 def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
     spec = build_spec(cfg)
-    if spec.walk_kind not in ("ssqw", "generalized"):
-        raise ConfigError("compile needs walk \"ssqw\" or \"generalized\"")
     if spec.steps < 1:
         raise ConfigError("compile needs at least one step")
     verify_flag = verify_flag or cfg.get("verify", False)
 
     spec = spec.resolved()
+    # the homogeneous split-step keeps its five-element recipe
     if spec.walk_kind == "ssqw":
         one = compiler.compile_ssqw(walk.coin_matrix(spec.theta1), walk.coin_matrix(spec.theta2))
     else:
@@ -447,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="emit the optical parts list")
     p_compile.add_argument("--config", required=True)
     p_compile.add_argument("--out", required=True)
-    p_compile.add_argument("--verify", action="store_true", help="certify each step block")
+    p_compile.add_argument("--verify", action="store_true",
+                           help="certify the train once against the walk's step operator")
 
     p_verify = sub.add_parser("verify", help="compile with verification forced on")
     p_verify.add_argument("--config", required=True)

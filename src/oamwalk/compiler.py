@@ -1,8 +1,8 @@
 """Decompose walk unitaries into optical element trains and certify them.
 
-Two recipes are implemented.
+Three recipes are implemented.
 
-Position-dependent coin: every U(2) coin written as
+Position-dependent coin (PDC): every U(2) coin written as
 ``exp(i*chi) exp(i*xi*s2) exp(i*eta*s3) exp(i*theta*s2)`` factors exactly
 into two pointwise J-plate Jones matrices and a half-waveplate,
 
@@ -19,6 +19,9 @@ sources disagree on whether the final plate constant carries the leading or
 the middle Euler z-angle; the operator algebra selects the leading one, and
 :func:`compile_ssqw` keeps the alternative reachable (``first_plate``) so
 the failure of that variant stays demonstrable.
+
+Any walk kind: each move of its step (:data:`oamwalk.walk.STEP_MOVES`)
+becomes a PDC block and a J-plate, and an electric site phase one more PDC.
 
 Verification folds the compiled train on the truncated lattice in one pass:
 each element is lifted once, its unitarity defect is recorded, and it is
@@ -275,30 +278,39 @@ def compile_ssqw(c1: np.ndarray, c2: np.ndarray, first_plate: str = "gamma1") ->
     return CompiledStep(elements, provenance, phase, notes=(GAMMA_NOTE,))
 
 
-def compile_generalized(spec: walk.WalkSpec) -> CompiledStep:
-    """The train of one step of a generalized split-step walk.
+#: The J-plate provenance of each (left, right) shift move of a walk step.
+_SHIFT_PROVENANCE = {
+    (True, False): "jplate: left half-shift, profile -phi on H",
+    (False, True): "jplate: right half-shift, profile +phi on V",
+    (True, True): "jplate: full shift, profile -phi on H and +phi on V",
+}
 
-    The train is [coin block 1, left half-shift plate, coin block 2, right
-    half-shift plate]; the factors are exact, so the predicted phase is 0.
-    Every step of the walk applies the same tables, so this one train,
-    reused on each pass, realizes all ``spec.steps`` steps.
+
+def compile_generalized(spec: walk.WalkSpec) -> CompiledStep:
+    """The train of one step of a walk of any kind, folded from its :data:`oamwalk.walk.STEP_MOVES`.
+
+    Each move becomes a PDC block for its coin and a J-plate for its shift; a
+    nonzero field adds a PDC block with chi = phi_e * x.  The factors are
+    exact, so the predicted phase is 0.  Every step applies the same coins,
+    so this one train, reused on each pass, realizes all ``spec.steps`` steps.
     """
     spec = spec.resolved()
-    if spec.walk_kind != "generalized":
-        raise ValueError(f"expected a generalized walk spec, got {spec.walk_kind!r}")
-    elements = (
-        compile_pdc(spec.table1),
-        JPlate(-1, 0.0, 0, 0.0, 0.0),
-        compile_pdc(spec.table2),
-        JPlate(0, 0.0, +1, 0.0, 0.0),
-    )
-    provenance = (
-        "pdc block: per-site [hwp(0), J(0,pi,(theta+xi)/2), J(chi+eta,chi-eta,xi)]",
-        "jplate: left half-shift, profile -phi on H",
-        "pdc block: per-site [hwp(0), J(0,pi,(theta+xi)/2), J(chi+eta,chi-eta,xi)]",
-        "jplate: right half-shift, profile +phi on V",
-    )
-    return CompiledStep(elements, provenance, 0.0)
+    L = spec.half_width
+    if spec.walk_kind == "generalized":
+        tables = (spec.table1, spec.table2)
+    else:  # coin_matrix(theta) = exp(-i*theta*s1) has the angles (0, -pi/4, -theta, pi/4)
+        tables = [walk.CoinTable.homogeneous(walk.CoinParams(0.0, -math.pi / 4, -theta, math.pi / 4), L)
+                  for theta in (spec.theta1, spec.theta2)]
+    elements, provenance = [], []
+    for slot, left, right in walk.STEP_MOVES[spec.walk_kind]:
+        elements += [compile_pdc(tables[slot]), JPlate(-int(left), 0.0, int(right), 0.0, 0.0)]
+        provenance += ["pdc block: per-site [hwp(0), J(0,pi,(theta+xi)/2), J(chi+eta,chi-eta,xi)]",
+                       _SHIFT_PROVENANCE[left, right]]
+    angles = walk._site_angles(spec.phi_e, -L, 2 * L + 1)
+    if angles is not None:
+        elements.append(compile_pdc(walk.CoinTable(-L, angles, 0 * angles, 0 * angles, 0 * angles)))
+        provenance.append("pdc block: site phase exp(i*phi_e*x), chi = remainder(phi_e, 2*pi)*x")
+    return CompiledStep(tuple(elements), tuple(provenance), 0.0)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "JPlate",
     "HalfWavePlate",
     "VariableWavePlate",
-    "OpticalElement",
     "oam_shift_matrix",
     "lift",
     "compose",
@@ -142,9 +141,6 @@ class VariableWavePlate:
 
     def lift(self, half_width: int) -> np.ndarray:
         return np.kron(self.jones(), np.eye(2 * half_width + 1))
-
-
-OpticalElement = Union[JPlate, HalfWavePlate, VariableWavePlate]
 
 
 def lift(element, half_width: int) -> np.ndarray:

@@ -18,8 +18,9 @@ Truncation is exact in practice as long as no appreciable amplitude reaches
 the boundary sites; every shift enforces that guard and raises
 :class:`LatticeGuardError` when it would push amplitude off the lattice.
 
-Each walk kind's sequence of operations (coin, half or full shift, electric
-phase) is written once, in the step kernel.  The dense one-step operators
+Each walk kind's step is written once, as its moves in :data:`STEP_MOVES`,
+which the step kernel applies and the optical compiler turns into elements.
+The dense one-step operators
 (:func:`step_operator`, :func:`split_step_operator`) are that kernel applied
 to every basis state with the guard off, so that amplitude leaving the
 lattice is dropped as a truncated matrix drops it; a certificate checked
@@ -52,6 +53,7 @@ __all__ = [
     "CoinParams",
     "CoinTable",
     "WalkSpec",
+    "STEP_MOVES",
     "make_state",
     "coin_matrix",
     "u2_matrix",
@@ -357,15 +359,15 @@ def shift_full(state: WalkerState) -> WalkerState:
     return state.with_amps(_shift(state.amps, state.lattice_min, left=True, right=True))
 
 
-def _site_phases(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
-    """Factors exp(i * phi_e * x) over the lattice, or None when they are all 1."""
+def _site_angles(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
+    """Site phase angles phi_e * x over the lattice, or None when they all vanish mod 2*pi."""
     # IEEE remainder keeps e^{i*phi*x} bit-stable under adding full turns to
     # phi: the reduction of phi and of phi + 2*pi yield the same double
     # whenever the addition itself was exact.
     r = math.remainder(phi_e, _TWO_PI)
     if r == 0.0:
         return None
-    return np.exp(1j * (r * np.arange(lattice_min, lattice_min + n_sites)))
+    return r * np.arange(lattice_min, lattice_min + n_sites)
 
 
 def electric_phase(state: WalkerState, phi_e: float) -> WalkerState:
@@ -374,8 +376,19 @@ def electric_phase(state: WalkerState, phi_e: float) -> WalkerState:
     The angle is reduced modulo 2*pi first; on integer sites that leaves the
     action unchanged and makes phi_e and phi_e + 2*pi bit-identical.
     """
-    phases = _site_phases(phi_e, state.lattice_min, state.n_sites)
-    return state if phases is None else state.with_amps(state.amps * phases)
+    angles = _site_angles(phi_e, state.lattice_min, state.n_sites)
+    return state if angles is None else state.with_amps(state.amps * np.exp(1j * angles))
+
+
+#: Each walk kind's step as moves ``(coin slot, shift left mover, shift right
+#: mover)``, in application order; a nonzero ``phi_e`` (the electric field)
+#: then multiplies site x by exp(i * phi_e * x).
+STEP_MOVES = {
+    "dtqw": ((0, True, True),),
+    "ssqw": ((0, True, False), (1, False, True)),
+    "generalized": ((0, True, False), (1, False, True)),
+    "electric-dtqw": ((0, True, True),),
+}
 
 
 @dataclass(frozen=True)
@@ -385,7 +398,7 @@ class WalkSpec:
     ``theta1`` is the coin angle of the plain and electric walks and the
     first coin of the split-step walk; ``theta2`` the second split-step coin.
     The generalized walk takes two coin tables instead; leave them ``None``
-    with a ``seed`` set to draw disordered tables reproducibly.
+    with a non-negative ``seed`` set to draw disordered tables reproducibly.
     """
 
     walk_kind: str
@@ -400,7 +413,7 @@ class WalkSpec:
     phi_e: float = 0.0
     seed: int | None = None
 
-    KINDS = ("dtqw", "ssqw", "generalized", "electric-dtqw")
+    KINDS = tuple(STEP_MOVES)
 
     def required_half_width(self) -> int:
         return abs(self.start) + self.steps + 2
@@ -414,6 +427,10 @@ class WalkSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.walk_kind == "generalized" and (self.table1 is None or self.table2 is None) and self.seed is None:
+            raise ValueError("generalized walk needs explicit coin tables or a seed to draw them")
         need = self.required_half_width()
         if self.half_width < need:
             raise LatticeGuardError(
@@ -424,8 +441,6 @@ class WalkSpec:
         for t in (self.table1, self.table2):
             if t is not None and (t.lattice_min != -self.half_width or t.n_sites != 2 * self.half_width + 1):
                 raise ValueError("coin tables must cover exactly the walk lattice")
-        if self.walk_kind == "generalized" and (self.table1 is None or self.table2 is None) and self.seed is None:
-            raise ValueError("generalized walk needs explicit coin tables or a seed to draw them")
 
     def resolved(self) -> "WalkSpec":
         """Return a spec with concrete coin tables (drawing from the seed if needed)."""
@@ -451,42 +466,35 @@ def _coins(spec: WalkSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stepper(
-    spec: WalkSpec, lattice_min: int, n_sites: int, coin1: np.ndarray, coin2: np.ndarray, guard: bool = True
+    spec: WalkSpec, lattice_min: int, n_sites: int, coins: Sequence[np.ndarray], guard: bool = True
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """One step of ``spec``'s walk kind on amplitudes of shape (..., 2, n_sites).
+    """One step of ``spec``'s walk on amplitudes of shape (..., 2, n_sites).
 
-    This is the one place that knows each kind's sequence of operations.  The
-    coins come prepared by :func:`_coins` (stacked along the leading axis for
-    an ensemble) and the electric phases are built here, once per walk.  With
-    ``guard`` off (dense operators only), amplitude shifted off the lattice is
-    dropped instead of raising :class:`LatticeGuardError`.
+    Applies the kind's :data:`STEP_MOVES` with the coins prepared by
+    :func:`_coins` (stacked along the leading axis for an ensemble), then the
+    electric phases, built here once per walk.  With ``guard`` off (dense
+    operators only), amplitude shifted off the lattice is dropped instead of
+    raising :class:`LatticeGuardError`.
     """
-    kind = spec.walk_kind
-    if kind in ("dtqw", "electric-dtqw"):
-        phases = _site_phases(spec.phi_e, lattice_min, n_sites) if kind == "electric-dtqw" else None
+    moves = STEP_MOVES[spec.walk_kind]
+    angles = _site_angles(spec.phi_e, lattice_min, n_sites)
+    phases = None if angles is None else np.exp(1j * angles)
 
-        def advance(amps):
-            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=True, guard=guard)
-            return new if phases is None else new * phases
+    def advance(amps):
+        for slot, left, right in moves:
+            amps = _shift(_coin(amps, coins[slot]), lattice_min, left, right, guard=guard)
+        return amps if phases is None else amps * phases
 
-        return advance
-    if kind in ("ssqw", "generalized"):
-
-        def advance(amps):
-            new = _shift(_coin(amps, coin1), lattice_min, left=True, right=False, guard=guard)
-            return _shift(_coin(new, coin2), lattice_min, left=False, right=True, guard=guard)
-
-        return advance
-    raise ValueError(f"unknown walk kind {kind!r}")
+    return advance
 
 
 def step(state: WalkerState, spec: WalkSpec) -> WalkerState:
     """Advance one full walk step of the kind selected by ``spec``."""
-    coin1, coin2 = _coins(spec)
+    coins = _coins(spec)
     if spec.walk_kind == "generalized":
         _require_cover(spec.table1, state)
         _require_cover(spec.table2, state)
-    advance = _stepper(spec, state.lattice_min, state.n_sites, coin1, coin2)
+    advance = _stepper(spec, state.lattice_min, state.n_sites, coins)
     return state.with_amps(advance(state.amps))
 
 
@@ -525,7 +533,7 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     yield amps
     # homogeneous coins are equal across members (checked above): keep one
     coins = [c[0] if c[0].ndim == 2 else np.stack(c) for c in zip(*map(_coins, specs))]
-    advance = _stepper(first, state.lattice_min, state.n_sites, *coins)
+    advance = _stepper(first, state.lattice_min, state.n_sites, coins)
     for _ in range(first.steps):
         amps = advance(amps)
         amps.setflags(write=False)
@@ -607,11 +615,11 @@ def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
             raise ValueError(f"coin must be (2, 2) or ({n}, 2, 2), got {coin.shape}")
         coins.append(coin if coin.ndim == 2 else np.ascontiguousarray(coin.transpose(1, 2, 0)))
     ssqw = WalkSpec("ssqw", 1, half_width)
-    return _dense(_stepper(ssqw, -half_width, n, *coins, guard=False), n)
+    return _dense(_stepper(ssqw, -half_width, n, coins, guard=False), n)
 
 
 def step_operator(spec: WalkSpec) -> np.ndarray:
     """Dense one-step operator of the walk described by ``spec``."""
     spec = spec.resolved()
     n = 2 * spec.half_width + 1
-    return _dense(_stepper(spec, -spec.half_width, n, *_coins(spec), guard=False), n)
+    return _dense(_stepper(spec, -spec.half_width, n, _coins(spec), guard=False), n)

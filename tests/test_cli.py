@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front-end and its file formats."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -267,6 +268,27 @@ class TestConfigValidation:
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["compile"], ["localize", "--seeds", "2"]])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, walk="generalized", seed=-1)
+        raw = json.loads(cfg.read_text())
+        raw.pop("theta")
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "x.out"
+        assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed must be non-negative" in err
+        assert not out.exists()
+
+    def test_integer_beyond_conversion_limit_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta": 1' + "0" * 5000 + "}")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "not valid JSON" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["emit_trajectory", "emit_all_sites", "verify"])
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_flags_must_be_booleans(self, tmp_path, capsys, flag, value):
@@ -370,9 +392,45 @@ class TestCompile:
         m = equal_up_to_phase(gen_steps[0].lift(L), hom.lift(L))
         assert m.match
 
-    def test_compile_rejects_plain_walk(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["compile", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    @pytest.mark.parametrize("half_width", [3, 16, 40])
+    @pytest.mark.parametrize("kind", walk.WalkSpec.KINDS)
+    def test_verify_passes_for_every_kind(self, tmp_path, kind, half_width):
+        rng = np.random.default_rng(half_width)
+        theta, theta2 = rng.uniform(-math.pi, math.pi, size=2)
+        angles = {
+            "dtqw": [{"theta": theta}],
+            "ssqw": [{"theta1": theta, "theta2": theta2}],
+            "generalized": [{"seed": half_width}, {"table1": {"chi": theta, "eta": theta2, "theta": 0.4}, "seed": 1}],
+            "electric-dtqw": [
+                {"theta": theta, "phi_e": phi_e}
+                for phi_e in (0.0, rng.uniform(0, 2 * math.pi), math.nextafter(2 * math.pi, 0.0))
+            ],
+        }[kind]
+        for i, keys in enumerate(angles):
+            path = tmp_path / f"c{i}.json"
+            path.write_text(json.dumps({"schema_version": 1, "walk": kind, "steps": 1, "half_width": half_width, **keys}))
+            out = tmp_path / f"parts{i}.json"
+            assert main(["compile", "--verify", "--config", str(path), "--out", str(out)]) == 0
+            verification = json.loads(out.read_text())["step_blocks"][0]["verification"]
+            assert verification["passed"] and abs(verification["fidelity"] - 1) <= 1e-12
+
+    def test_electric_train_is_two_pi_periodic_and_zero_field_is_plain(self, tmp_path):
+        """The compiled counterpart of acceptance criterion 11."""
+
+        def compiled(name, **keys):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"schema_version": 1, "steps": 3, "half_width": 12, "theta": 0.8, **keys}))
+            out = tmp_path / f"{name}.parts.json"
+            assert main(["compile", "--verify", "--config", str(path), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        base = compiled("base", walk="electric-dtqw", phi_e=0.5)
+        assert base == compiled("turned", walk="electric-dtqw", phi_e=0.5 + 2 * math.pi)
+        assert len(json.loads(base)["step_blocks"][0]["elements"]) == 3
+        zero_field = json.loads(compiled("zero", walk="electric-dtqw", phi_e=0.0))
+        plain = json.loads(compiled("plain", walk="dtqw"))
+        assert zero_field["step_blocks"] == plain["step_blocks"]
+        assert [r["element_type"] for r in plain["step_blocks"][0]["elements"]] == ["pdc_block", "jplate"]
 
     def test_config_verify_toggle(self, tmp_path):
         cfg = ssqw_config(tmp_path, verify=True)
@@ -442,6 +500,19 @@ class TestCompile:
         assert main(["compile", "--config", str(cfg), "--out", str(out), "--verify"]) == 4
         assert "verification failure" in capsys.readouterr().err
         assert out.exists()  # diagnostics still written
+
+
+class TestOneDefinitionPerKind:
+    """A walk kind added to one layer but not the others fails here."""
+
+    def test_config_schema_covers_every_step_definition(self):
+        assert set(cli._KIND_KEYS) == set(walk.STEP_MOVES)
+        fields = {f.name for f in dataclasses.fields(walk.WalkSpec)}
+        assert all(set(keys.values()) <= fields for keys in cli._KIND_KEYS.values())
+
+    def test_every_shift_move_has_a_compile_rule(self):
+        used = {(left, right) for moves in walk.STEP_MOVES.values() for _, left, right in moves}
+        assert used <= set(compiler._SHIFT_PROVENANCE)
 
 
 class TestLocalize:

@@ -283,9 +283,37 @@ class TestCompileGeneralized:
         rep = verify(compile_generalized(spec), walk.step_operator(spec))
         assert rep.passed and rep.fidelity >= 1 - 1e-10
 
-    def test_rejects_other_kinds(self):
-        with pytest.raises(ValueError, match="generalized"):
-            compile_generalized(WalkSpec("dtqw", 1, 4))
+    @pytest.mark.parametrize("phi_e", [0.0, 0.7])
+    def test_train_follows_step_moves(self, phi_e):
+        """One PDC block and one J-plate per move, in order, then the site phase block."""
+        L = 4
+        for kind, moves in walk.STEP_MOVES.items():
+            spec = WalkSpec(kind, 1, L, theta1=0.3, theta2=-0.8, phi_e=phi_e, seed=2)
+            cs = compile_generalized(spec)
+            expect = []
+            for _, left, right in moves:
+                expect += [PdcBlock, (-int(left), int(right))]
+            if phi_e:
+                expect.append(PdcBlock)
+            got = [(el.m_x, el.m_y) if isinstance(el, JPlate) else type(el) for el in cs.elements]
+            assert got == expect
+            assert len(cs.provenance) == len(cs.elements) and cs.phase == 0.0
+            assert verify(cs, walk.step_operator(spec)).passed
+
+    def test_angle_coin_block_is_the_coin_matrix(self):
+        L = 3
+        for theta in (0.0, 0.4, -2.2, math.pi):
+            cs = compile_generalized(WalkSpec("dtqw", 1, L, theta1=theta))
+            block = cs.elements[0]
+            for x in range(-L, L + 1):
+                assert np.max(np.abs(block.site_matrix(x) - coin_matrix(theta))) < 1e-15
+
+    def test_site_phase_block_is_the_field_phase(self):
+        L, phi_e = 5, 0.9
+        cs = compile_generalized(WalkSpec("electric-dtqw", 1, L, phi_e=phi_e))
+        phase_block = cs.elements[-1]
+        for x in range(-L, L + 1):
+            assert np.allclose(phase_block.site_matrix(x), np.exp(1j * phi_e * x) * np.eye(2), atol=1e-15)
 
 
 class TestVerify:

@@ -368,6 +368,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="cover"):
             WalkSpec("generalized", 1, 8, table1=t, table2=t).validate()
 
+    @pytest.mark.parametrize("kind", ["generalized", "dtqw"])
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            WalkSpec(kind, 1, 8, seed=-1).validate()
+
+    def test_kinds_are_the_step_definitions(self):
+        assert WalkSpec.KINDS == ("dtqw", "ssqw", "generalized", "electric-dtqw")
+        assert WalkSpec.KINDS == tuple(walk.STEP_MOVES)
+
 
 class TestDenseBuilders:
     def test_shift_matrices_match_oracle(self):
