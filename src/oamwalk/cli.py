@@ -6,9 +6,11 @@ Subcommands
 ``run --config c.json --out dist.csv``
     Evolve the configured walk.  Writes a ``t,x,P`` CSV (final step by
     default, whole trajectory with ``emit_trajectory``) plus a
-    ``<out>.summary.json`` with per-step moments.  States are reduced as they
-    are produced, so memory stays O(lattice) except for the CSV rows that
-    ``emit_trajectory`` asks for.
+    ``<out>.summary.json`` with per-step moments and the total probability,
+    the sequential sum of the site probabilities in site order (the same
+    digits on every Python version).  The amplitude arrays are reduced as
+    they are produced, so memory stays O(lattice) except for the CSV rows
+    that ``emit_trajectory`` asks for.
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a walk of any kind.  One train
     realizes every step, so it is compiled once, and with ``--verify``
@@ -24,8 +26,10 @@ Subcommands
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
-config or unwritable output (``--out`` in a missing directory is refused
-before any work), 3 lattice guard violation, 4 verification failure.
+config (a config file that is not UTF-8 JSON, or a walk too large to
+allocate) or unwritable output (``--out`` in a missing directory, or an
+output path that names an existing directory, is refused before any work),
+3 lattice guard violation, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -97,9 +101,11 @@ def _reject_constant(name: str):
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not UTF-8 text: {err}") from err
     try:
         cfg = json.loads(text, parse_constant=_reject_constant)
     except ConfigError:
@@ -226,16 +232,22 @@ def run_command(cfg: dict, out_path: str) -> int:
     emit_trajectory = cfg.get("emit_trajectory", False)
     emit_all_sites = cfg.get("emit_all_sites", False)
 
+    # the one-member ensemble's arrays are reduced as they arrive: no state
+    # copies, and the site coordinates are built once
+    sites = np.arange(-spec.half_width, spec.half_width + 1)
+    partial_sums = np.empty(sites.size)
     lines = ["t,x,P"]
     moments = []
-    for t, state in enumerate(walk.iterate(spec)):
-        p = walk.site_probabilities(state.amps)
-        mean, var = (float(m) for m in walk.site_moments(p, state.sites))
-        # Python's sequential sum in site order: np.sum adds pairwise and
-        # would change the last digits of the reported total
-        moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": sum(p.tolist())})
+    for t, amps in enumerate(walk.iterate_ensemble([spec])):
+        p = walk.site_probabilities(amps[0])
+        mean, var = (float(m) for m in walk.site_moments(p, sites))
+        # the total is the sequential sum in site order, the last running sum;
+        # np.sum adds pairwise and Python 3.12's sum compensates, so either
+        # would change its last digits
+        total = float(np.add.accumulate(p, out=partial_sums)[-1])
+        moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
         if emit_trajectory or t == spec.steps:
-            lines += _distribution_rows(t, state.sites, p, emit_all_sites)
+            lines += _distribution_rows(t, sites, p, emit_all_sites)
     _write_text(out_path, "\n".join(lines) + "\n")
 
     summary = {
@@ -403,7 +415,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         start=spec.start,
         theta1=math.pi / 4,
     )
-    ballistic = [float(_sigmas(state.amps, sites)) for state in walk.iterate(baseline_spec)]
+    ballistic = [float(_sigmas(amps[0], sites)) for amps in walk.iterate_ensemble([baseline_spec])]
 
     _write_json(
         out_path,
@@ -457,6 +469,10 @@ def main(argv=None) -> int:
         out_dir = Path(args.out).parent
         if not out_dir.is_dir():
             raise ConfigError(f"cannot write {args.out}: {out_dir} is not an existing directory")
+        outputs = [Path(args.out)] + ([_summary_path(args.out)] if args.command == "run" else [])
+        for path in outputs:
+            if path.is_dir():
+                raise ConfigError(f"cannot write {path}: it is an existing directory")
         cfg = load_config(args.config)
         if args.command == "run":
             return run_command(cfg, args.out)
@@ -469,6 +485,9 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as err:  # numpy's message names the size and shape asked for
+        print(f"config error: the configured walk is too large to allocate: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except walk.LatticeGuardError as err:
         msg = f"lattice guard violation: {err}"

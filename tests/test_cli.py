@@ -15,6 +15,26 @@ from oamwalk.optics import equal_up_to_phase
 from conftest import dense_shift_full
 
 
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at 1 TiB for one test.
+
+    An allocation of many TiB then fails at once under any overcommit policy,
+    instead of succeeding lazily and touching memory as it is filled.
+    """
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 40
+    if soft != resource.RLIM_INFINITY and soft <= cap:
+        yield
+        return
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = {
         "schema_version": 1,
@@ -131,23 +151,35 @@ class TestRun:
             "emit_trajectory": emit_trajectory,
             "emit_all_sites": emit_all_sites,
         }
-        cfg = tmp_path / "gen.json"
-        cfg.write_text(json.dumps(raw))
-        out = tmp_path / "dist.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert_run_documents_equal_reference(tmp_path, raw)
 
-        traj = walk.evolve(cli.build_spec(raw))
-        lines = ["t,x,P"]
-        moments = []
-        for t, state in enumerate(traj):
-            p = walk.probability(state)
-            mean, var = walk.moments(p)
-            moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": sum(p.values())})
-            if emit_trajectory or t == len(traj) - 1:
-                lines += [f"{t},{x},{p[x]:.17g}" for x in sorted(p) if emit_all_sites or p[x] > 0.0]
-        summary = {"schema_version": 1, "walk": "generalized", "steps": 9, "half_width": 13, "moments": moments}
-        assert out.read_text() == "\n".join(lines) + "\n"
-        assert (tmp_path / "dist.summary.json").read_text() == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    @pytest.mark.parametrize("emit_trajectory", [False, True])
+    @pytest.mark.parametrize("emit_all_sites", [False, True])
+    @pytest.mark.parametrize(
+        "kind_keys",
+        [
+            {"walk": "dtqw", "theta": 0.61, "start": -3},
+            {"walk": "ssqw", "theta1": 0.9, "theta2": -0.4},
+            {"walk": "electric-dtqw", "theta": 0.5, "phi_e": 0.37, "start": 1},
+            {
+                "walk": "generalized",
+                "start": 2,
+                "table1": {"chi": 0.3, "xi": [0.01 * i - 0.1 for i in range(29)], "eta": -0.2, "theta": 0.8},
+                "table2": {"chi": [0.02 * i for i in range(29)], "xi": 0.4, "eta": 0.15, "theta": -0.6},
+            },
+        ],
+        ids=["dtqw", "ssqw", "electric-dtqw", "generalized"],
+    )
+    def test_documents_equal_evolve_reference(self, tmp_path, kind_keys, emit_trajectory, emit_all_sites):
+        raw = {
+            "schema_version": 1,
+            "steps": 9,
+            "half_width": 14,
+            "emit_trajectory": emit_trajectory,
+            "emit_all_sites": emit_all_sites,
+            **kind_keys,
+        }
+        assert_run_documents_equal_reference(tmp_path, raw)
 
     def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
         half_width, steps = 1200, 60
@@ -166,6 +198,36 @@ class TestRun:
         growth = peak(2 * steps) - peak(steps)
         # a stored trajectory would add steps * state_bytes (4.6 MB here)
         assert growth < 0.1 * steps * state_bytes
+
+
+def assert_run_documents_equal_reference(tmp_path, raw):
+    """``run``'s CSV and summary equal, byte for byte, documents built from ``walk.evolve``.
+
+    The reference reduces each state through the mapping views and takes the
+    total as an explicit left-to-right sum in site order, which is what the
+    summary promises on every Python version.
+    """
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "dist.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+    traj = walk.evolve(cli.build_spec(raw))
+    lines = ["t,x,P"]
+    moments = []
+    for t, state in enumerate(traj):
+        p = walk.probability(state)
+        mean, var = walk.moments(p)
+        total = 0.0
+        for x in sorted(p):
+            total += p[x]
+        moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
+        if raw["emit_trajectory"] or t == len(traj) - 1:
+            lines += [f"{t},{x},{p[x]:.17g}" for x in sorted(p) if raw["emit_all_sites"] or p[x] > 0.0]
+    summary = {"schema_version": 1, "walk": raw["walk"], "steps": raw["steps"], "half_width": raw["half_width"],
+               "moments": moments}
+    assert out.read_text() == "\n".join(lines) + "\n"
+    assert (tmp_path / "dist.summary.json").read_text() == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 class TestConfigValidation:
@@ -287,6 +349,24 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "not valid JSON" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"schema_version": 1}).encode("utf-16-le"))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "not UTF-8" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_lattice_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys, address_space_cap):
+        cfg = write_config(tmp_path, steps=0, half_width=10**12)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "too large to allocate" in err
+        assert str(2 * 10**12 + 1) in err  # numpy's message names the array shape
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["emit_trajectory", "emit_all_sites", "verify"])
@@ -584,19 +664,44 @@ class TestUnwritableOutput:
             "localize": (loc, ["--seeds", "2"]),
         }
 
-    @pytest.mark.parametrize("command", ["run", "compile", "localize"])
-    def test_missing_out_directory_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+    @staticmethod
+    def forbid_work(monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the walk must not be evolved")
 
         monkeypatch.setattr(walk, "iterate", never)
         monkeypatch.setattr(walk, "iterate_ensemble", never)
         monkeypatch.setattr(walk, "step_operator", never)
+
+    @pytest.mark.parametrize("command", ["run", "compile", "localize"])
+    def test_missing_out_directory_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        self.forbid_work(monkeypatch)
         cfg, extra = self.configs(tmp_path)[command]
         before = sorted(tmp_path.rglob("*"))
         out = tmp_path / "missing_dir" / "x.out"
         assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
         assert "config error: cannot write" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "compile", "localize"])
+    def test_existing_directory_out_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        self.forbid_work(monkeypatch)
+        cfg, extra = self.configs(tmp_path)[command]
+        out = tmp_path / "taken"
+        out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write" in err and "existing directory" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_summary_path_naming_a_directory_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        self.forbid_work(monkeypatch)
+        cfg, _ = self.configs(tmp_path)["run"]
+        (tmp_path / "dist.summary.json").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "dist.csv")]) == 2
+        assert "dist.summary.json: it is an existing directory" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["run", "compile", "localize"])

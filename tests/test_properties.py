@@ -153,3 +153,27 @@ def test_compiled_split_step_verifies(c1, c2):
     half_width = 6
     report = verify(compile_ssqw(c1, c2), walk.split_step_operator(c1, c2, half_width))
     assert report.passed and report.fidelity >= 1 - 1e-10
+
+
+# --- the run summary's total --------------------------------------------------
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, n=st.integers(1, 3000), scale=st.floats(-320, 0),
+       zero_share=st.floats(0, 1), subnormal_share=st.floats(0, 1))
+def test_accumulated_total_is_the_sequential_sum(seed, n, scale, zero_share, subnormal_share):
+    """The last running sum of ``np.add.accumulate`` is the left-to-right sum, bit for bit.
+
+    ``run`` reports this total; Python's ``sum`` is not a fixed definition of
+    it (3.12 compensates), numpy's ``sum`` adds pairwise.
+    """
+    rng = np.random.default_rng(seed)
+    p = rng.random(n) * 10.0**scale
+    p[rng.random(n) < subnormal_share] = rng.random() * SMALLEST_NORMAL
+    p[rng.random(n) < zero_share] = 0.0
+    total = 0.0
+    for v in p.tolist():
+        total += v
+    assert float(np.add.accumulate(p)[-1]).hex() == total.hex()
