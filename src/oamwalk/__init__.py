@@ -5,9 +5,9 @@ The package has four layers:
 - :mod:`oamwalk.walk` - walker states on a truncated integer lattice and the
   plain, split-step, position-dependent-coin, and electric walk evolutions,
   one step kernel reading each kind's moves from ``STEP_MOVES``; the dense
-  step operator is that kernel applied to every basis state;
+  step operator is read from comb probes of that kernel;
 - :mod:`oamwalk.optics` - Jones calculus for J-plates and waveplates, their
-  lifts to coin ⊗ lattice operators, and equality up to a global phase;
+  bands and lifts to coin ⊗ lattice operators, and equality up to a phase;
 - :mod:`oamwalk.compiler` - recipes turning the step of any walk kind into
   ordered element trains, plus verification of every train against the dense
   step operator, so a certificate speaks about the walk that is simulated;

@@ -14,9 +14,9 @@ Subcommands
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a walk of any kind.  One train
     realizes every step, so it is compiled once, and with ``--verify``
-    certified once against the walk's dense step operator (the step kernel
-    on every basis state), and repeated in every step block; a failed check
-    exits with code 4.
+    certified once against the walk's dense step operator (read from comb
+    probes of the step kernel), and repeated in every step block; a failed
+    check exits with code 4.
 ``verify``
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``

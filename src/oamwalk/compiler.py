@@ -23,16 +23,15 @@ the failure of that variant stays demonstrable.
 Any walk kind: each move of its step (:data:`oamwalk.walk.STEP_MOVES`)
 becomes a PDC block and a J-plate, and an electric site phase one more PDC.
 
-Verification folds the compiled train on the truncated lattice in one pass:
-each element is lifted once, its unitarity defect is recorded, and it is
-multiplied onto the running product and released.  The product is compared
-with :func:`oamwalk.optics.equal_up_to_phase` against the walk's dense step
-operator (:func:`oamwalk.walk.step_operator`), which is the same step
-kernel that evolves the walk, applied to every basis state.
+Verification lifts each element once, records its unitarity defect, and
+folds it into the running product, which :func:`oamwalk.optics.equal_up_to_phase`
+compares with the walk's dense step operator (:func:`oamwalk.walk.step_operator`):
+comb probes of the step kernel that evolves the walk, placed as lifts are.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,14 +171,12 @@ class PdcBlock:
     q1: np.ndarray
 
     def __post_init__(self):
-        q2 = np.array(self.q2, dtype=np.float64)
-        q1 = np.array(self.q1, dtype=np.float64)
+        q2, q1 = (np.array(q, dtype=np.float64) for q in (self.q2, self.q1))
         if q2.shape != q1.shape or q2.ndim != 2 or q2.shape[1] != 3:
             raise ValueError("plate parameter arrays must both have shape (n_sites, 3)")
-        q2.setflags(write=False)
-        q1.setflags(write=False)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "q1", q1)
+        for name, q in (("q2", q2), ("q1", q1)):
+            q.setflags(write=False)
+            object.__setattr__(self, name, q)
 
     @property
     def n_sites(self) -> int:
@@ -191,20 +188,23 @@ class PdcBlock:
             raise KeyError(f"site {x} outside block range")
         return tuple(self.q2[i]), tuple(self.q1[i])
 
+    @functools.cached_property
+    def _field(self) -> np.ndarray:  # (n_sites, 2, 2)
+        field = optics.jplate_pointwise(*self.q2.T) @ optics.jplate_pointwise(*self.q1.T) @ SIGMA3
+        field.setflags(write=False)
+        return field
+
     def site_matrix(self, x: int) -> np.ndarray:
-        q2, q1 = self.plates(x)
-        return optics.jplate_pointwise(*q2) @ optics.jplate_pointwise(*q1) @ SIGMA3
+        self.plates(x)  # raises KeyError off the block
+        return self._field[x - self.lattice_min].copy()
+
+    def bands(self) -> list:
+        return [(0, self._field)]
 
     def lift(self, half_width: int) -> np.ndarray:
-        n = 2 * half_width + 1
-        if self.lattice_min != -half_width or self.n_sites != n:
+        if self.lattice_min != -half_width or self.n_sites != 2 * half_width + 1:
             raise ValueError("block lattice does not match the requested half-width")
-        m = np.array([self.site_matrix(x) for x in range(-half_width, half_width + 1)])
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = np.diag(m[:, i, j])
-        return out
+        return optics._place_bands(self.bands(), half_width)
 
 
 def compile_pdc(table: walk.CoinTable) -> PdcBlock:
@@ -329,12 +329,6 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
 
-def _factor_margin(element) -> int:
-    if isinstance(element, JPlate):
-        return max(abs(element.m_x), abs(element.m_y))
-    return 0
-
-
 def verify(cs: CompiledStep, reference: np.ndarray, tol: float = 1e-10) -> VerificationReport:
     """Fold a compiled train, checking each factor, and compare it with a reference step operator.
 
@@ -348,8 +342,8 @@ def verify(cs: CompiledStep, reference: np.ndarray, tol: float = 1e-10) -> Verif
     half_width = (dim // 2 - 1) // 2
     compiled, factors = None, []
     for el, desc in zip(cs.elements, cs.provenance, strict=True):
-        lifted = el.lift(half_width)
-        factors.append(FactorCheck(desc, optics.unitarity_defect(lifted, margin=_factor_margin(el))))
+        lifted, margin = el.lift(half_width), max(abs(m) for m, _ in el.bands())  # margin: sites shifts empty
+        factors.append(FactorCheck(desc, optics.unitarity_defect(lifted, margin=margin)))
         compiled = lifted if compiled is None else lifted @ compiled
         del lifted
     if compiled is None:

@@ -13,10 +13,10 @@ Three element kinds are modeled:
 ``VariableWavePlate``
     tunable retardance ``z`` between H and V, ``diag(e^{iz/2}, e^{-iz/2})``.
 
-Lifting an element to the truncated lattice produces a dense matrix on the
-basis ``|polarization> ⊗ |l>``.  Each element's 2×2 grid of lattice blocks
-is placed directly (a rotated J-plate included), so no lift forms a dense
-matrix product, and :func:`compose` folds a train one lift at a time.
+Each element gives its action as bands, ``(m, coefficient)`` pairs taking
+``|b> ⊗ |l>`` to ``coefficient[a, b] |a> ⊗ |l+m>`` with one (2, 2) Jones matrix
+or an (n_sites, 2, 2) field of them.  A lift places its bands in a dense matrix
+on ``|polarization> ⊗ |l>``, and :func:`compose` folds a train lift by lift.
 OAM-shift rows that leave the lattice are dropped, so lifted operators are
 unitary on states that keep clear of the boundary (the walk layer's guard)
 but not on the edge columns themselves.
@@ -42,7 +42,6 @@ __all__ = [
     "JPlate",
     "HalfWavePlate",
     "VariableWavePlate",
-    "oam_shift_matrix",
     "lift",
     "compose",
     "PhaseMatch",
@@ -51,15 +50,16 @@ __all__ = [
 ]
 
 
-def jones_rotation(angle: float) -> np.ndarray:
-    """Axis rotation exp(-i*angle*s2) = [[cos a, -sin a], [sin a, cos a]]."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def jones_rotation(angle) -> np.ndarray:
+    """Axis rotation exp(-i*angle*s2) = [[cos a, -sin a], [sin a, cos a]]; broadcasts to (..., 2, 2)."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([c, -s, s, c], axis=-1).reshape(np.shape(angle) + (2, 2)).astype(np.complex128)
 
 
-def jplate_pointwise(delta_x: float, delta_y: float, angle: float) -> np.ndarray:
-    """Jones matrix of one J-plate point: R(-angle) diag(e^{i dx}, e^{i dy}) R(angle)."""
-    d = np.diag([np.exp(1j * delta_x), np.exp(1j * delta_y)])
+def jplate_pointwise(delta_x, delta_y, angle) -> np.ndarray:
+    """Jones matrix R(-angle) diag(e^{i dx}, e^{i dy}) R(angle) of a J-plate point; broadcasts to (..., 2, 2)."""
+    d = np.zeros(np.broadcast_shapes(np.shape(delta_x), np.shape(delta_y)) + (2, 2), dtype=np.complex128)
+    d[..., 0, 0], d[..., 1, 1] = np.exp(1j * delta_x), np.exp(1j * delta_y)
     return jones_rotation(-angle) @ d @ jones_rotation(angle)
 
 
@@ -74,15 +74,21 @@ def varwave_pointwise(retardance: float) -> np.ndarray:
     return np.diag([np.exp(0.5j * retardance), np.exp(-0.5j * retardance)])
 
 
-def oam_shift_matrix(m: int, half_width: int) -> np.ndarray:
-    """Matrix of |l> -> |l+m> on l in [-half_width, half_width]; exiting rows dropped."""
-    return np.eye(2 * half_width + 1, k=-m)
+def _place_bands(bands, half_width: int) -> np.ndarray:
+    """Dense matrix of ``(m, coefficient)`` bands, fields indexed by source site; off-lattice rows dropped.
+
+    Bands are added in order into zeros, so an entry one band alone reaches holds its coefficient exactly.
+    """
+    n = 2 * half_width + 1
+    out = np.zeros((2, n, 2, n), dtype=np.complex128)
+    for m, coef in bands:
+        src = np.arange(max(0, -m), min(n, n - m))
+        out[:, src + m, :, src] += coef[src] if np.ndim(coef) == 3 else coef
+    return out.reshape(2 * n, 2 * n)
 
 
 def _as_multiplier(value) -> int:
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"OAM multiplier must be an integer, got {value!r}")
 
@@ -101,24 +107,15 @@ class JPlate:
         object.__setattr__(self, "m_x", _as_multiplier(self.m_x))
         object.__setattr__(self, "m_y", _as_multiplier(self.m_y))
 
-    def lift(self, half_width: int) -> np.ndarray:
-        """Dense lift with block (a, b) = sum_c R(-angle)[a,c] e^{i c_c} R(angle)[c,b] T_{m_c}.
-
-        The blocks are placed directly, without a dense product.  Each
-        coefficient is multiplied in the order of ``R(-angle) @ core @
-        R(angle)`` on the lifted matrices, and when ``m_x != m_y`` every
-        entry holds one term, so the result is that product bit for bit.
-        """
-        n = 2 * half_width + 1
+    def bands(self) -> list:
+        """Bands m_x, m_y: R(-angle)[a, c] e^{i c_c} R(angle)[c, b], multiplied in that order."""
         rot, rot_back = jones_rotation(self.angle), jones_rotation(-self.angle)
-        out = np.zeros((2, n, 2, n), dtype=np.complex128)
-        for c, (m, const) in enumerate(((self.m_x, self.c_x), (self.m_y, self.c_y))):
-            shift = oam_shift_matrix(m, half_width)
-            phase = np.exp(1j * const)
-            for a in range(2):
-                for b in range(2):
-                    out[a, :, b, :] += rot_back[a, c] * phase * rot[c, b] * shift
-        return out.reshape(2 * n, 2 * n)
+        phases = np.exp(1j * np.array([self.c_x, self.c_y]))
+        return [(m, np.array([[rot_back[a, c] * phases[c] * rot[c, b] for b in range(2)] for a in range(2)]))
+                for c, m in enumerate((self.m_x, self.m_y))]
+
+    def lift(self, half_width: int) -> np.ndarray:
+        return _place_bands(self.bands(), half_width)
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,11 @@ class HalfWavePlate:
     def jones(self) -> np.ndarray:
         return halfwave_pointwise(self.angle)
 
+    def bands(self) -> list:
+        return [(0, self.jones())]
+
     def lift(self, half_width: int) -> np.ndarray:
-        return np.kron(self.jones(), np.eye(2 * half_width + 1))
+        return _place_bands(self.bands(), half_width)
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,11 @@ class VariableWavePlate:
     def jones(self) -> np.ndarray:
         return varwave_pointwise(self.retardance)
 
+    def bands(self) -> list:
+        return [(0, self.jones())]
+
     def lift(self, half_width: int) -> np.ndarray:
-        return np.kron(self.jones(), np.eye(2 * half_width + 1))
+        return _place_bands(self.bands(), half_width)
 
 
 def lift(element, half_width: int) -> np.ndarray:
@@ -201,10 +204,5 @@ def unitarity_defect(op: np.ndarray, margin: int = 0) -> float:
     isometric.
     """
     n = op.shape[0] // 2
-    norms = np.linalg.norm(op, axis=0)
-    keep = np.ones(2 * n, dtype=bool)
-    if margin > 0:
-        for block in (0, n):
-            keep[block:block + margin] = False
-            keep[block + n - margin:block + n] = False
-    return float(np.max(np.abs(norms[keep] - 1.0)))
+    norms = np.linalg.norm(op, axis=0).reshape(2, n)[:, margin:n - margin]
+    return float(np.max(np.abs(norms - 1.0)))

@@ -20,11 +20,10 @@ the boundary sites; every shift enforces that guard and raises
 
 Each walk kind's step is written once, as its moves in :data:`STEP_MOVES`,
 which the step kernel applies and the optical compiler turns into elements.
-The dense one-step operators
-(:func:`step_operator`, :func:`split_step_operator`) are that kernel applied
-to every basis state with the guard off, so that amplitude leaving the
-lattice is dropped as a truncated matrix drops it; a certificate checked
-against them speaks about the walk that :func:`iterate` evolves.
+The dense one-step operators (:func:`step_operator`,
+:func:`split_step_operator`) are read from comb probes of that kernel,
+unguarded so that amplitude leaving the lattice is dropped as a truncated
+matrix drops it: a certificate against them is about the walk that runs.
 
 The step kernel works on bare amplitude arrays of shape ``(..., 2, n_sites)``:
 one walk has no leading axis, and an ensemble of walks that differ only in
@@ -44,6 +43,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .optics import _place_bands
 
 __all__ = [
     "GUARD",
@@ -476,6 +477,8 @@ def _stepper(
     operators only), amplitude shifted off the lattice is dropped instead of
     raising :class:`LatticeGuardError`.
     """
+    if spec.walk_kind not in STEP_MOVES:
+        spec.validate()  # names the unknown kind
     moves = STEP_MOVES[spec.walk_kind]
     angles = _site_angles(spec.phi_e, lattice_min, n_sites)
     phases = None if angles is None else np.exp(1j * angles)
@@ -588,18 +591,24 @@ def spread(p: Mapping[int, float]) -> float:
 
 # --- dense matrix representations -----------------------------------------
 #
-# Matrices on the basis |coin> ⊗ |x>, index coin * n_sites + (x - lattice_min),
-# built by running the unguarded step kernel on every basis state at once, so
-# a certificate against them is about the walk that :func:`iterate` evolves.
+# Matrices on the basis |coin> ⊗ |x>, index coin * n_sites + (x - lattice_min).
 
 
-def _dense(advance: Callable[[np.ndarray], np.ndarray], n_sites: int) -> np.ndarray:
-    """Matrix of a linear step on amplitudes (..., 2, n_sites): its image of every basis state."""
-    dim = 2 * n_sites
-    images = advance(np.eye(dim, dtype=np.complex128).reshape(dim, 2, n_sites))
-    # C order: np.linalg.norm sums in memory order, so a transposed view
-    # would move the last bits of every certificate's fidelity
-    return np.ascontiguousarray(images.reshape(dim, dim).T)
+def _probed(spec: WalkSpec, coins: Sequence[np.ndarray]) -> np.ndarray:
+    """Matrix of one unguarded step of ``spec`` with ``coins``, read from comb probes.
+
+    A step of w moves reaches w sites, so probe (r, c), coin c on the sites
+    x ≡ r (mod 2w+1), reaches each site from one x at most, by the operations
+    a basis state at x takes: its image at x + m is band m at x.
+    """
+    n, reach = 2 * spec.half_width + 1, len(STEP_MOVES[spec.walk_kind])
+    spacing, sites = 2 * reach + 1, np.arange(n)
+    probes = np.zeros((spacing, 2, 2, n), dtype=np.complex128)
+    probes[sites % spacing, :, :, sites] = np.eye(2)  # [r, c, c, x ≡ r] = 1
+    images = _stepper(spec, -spec.half_width, n, coins, guard=False)(probes)  # [r, c, a, y]
+    # targets off the lattice are clipped here and dropped by the placement
+    return _place_bands([(m, images[sites % spacing, :, :, np.clip(sites + m, 0, n - 1)].swapaxes(1, 2))
+                         for m in range(-reach, reach + 1)], spec.half_width)
 
 
 def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
@@ -614,12 +623,10 @@ def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
         if coin.shape != (2, 2) and coin.shape != (n, 2, 2):
             raise ValueError(f"coin must be (2, 2) or ({n}, 2, 2), got {coin.shape}")
         coins.append(coin if coin.ndim == 2 else np.ascontiguousarray(coin.transpose(1, 2, 0)))
-    ssqw = WalkSpec("ssqw", 1, half_width)
-    return _dense(_stepper(ssqw, -half_width, n, coins, guard=False), n)
+    return _probed(WalkSpec("ssqw", 1, half_width), coins)
 
 
 def step_operator(spec: WalkSpec) -> np.ndarray:
     """Dense one-step operator of the walk described by ``spec``."""
     spec = spec.resolved()
-    n = 2 * spec.half_width + 1
-    return _dense(_stepper(spec, -spec.half_width, n, _coins(spec), guard=False), n)
+    return _probed(spec, _coins(spec))

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oamwalk import optics, walk
-from oamwalk.compiler import compile_ssqw
+from oamwalk import cli, optics, walk
+from oamwalk.compiler import compile_pdc, compile_ssqw
 from oamwalk.optics import (
     HalfWavePlate,
     JPlate,
@@ -21,6 +21,7 @@ from oamwalk.optics import (
 
 from conftest import (
     SIGMA3,
+    dense_coin,
     dense_shift_full,
     dense_shift_minus,
     dense_shift_plus,
@@ -142,10 +143,30 @@ def rotated_plate_oracle(m_x, c_x, m_y, c_y, angle, half_width):
 COMPILER_ALPHA = compile_ssqw(walk.coin_matrix(0.7), walk.coin_matrix(-0.35)).elements[1].angle
 
 
+def site_field_oracle(block) -> list:
+    """Each site's J(q2) @ J(q1) @ s3, one site at a time from scalar 2x2 products."""
+
+    def plate(delta_x, delta_y, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        rot = np.array([[c, -s], [s, c]], dtype=complex)
+        rot_back = np.array([[c, s], [-s, c]], dtype=complex)
+        return rot_back @ np.diag([np.exp(1j * delta_x), np.exp(1j * delta_y)]) @ rot
+
+    return [plate(*q2) @ plate(*q1) @ SIGMA3 for q2, q1 in zip(block.q2, block.q1)]
+
+
+def random_pdc_block(rng, half_width):
+    """PDC block of a four-angle table (nonzero chi, xi, eta)."""
+    return compile_pdc(walk.CoinTable(-half_width, *rng.uniform(-math.pi, math.pi, size=(4, 2 * half_width + 1))))
+
+
+LIFT_HALF_WIDTHS = [3, 40]
+
+
 class TestJPlateLiftPlacesBlocks:
     """The placed blocks equal the dense product they replace."""
 
-    @pytest.mark.parametrize("half_width", [3, 40])
+    @pytest.mark.parametrize("half_width", LIFT_HALF_WIDTHS)
     @pytest.mark.parametrize("m_x, m_y", [(-1, 0), (0, 1), (-1, 1), (2, -1)])
     @pytest.mark.parametrize("angle", [0.0, COMPILER_ALPHA, -1.1, 2.5])
     def test_distinct_multipliers_match_product_exactly(self, m_x, m_y, angle, half_width):
@@ -168,6 +189,47 @@ class TestJPlateLiftPlacesBlocks:
         L = 40
         got = JPlate(m, 0.7, m, -1.3, angle).lift(L)
         assert np.max(np.abs(got - rotated_plate_oracle(m, 0.7, m, -1.3, angle, L))) <= 1e-15
+
+
+class TestBandLifts:
+    """Every element lifts by placing its bands, exactly as the dense construction it replaces."""
+
+    @pytest.mark.parametrize("half_width", LIFT_HALF_WIDTHS + [256])
+    @pytest.mark.parametrize("element", [HalfWavePlate(0.0), HalfWavePlate(0.4), HalfWavePlate(-2.2),
+                                         VariableWavePlate(1.2), VariableWavePlate(-0.35)])
+    def test_waveplate_lift_is_the_kron(self, element, half_width):
+        got = element.lift(half_width)
+        assert np.array_equal(got, np.kron(element.jones(), np.eye(2 * half_width + 1)))
+        assert np.array_equal(got, dense_coin(element.jones(), half_width))
+
+    @pytest.mark.parametrize("half_width", LIFT_HALF_WIDTHS)
+    def test_pdc_lift_is_the_per_site_coin(self, rng, half_width):
+        block = random_pdc_block(rng, half_width)
+        field = site_field_oracle(block)
+        assert np.array_equal(block.lift(half_width), dense_coin(field, half_width))
+        for x in (-half_width, 0, half_width):
+            assert np.array_equal(block.site_matrix(x), field[x + half_width])
+
+    def test_pointwise_plate_broadcasts_by_the_scalar_formula(self, rng):
+        q = rng.uniform(-4, 4, size=(7, 3))
+        stacked = jplate_pointwise(*q.T)
+        assert stacked.shape == (7, 2, 2)
+        for row, m in zip(q, stacked):
+            assert np.array_equal(jplate_pointwise(*row), m)
+
+    def test_every_element_type_lifts_its_bands(self, rng):
+        L = 5
+        samples = {
+            "jplate": JPlate(-1, 0.7, 1, -1.3, 2.5),
+            "half_waveplate": HalfWavePlate(0.4),
+            "variable_waveplate": VariableWavePlate(1.2),
+            "pdc_block": random_pdc_block(rng, L),
+        }
+        assert samples.keys() == cli._ELEMENT_TYPES.keys()
+        for kind, cls in cli._ELEMENT_TYPES.items():
+            element = samples[kind]
+            assert type(element) is cls and "bands" in vars(cls) and "lift" in vars(cls)
+            assert np.array_equal(element.lift(L), optics._place_bands(element.bands(), L)), kind
 
 
 class TestCompose:

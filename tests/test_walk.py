@@ -1,6 +1,7 @@
 """Tests for the abstract walk layer: states, coins, shifts, evolutions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,15 @@ class TestStep:
         s = random_state(rng)
         assert np.allclose(step(s, spec).amps, shift_full(s).amps, atol=1e-15)
 
+    def test_unknown_kind_is_the_validation_error(self):
+        spec = WalkSpec("foo", 1, 4)
+        with pytest.raises(ValueError) as validated:
+            spec.validate()
+        with pytest.raises(ValueError) as stepped:
+            step(make_state(SYMMETRIC_COIN, 0, 4), spec)
+        assert str(stepped.value) == str(validated.value)
+        assert str(stepped.value).startswith("unknown walk kind 'foo'; expected one of")
+
     def test_electric_zero_field_matches_dtqw(self, rng):
         el = WalkSpec("electric-dtqw", 1, 8, theta1=0.3, phi_e=0.0)
         dt = WalkSpec("dtqw", 1, 8, theta1=0.3)
@@ -378,6 +388,19 @@ class TestSpecValidation:
         assert WalkSpec.KINDS == tuple(walk.STEP_MOVES)
 
 
+def basis_images(advance, n):
+    """Matrix of a linear map on amplitudes (..., 2, n): its image of every basis state at once."""
+    dim = 2 * n
+    images = advance(np.eye(dim, dtype=complex).reshape(dim, 2, n))
+    return np.ascontiguousarray(images.reshape(dim, dim).T)
+
+
+def basis_state_operator(spec, coins):
+    """The step matrix as the unguarded kernel's image of every basis state."""
+    n = 2 * spec.half_width + 1
+    return basis_images(walk._stepper(spec, -spec.half_width, n, coins, guard=False), n)
+
+
 class TestDenseBuilders:
     def test_shift_matrices_match_oracle(self):
         # the kernel's shifts, unguarded and applied to every basis state
@@ -388,7 +411,7 @@ class TestDenseBuilders:
                 ((False, True), dense_shift_plus),
                 ((True, True), dense_shift_full),
             ]:
-                got = walk._dense(lambda a: walk._shift(a, -L, left, right, guard=False), n)
+                got = basis_images(lambda a: walk._shift(a, -L, left, right, guard=False), n)
                 assert np.array_equal(got, oracle(L))
 
     def test_step_operator_matches_state_path(self, rng):
@@ -410,7 +433,7 @@ class TestDenseBuilders:
         L = 4
         t = CoinTable.random_disorder(L, rng)
         coin = walk._site_coefficients(t)
-        got = walk._dense(lambda a: walk._coin(a, coin), 2 * L + 1)
+        got = basis_images(lambda a: walk._coin(a, coin), 2 * L + 1)
         assert np.allclose(got, dense_coin(t.matrices(), L), atol=1e-15)
 
     @pytest.mark.parametrize("half_width", [3, 6])
@@ -442,6 +465,52 @@ class TestDenseBuilders:
                 phases = np.exp(1j * spec.phi_e * np.arange(-L, L + 1))
                 expect = np.diag(np.concatenate([phases, phases])) @ expect
             assert np.max(np.abs(op - expect)) < 1e-13
+
+
+def probe_cases(rng, half_width):
+    """Every kind, four-angle tables, and an electric field one ulp below a full turn."""
+    specs = four_kinds(rng, steps=1, half_width=half_width)
+    specs.append(WalkSpec("electric-dtqw", 1, half_width, theta1=-1.2, phi_e=np.nextafter(2 * math.pi, 0)))
+    return specs
+
+
+class TestProbedOperators:
+    """Comb probes give the matrix the basis-state images give, bit for bit."""
+
+    @pytest.mark.parametrize("half_width", [3, 40])
+    def test_step_operator_equals_basis_state_images(self, rng, half_width):
+        for spec in probe_cases(rng, half_width):
+            op = walk.step_operator(spec)
+            assert op.flags.c_contiguous
+            assert np.array_equal(op, basis_state_operator(spec, walk._coins(spec))), spec.walk_kind
+
+    def test_generalized_step_operator_at_l256(self, rng):
+        spec = four_kinds(rng, steps=1, half_width=256)[2]
+        assert np.array_equal(walk.step_operator(spec), basis_state_operator(spec, walk._coins(spec)))
+
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 40])
+    def test_split_step_operator_equals_basis_state_images(self, rng, half_width):
+        # at half-width 1 and 2 the comb spacing (5) is not narrower than the lattice
+        (table,) = random_tables(rng, 1, half_width)
+        ssqw = WalkSpec("ssqw", 1, half_width)
+        general = u2_matrix(CoinParams(0.3, -1.1, 0.7, 2.0))
+        for c1, c2 in [(coin_matrix(0.9), coin_matrix(-0.4)), (general, table.matrices())]:
+            coins = [c if c.ndim == 2 else np.ascontiguousarray(c.transpose(1, 2, 0)) for c in (c1, c2)]
+            expect = basis_state_operator(ssqw, coins)
+            assert np.array_equal(walk.split_step_operator(c1, c2, half_width), expect)
+
+    @pytest.mark.parametrize("kind", WalkSpec.KINDS)
+    def test_peak_memory_is_one_dense_matrix(self, rng, kind):
+        L = 64
+        dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
+        spec = next(s for s in four_kinds(rng, steps=1, half_width=L) if s.walk_kind == kind)
+        tracemalloc.start()
+        try:
+            walk.step_operator(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * dense_bytes
 
 
 class TestNonFinite:
