@@ -9,8 +9,10 @@ Subcommands
     ``<out>.summary.json`` with per-step moments and the total probability,
     the sequential sum of the site probabilities in site order (the same
     digits on every Python version).  The amplitude arrays are reduced as
-    they are produced, so memory stays O(lattice) except for the CSV rows
-    that ``emit_trajectory`` asks for.
+    they are produced, their distributions in blocks of 16 steps that give
+    each row the bits it would have alone (totals still summed sequentially),
+    so memory stays O(lattice) except for the CSV rows that
+    ``emit_trajectory`` asks for.
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a walk of any kind.  One train
     realizes every step, so it is compiled once, and with ``--verify``
@@ -145,7 +147,7 @@ def _parse_coin_state(raw) -> tuple[complex, complex]:
         raise ConfigError(
             "coin_state must be [[re, im], [re, im]] pairs of numbers"
         ) from err
-    if abs(math.hypot(abs(coin[0]), abs(coin[1])) - 1.0) > 1e-12:
+    if not abs(math.hypot(abs(coin[0]), abs(coin[1])) - 1.0) <= 1e-12:  # also rejects NaN and inf
         raise ConfigError("coin_state must be normalized to 1 within 1e-12")
     return coin
 
@@ -227,27 +229,43 @@ def _distribution_rows(t: int, sites: np.ndarray, p: np.ndarray, emit_all_sites:
             yield f"{t},{x},{_fmt(v)}"
 
 
+#: Distributions reduced together by ``run``.  Larger blocks save little
+#: call overhead and each row costs three lattice-sized float rows of memory.
+_BLOCK_STEPS = 16
+
+
 def run_command(cfg: dict, out_path: str) -> int:
     spec = build_spec(cfg)
     emit_trajectory = cfg.get("emit_trajectory", False)
     emit_all_sites = cfg.get("emit_all_sites", False)
 
-    # the one-member ensemble's arrays are reduced as they arrive: no state
-    # copies, and the site coordinates are built once
+    # the one-member ensemble's arrays are reduced as they arrive, their
+    # distributions in blocks of _BLOCK_STEPS rows: no state copies, and the
+    # buffers and site coordinates are built once
     sites = np.arange(-spec.half_width, spec.half_width + 1)
-    partial_sums = np.empty(sites.size)
+    squares = np.empty((2, sites.size))
+    block = np.empty((_BLOCK_STEPS, sites.size))
+    partial_sums = np.empty_like(block)
     lines = ["t,x,P"]
     moments = []
-    for t, amps in enumerate(walk.iterate_ensemble([spec])):
-        p = walk.site_probabilities(amps[0])
-        mean, var = (float(m) for m in walk.site_moments(p, sites))
-        # the total is the sequential sum in site order, the last running sum;
-        # np.sum adds pairwise and Python 3.12's sum compensates, so either
-        # would change its last digits
-        total = float(np.add.accumulate(p, out=partial_sums)[-1])
-        moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
-        if emit_trajectory or t == spec.steps:
-            lines += _distribution_rows(t, sites, p, emit_all_sites)
+    states = walk.iterate_ensemble([spec])
+    for t0 in range(0, spec.steps + 1, _BLOCK_STEPS):
+        rows = block[: min(_BLOCK_STEPS, spec.steps + 1 - t0)]
+        for row, amps in zip(rows, states):
+            # walk.site_probabilities' ufuncs, written into the block row
+            np.square(np.abs(amps[0], out=squares), out=squares)
+            np.add(squares[0], squares[1], out=row)
+        # each row's moments equal a lone distribution's (site_moments), and
+        # the total is the sequential sum in site order, the last running sum
+        # along the row; np.sum adds pairwise and Python 3.12's sum
+        # compensates, so either would change its last digits
+        means, variances = walk.site_moments(rows, sites)
+        totals = np.add.accumulate(rows, axis=-1, out=partial_sums[: len(rows)])[:, -1]
+        for t, p, mean, var, total in zip(range(t0, spec.steps + 1), rows, means.tolist(), variances.tolist(),
+                                          totals.tolist()):
+            moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
+            if emit_trajectory or t == spec.steps:
+                lines += _distribution_rows(t, sites, p, emit_all_sites)
     _write_text(out_path, "\n".join(lines) + "\n")
 
     summary = {

@@ -96,7 +96,8 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
+    # a non-finite entry is checked first: its product would be NaN with a warning
+    if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(2))) <= tol):
         raise ValueError("matrix is not unitary within 1e-10")
     return u
 
@@ -115,7 +116,7 @@ def euler_decompose(u: np.ndarray) -> EulerAngles:
     the convention here is gamma3 = 0.
     """
     u = _check_unitary(u)
-    if abs(np.linalg.det(u) - 1.0) > 1e-10:
+    if not abs(np.linalg.det(u) - 1.0) <= 1e-10:
         raise ValueError("determinant must be 1 within 1e-10; use su2_normalize first")
     a, b = u[0, 0], u[0, 1]
     gamma2 = 2.0 * math.atan2(abs(b), abs(a))

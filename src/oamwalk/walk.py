@@ -31,9 +31,11 @@ their coin tables is one ``(S, 2, n_sites)`` array advanced by the same code
 (:func:`iterate_ensemble`).  :func:`iterate` streams a walk state by state,
 building its coin operators once, so a consumer that reduces each state as it
 arrives holds O(n_sites) memory whatever the step count; :func:`evolve`
-collects the whole trajectory.  The reductions :func:`site_probabilities` and
-:func:`site_moments` act on arrays; :func:`probability` and :func:`moments`
-are their mapping views.
+collects the whole trajectory.  Each coin writes a new array, and the kernel
+shifts it and applies the electric phases to it in place, so a step allocates
+one array per coin and never writes into a state it has already yielded.  The
+reductions :func:`site_probabilities` and :func:`site_moments` act on arrays;
+:func:`probability` and :func:`moments` are their mapping views.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ def make_state(coin: Iterable[complex], x0: int, half_width: int) -> WalkerState
     """Delta state at site ``x0`` with the given normalized coin vector."""
     a, b = (complex(c) for c in coin)
     nrm = math.hypot(abs(a), abs(b))
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:  # also rejects NaN and inf entries
         raise ValueError(f"coin vector must be normalized, |coin| = {nrm!r}")
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
@@ -286,7 +288,7 @@ def _site_coefficients(table: CoinTable) -> np.ndarray:
 
 
 def _coin(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """Apply a coin to amplitudes of shape (..., 2, n).
+    """Apply a coin to amplitudes of shape (..., 2, n), always into a new array.
 
     ``coin`` is a single (2, 2) matrix applied everywhere, or per-site
     entries of shape (..., 2, 2, n) as built by :func:`_site_coefficients`.
@@ -316,7 +318,7 @@ def apply_coin(state: WalkerState, table: CoinTable) -> WalkerState:
 
 def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
     """Raise if any walk's boundary amplitude in ``edge`` exceeds :data:`GUARD`."""
-    worst = float(np.max(np.abs(edge)))
+    worst = float(np.abs(edge).max())
     if worst > GUARD:
         raise LatticeGuardError(
             f"shift would move amplitude of magnitude {worst:.3e} off the {side} "
@@ -326,38 +328,39 @@ def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
 
 
 def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool, guard: bool = True) -> np.ndarray:
-    """Move the left mover one site left and/or the right mover one site right.
+    """Move the left mover one site left and/or the right mover one site right, in place.
 
-    With ``guard`` off, amplitude moved off the lattice is dropped silently.
+    Writes into ``amps`` and returns it; the vacated edge site is zeroed.
+    Each guard is checked before anything moves.  With ``guard`` off,
+    amplitude moved off the lattice is dropped silently.
     """
     n_sites = amps.shape[-1]
     if guard and left:
         _guard_check(amps[..., 0, 0], lattice_min, n_sites, "left")
     if guard and right:
         _guard_check(amps[..., 1, -1], lattice_min, n_sites, "right")
-    new = amps.copy()
     if left:
-        new[..., 0, :-1] = amps[..., 0, 1:]
-        new[..., 0, -1] = 0.0
+        amps[..., 0, :-1] = amps[..., 0, 1:]
+        amps[..., 0, -1] = 0.0
     if right:
-        new[..., 1, 1:] = amps[..., 1, :-1]
-        new[..., 1, 0] = 0.0
-    return new
+        amps[..., 1, 1:] = amps[..., 1, :-1]
+        amps[..., 1, 0] = 0.0
+    return amps
 
 
 def shift_minus(state: WalkerState) -> WalkerState:
     """Move the left-moving component one site left; leave the other fixed."""
-    return state.with_amps(_shift(state.amps, state.lattice_min, left=True, right=False))
+    return state.with_amps(_shift(state.amps.copy(), state.lattice_min, left=True, right=False))
 
 
 def shift_plus(state: WalkerState) -> WalkerState:
     """Move the right-moving component one site right; leave the other fixed."""
-    return state.with_amps(_shift(state.amps, state.lattice_min, left=False, right=True))
+    return state.with_amps(_shift(state.amps.copy(), state.lattice_min, left=False, right=True))
 
 
 def shift_full(state: WalkerState) -> WalkerState:
     """Conditional shift: left mover to x-1, right mover to x+1."""
-    return state.with_amps(_shift(state.amps, state.lattice_min, left=True, right=True))
+    return state.with_amps(_shift(state.amps.copy(), state.lattice_min, left=True, right=True))
 
 
 def _site_angles(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
@@ -473,9 +476,11 @@ def _stepper(
 
     Applies the kind's :data:`STEP_MOVES` with the coins prepared by
     :func:`_coins` (stacked along the leading axis for an ensemble), then the
-    electric phases, built here once per walk.  With ``guard`` off (dense
-    operators only), amplitude shifted off the lattice is dropped instead of
-    raising :class:`LatticeGuardError`.
+    electric phases, built here once per walk.  Every coin returns a new
+    array, which the shift and the phases then change in place, so the input
+    array is never written to.  With ``guard`` off (dense operators only),
+    amplitude shifted off the lattice is dropped instead of raising
+    :class:`LatticeGuardError`.
     """
     if spec.walk_kind not in STEP_MOVES:
         spec.validate()  # names the unknown kind
@@ -486,7 +491,9 @@ def _stepper(
     def advance(amps):
         for slot, left, right in moves:
             amps = _shift(_coin(amps, coins[slot]), lattice_min, left, right, guard=guard)
-        return amps if phases is None else amps * phases
+        if phases is not None:
+            amps *= phases
+        return amps
 
     return advance
 

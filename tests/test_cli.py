@@ -181,6 +181,50 @@ class TestRun:
         }
         assert_run_documents_equal_reference(tmp_path, raw)
 
+    @pytest.mark.parametrize("steps", [0, 1, 14, 15, 16, 17, 31, 32, 33])
+    @pytest.mark.parametrize("emit_trajectory", [False, True])
+    @pytest.mark.parametrize(
+        "kind_keys",
+        [
+            {"walk": "dtqw", "theta": 0.61, "start": -2},
+            {"walk": "ssqw", "theta1": 0.9, "theta2": -0.4},
+            {"walk": "electric-dtqw", "theta": 0.5, "phi_e": 0.37, "start": 1},
+        ],
+        ids=["dtqw", "ssqw", "electric-dtqw"],
+    )
+    def test_documents_equal_reference_across_block_boundaries(self, tmp_path, kind_keys, emit_trajectory, steps):
+        """T + 1 states that fill the 16-row reduction blocks exactly, or leave 1, 2 or 15 rows over."""
+        raw = {
+            "schema_version": 1,
+            "steps": steps,
+            "half_width": 37,
+            "emit_trajectory": emit_trajectory,
+            "emit_all_sites": False,
+            **kind_keys,
+        }
+        assert_run_documents_equal_reference(tmp_path, raw)
+
+    def test_peak_memory_is_a_few_states(self, tmp_path):
+        """The reduction buffers cost a bounded number of (2, n) states.
+
+        Measured peaks at half_width 1024, 200 steps: 17.1 states with the
+        16-step blocks, 6.5 with every state reduced alone, 29.0 with 32-step
+        and 52.9 with 64-step blocks.  The benchmark gates peak RSS; an
+        oversized block shows here first.
+        """
+        half_width = 1024
+        state_bytes = 2 * (2 * half_width + 1) * 16
+        raw = {"schema_version": 1, "walk": "ssqw", "steps": 200, "half_width": half_width,
+               "theta1": 0.9, "theta2": -0.4}
+        cli.run_command(raw, str(tmp_path / "warm.csv"))  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            assert cli.run_command(raw, str(tmp_path / "m.csv")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * state_bytes
+
     def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
         half_width, steps = 1200, 60
         state_bytes = 2 * (2 * half_width + 1) * 16
@@ -253,6 +297,14 @@ class TestConfigValidation:
     def test_unnormalized_coin(self, tmp_path):
         cfg = write_config(tmp_path, coin_state=[[1.0, 0.0], [1.0, 0.0]])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coin_state_is_a_config_error(self, entry):
+        # a JSON file cannot carry these (load_config refuses them); a mapping can
+        raw = {"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7,
+               "coin_state": [[1.0, 0.0], [0.0, entry]]}
+        with pytest.raises(cli.ConfigError, match="normalized"):
+            cli.build_spec(raw)
 
     def test_guard_violation_names_required_half_width(self, tmp_path, capsys):
         cfg = write_config(tmp_path, steps=20, half_width=10)

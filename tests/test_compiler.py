@@ -56,6 +56,14 @@ class TestSu2Normalize:
         with pytest.raises(ValueError, match="unitary"):
             su2_normalize(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("check", [su2_normalize, euler_decompose, column_params])
+    def test_rejects_non_finite_entries(self, check, bad):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = bad
+        with pytest.raises(ValueError, match="unitary"):
+            check(u)
+
 
 class TestEulerDecompose:
     def test_identity(self):

@@ -160,6 +160,13 @@ def test_compiled_split_step_verifies(c1, c2):
 SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
+def sparse_distribution(rng, shape, scale, zero_share, subnormal_share):
+    p = rng.random(shape) * 10.0**scale
+    p[rng.random(shape) < subnormal_share] = rng.random() * SMALLEST_NORMAL
+    p[rng.random(shape) < zero_share] = 0.0
+    return p
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=seeds, n=st.integers(1, 3000), scale=st.floats(-320, 0),
        zero_share=st.floats(0, 1), subnormal_share=st.floats(0, 1))
@@ -169,11 +176,28 @@ def test_accumulated_total_is_the_sequential_sum(seed, n, scale, zero_share, sub
     ``run`` reports this total; Python's ``sum`` is not a fixed definition of
     it (3.12 compensates), numpy's ``sum`` adds pairwise.
     """
-    rng = np.random.default_rng(seed)
-    p = rng.random(n) * 10.0**scale
-    p[rng.random(n) < subnormal_share] = rng.random() * SMALLEST_NORMAL
-    p[rng.random(n) < zero_share] = 0.0
+    p = sparse_distribution(np.random.default_rng(seed), n, scale, zero_share, subnormal_share)
     total = 0.0
     for v in p.tolist():
         total += v
     assert float(np.add.accumulate(p)[-1]).hex() == total.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, height=st.integers(1, 40), n=st.integers(1, 3000), scale=st.floats(-320, 0),
+       zero_share=st.floats(0, 1), subnormal_share=st.floats(0, 1))
+def test_block_reductions_equal_lone_rows(seed, height, n, scale, zero_share, subnormal_share):
+    """Moments and running-sum totals of a block of distributions are each row's own, bit for bit.
+
+    ``run`` reduces its distributions in blocks and relies on this.
+    """
+    rng = np.random.default_rng(seed)
+    block = sparse_distribution(rng, (height, n), scale, zero_share, subnormal_share)
+    block[np.arange(height), rng.integers(0, n, height)] = rng.random(height) + SMALLEST_NORMAL  # no empty rows
+    sites = np.arange(n) - n // 2
+    means, variances = walk.site_moments(block, sites)
+    totals = np.add.accumulate(block, axis=-1)[:, -1]
+    for row, mean, var, total in zip(block, means.tolist(), variances.tolist(), totals.tolist(), strict=True):
+        lone_mean, lone_var = (float(m) for m in walk.site_moments(row, sites))
+        assert (mean.hex(), var.hex()) == (lone_mean.hex(), lone_var.hex())
+        assert total.hex() == float(np.add.accumulate(row)[-1]).hex()

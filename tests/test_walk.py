@@ -69,6 +69,11 @@ class TestMakeState:
         with pytest.raises(ValueError, match="normalized"):
             make_state((1, 1), 0, 8)
 
+    @pytest.mark.parametrize("coin", [(math.nan, 0), (0, complex(0, math.nan)), (math.inf, 0), (1, -math.inf)])
+    def test_rejects_non_finite_coin(self, coin):
+        with pytest.raises(ValueError, match="normalized"):
+            make_state(coin, 0, 5)
+
     def test_rejects_out_of_lattice(self):
         with pytest.raises(ValueError, match="half_width"):
             make_state((1, 0), 8, 8)
@@ -602,6 +607,19 @@ class TestIterate:
         stream = walk.iterate(WalkSpec("dtqw", 10, 5))
         with pytest.raises(LatticeGuardError):
             next(stream)
+
+    @pytest.mark.parametrize("kind_keys", [{"walk_kind": "ssqw", "theta2": -0.4},
+                                           {"walk_kind": "electric-dtqw", "phi_e": 0.37}], ids=lambda k: k["walk_kind"])
+    def test_yielded_states_stay_intact(self, kind_keys):
+        """The kernel shifts and phases new arrays in place; a yielded one is never written again."""
+        spec = WalkSpec(steps=20, half_width=24, theta1=0.9, coin_state=(0.6, 0.8j), **kind_keys)
+        kept = list(walk.iterate_ensemble([spec]))
+        state = spec.initial_state()
+        for t, amps in enumerate(kept):
+            if t:
+                state = step(state, spec)
+            assert not amps.flags.writeable
+            assert np.array_equal(amps[0], state.amps), t
 
     def test_builds_each_coin_table_once(self, monkeypatch):
         calls = []
