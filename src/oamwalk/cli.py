@@ -22,9 +22,9 @@ Subcommands
 ``verify``
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``
-    Ensemble of disordered generalized walks, evolved together as one batch:
-    per-seed spread histories, their mean, and the ballistic baseline walk in
-    one JSON file.
+    Ensemble of disordered generalized walks, evolved together as one batch
+    whose coins are computed on the light cone only: per-seed spread
+    histories, their mean, and the ballistic baseline walk in one JSON file.
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
@@ -400,9 +400,21 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
 # --- localize ---------------------------------------------------------------
 
 
-def _sigmas(amps: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Spread of each walk in amplitudes of shape (..., 2, n)."""
-    return np.sqrt(walk.site_moments(walk.site_probabilities(amps), sites)[1])
+def _sigma_history(specs: list[walk.WalkSpec], sites: np.ndarray) -> np.ndarray:
+    """Spread of each walk of an ensemble at t = 0..T, shape (T+1, S).
+
+    Each state's site probabilities are written into two buffers allocated
+    once, by the ufuncs of :func:`walk.site_probabilities`, so they have its
+    bits.  The buffers are freed on return, before the document is written.
+    """
+    squares = np.empty((len(specs), 2, sites.size))
+    p = np.empty((len(specs), sites.size))
+    history = []
+    for amps in walk.iterate_ensemble(specs):
+        np.square(np.abs(amps, out=squares), out=squares)
+        np.add(squares[:, 0], squares[:, 1], out=p)
+        history.append(np.sqrt(walk.site_moments(p, sites)[1]))
+    return np.array(history)
 
 
 def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
@@ -419,8 +431,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
     seeds = [spec.seed + i for i in range(n_seeds)]
     members = [dataclasses.replace(spec, seed=s) for s in seeds]
     sites = spec.initial_state().sites
-    history = [_sigmas(amps, sites) for amps in walk.iterate_ensemble(members)]
-    per_seed = np.array(history).T.tolist()
+    per_seed = _sigma_history(members, sites).T.tolist()
     # averaged over a C-ordered (seeds, steps) array, which fixes the order
     # in which the seeds are summed and so the digits of the mean
     mean = np.mean(np.asarray(per_seed), axis=0).tolist()
@@ -433,7 +444,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         start=spec.start,
         theta1=math.pi / 4,
     )
-    ballistic = [float(_sigmas(amps[0], sites)) for amps in walk.iterate_ensemble([baseline_spec])]
+    ballistic = _sigma_history([baseline_spec], sites)[:, 0].tolist()
 
     _write_json(
         out_path,

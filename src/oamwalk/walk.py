@@ -33,9 +33,19 @@ building its coin operators once, so a consumer that reduces each state as it
 arrives holds O(n_sites) memory whatever the step count; :func:`evolve`
 collects the whole trajectory.  Each coin writes a new array, and the kernel
 shifts it and applies the electric phases to it in place, so a step allocates
-one array per coin and never writes into a state it has already yielded.  The
-reductions :func:`site_probabilities` and :func:`site_moments` act on arrays;
-:func:`probability` and :func:`moments` are their mapping views.
+one array per coin and never writes into a state it has already yielded.
+
+An evolution starts from a delta state, so after k steps only the light cone,
+the sites within k moves of ``start``, can be nonzero.  :func:`iterate_ensemble`
+hands the kernel that window each step, and per-site coins compute only its
+columns, which leaves every output byte as it was.  Everything else stays full
+width: a single-matrix coin goes through BLAS, whose last bits depend on the
+column range; :func:`step` and the comb probes start from arbitrary states,
+not deltas; and the guards, shifts, phases and reductions act on the whole
+lattice, so every dot product in :func:`site_moments` sums the same terms.
+
+The reductions :func:`site_probabilities` and :func:`site_moments` act on
+arrays; :func:`probability` and :func:`moments` are their mapping views.
 """
 
 from __future__ import annotations
@@ -287,19 +297,25 @@ def _site_coefficients(table: CoinTable) -> np.ndarray:
     return np.ascontiguousarray(table.matrices().transpose(1, 2, 0))
 
 
-def _coin(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
+def _coin(amps: np.ndarray, coin: np.ndarray, window: slice = slice(None)) -> np.ndarray:
     """Apply a coin to amplitudes of shape (..., 2, n), always into a new array.
 
     ``coin`` is a single (2, 2) matrix applied everywhere, or per-site
     entries of shape (..., 2, 2, n) as built by :func:`_site_coefficients`.
+    A per-site coin computes only the site columns in ``window`` and leaves
+    the rest of the new array zero, so the caller must know that ``amps``
+    vanishes outside it.  A single matrix ignores the window: its product
+    goes through BLAS, whose last bits depend on the column range.
     """
     if coin.ndim == 2:
         return coin @ amps
+    new = np.zeros(amps.shape, dtype=np.result_type(coin, amps))
     # einsum forms each complex product with separately rounded real
     # multiplies; numpy's vectorized complex multiply may fuse them (FMA) and
     # move the last bit, which would change every disordered-walk output.
-    terms = np.einsum("...ijx,...jx->...ijx", coin, amps)
-    return terms[..., 0, :] + terms[..., 1, :]
+    # The length-2 reduction from zero adds the same two rounded products.
+    np.einsum("...ijx,...jx->...ix", coin[..., window], amps[..., window], out=new[..., window])
+    return new
 
 
 def _require_cover(table: CoinTable, state: WalkerState) -> None:
@@ -319,7 +335,7 @@ def apply_coin(state: WalkerState, table: CoinTable) -> WalkerState:
 def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
     """Raise if any walk's boundary amplitude in ``edge`` exceeds :data:`GUARD`."""
     worst = float(np.abs(edge).max())
-    if worst > GUARD:
+    if not worst <= GUARD:  # also catches NaN
         raise LatticeGuardError(
             f"shift would move amplitude of magnitude {worst:.3e} off the {side} "
             f"edge of the lattice [{lattice_min}, {lattice_min + n_sites - 1}]; "
@@ -478,9 +494,14 @@ def _stepper(
     :func:`_coins` (stacked along the leading axis for an ensemble), then the
     electric phases, built here once per walk.  Every coin returns a new
     array, which the shift and the phases then change in place, so the input
-    array is never written to.  With ``guard`` off (dense operators only),
-    amplitude shifted off the lattice is dropped instead of raising
-    :class:`LatticeGuardError`.
+    array is never written to.  The returned function takes an optional
+    column ``window`` that holds every site the step can touch; per-site
+    coins compute only inside it (:func:`_coin`), while the guards, shifts
+    and phases always cover the whole lattice.  Only :func:`iterate_ensemble`,
+    which starts from a delta state, passes one; :func:`step` and the comb
+    probes of the dense operators take the whole lattice.  With ``guard`` off
+    (dense operators only), amplitude shifted off the lattice is dropped
+    instead of raising :class:`LatticeGuardError`.
     """
     if spec.walk_kind not in STEP_MOVES:
         spec.validate()  # names the unknown kind
@@ -488,9 +509,9 @@ def _stepper(
     angles = _site_angles(spec.phi_e, lattice_min, n_sites)
     phases = None if angles is None else np.exp(1j * angles)
 
-    def advance(amps):
+    def advance(amps, window=slice(None)):
         for slot, left, right in moves:
-            amps = _shift(_coin(amps, coins[slot]), lattice_min, left, right, guard=guard)
+            amps = _shift(_coin(amps, coins[slot], window), lattice_min, left, right, guard=guard)
         if phases is not None:
             amps *= phases
         return amps
@@ -530,6 +551,12 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     row s being walk ``specs[s]``; a single walk is the one-member case
     (:func:`iterate`).  Each spec is resolved on its own, so a seeded member
     draws exactly the tables it would draw alone.
+
+    Every walk starts as a delta at ``start``, so step k can touch only the
+    light cone: the sites at most k left shifts left and k right shifts right
+    of ``start``, counted from the kind's :data:`STEP_MOVES`.  Per-site coins
+    are computed on that window alone; the other columns of their outputs
+    are the exact zeros the full product would give there.
     """
     specs = [s.resolved() for s in specs]
     if not specs:
@@ -541,11 +568,22 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     amps = np.repeat(state.amps[np.newaxis], len(specs), axis=0)
     amps.setflags(write=False)
     yield amps
-    # homogeneous coins are equal across members (checked above): keep one
-    coins = [c[0] if c[0].ndim == 2 else np.stack(c) for c in zip(*map(_coins, specs))]
+    # homogeneous coins are equal across members (checked above): keep one.
+    # Per-site coins are copied into their stacks a member at a time, so at
+    # most one member's coefficients exist beside the stacks.
+    coins = None
+    for s, member_coins in enumerate(map(_coins, specs)):
+        if coins is None:
+            coins = [c if c.ndim == 2 else np.empty((len(specs),) + c.shape, c.dtype) for c in member_coins]
+        for stack, c in zip(coins, member_coins):
+            if c.ndim > 2:
+                stack[s] = c
     advance = _stepper(first, state.lattice_min, state.n_sites, coins)
-    for _ in range(first.steps):
-        amps = advance(amps)
+    moves = STEP_MOVES[first.walk_kind]
+    lefts, rights = sum(m[1] for m in moves), sum(m[2] for m in moves)
+    x0, n_sites = first.start - state.lattice_min, state.n_sites
+    for k in range(1, first.steps + 1):
+        amps = advance(amps, slice(max(x0 - k * lefts, 0), min(x0 + k * rights + 1, n_sites)))
         amps.setflags(write=False)
         yield amps
 

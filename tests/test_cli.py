@@ -13,6 +13,7 @@ from oamwalk.cli import main
 from oamwalk.optics import equal_up_to_phase
 
 from conftest import dense_shift_full
+from test_walk import reference_step
 
 
 @pytest.fixture
@@ -687,6 +688,43 @@ class TestLocalize:
         # sublinear growth: doubling time less than doubles the spread
         mean = doc["sigma_ensemble_mean"]
         assert mean[40] < 2 * mean[20]
+
+    def test_general_tables_off_centre_equal_full_width_reference(self, tmp_path, rng):
+        """A ``localize`` document over explicit U(2) tables, rebuilt byte for byte from reference steps.
+
+        The tables set all four angles, so no coin entry is real, and the walk
+        starts off centre, so its light cone is not centred on the lattice.
+        """
+        steps, half_width, start, seed = 14, 19, -3, 5
+        n = 2 * half_width + 1
+        angles = {name: rng.uniform(-3, 3, (4, n)).tolist() for name in ("table1", "table2")}
+        raw = {name: dict(zip(("chi", "xi", "eta", "theta"), cols)) for name, cols in angles.items()}
+        cfg = self.localize_config(tmp_path, steps=steps, half_width=half_width, start=start, seed=seed,
+                                   coin_state=[[0.6, 0.0], [0.0, 0.8]], **raw)
+        out = tmp_path / "ensemble.json"
+        assert main(["localize", "--config", str(cfg), "--seeds", "3", "--out", str(out)]) == 0
+
+        sites = np.arange(-half_width, half_width + 1)
+
+        def sigmas(spec):
+            amps, history = spec.initial_state().amps, []
+            for t in range(steps + 1):
+                if t:
+                    amps = reference_step(amps, spec)
+                history.append(float(np.sqrt(walk.site_moments(walk.site_probabilities(amps), sites)[1])))
+            return history
+
+        tables = {name: walk.CoinTable(-half_width, *cols) for name, cols in angles.items()}
+        common = dict(coin_state=(0.6, 0.8j), start=start)
+        per_seed = [sigmas(walk.WalkSpec("generalized", steps, half_width, **tables, **common))] * 3
+        mean = np.mean(np.asarray(per_seed), axis=0).tolist()
+        ballistic = sigmas(walk.WalkSpec("dtqw", steps, half_width, theta1=math.pi / 4, **common))
+        expect = {
+            "schema_version": 1, "walk": "generalized", "steps": steps, "half_width": half_width,
+            "ensemble": 3, "seeds": [seed, seed + 1, seed + 2], "sigma_per_seed": per_seed,
+            "sigma_ensemble_mean": mean, "sigma_ballistic": ballistic, "final_ratio": mean[-1] / ballistic[-1],
+        }
+        assert out.read_bytes() == (json.dumps(expect, indent=2, sort_keys=True) + "\n").encode()
 
     def test_deterministic_across_runs(self, tmp_path):
         cfg = self.localize_config(tmp_path)

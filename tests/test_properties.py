@@ -13,27 +13,7 @@ from oamwalk.compiler import PdcBlock, compile_ssqw, euler_decompose, euler_reco
 from oamwalk.optics import HalfWavePlate, JPlate, VariableWavePlate
 
 from conftest import random_u2
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), half_width=st.integers(1, 40))
-def test_batched_site_coin_equals_single_applications(seed, count, half_width):
-    """A per-site coin on (S, 2, n) equals S one-walk applications, bit for bit.
-
-    The tables are general U(2) coins with all four angle columns nonzero, so
-    the complex products have nonzero imaginary parts on both sides.
-    """
-    rng = np.random.default_rng(seed)
-    n = 2 * half_width + 1
-    tables = [walk.CoinTable(-half_width, *rng.uniform(0.1, 3.0, (4, n)) * rng.choice([-1, 1], (4, n)))
-              for _ in range(count)]
-    amps = rng.normal(size=(count, 2, n)) + 1j * rng.normal(size=(count, 2, n))
-    batched = walk._coin(amps, np.stack([walk._site_coefficients(t) for t in tables]))
-    for s, t in enumerate(tables):
-        single = walk.apply_coin(walk.WalkerState(-half_width, amps[s]), t).amps
-        assert np.array_equal(batched[s], single)
-        # the per-site einsum form earlier releases used, and that recorded outputs rest on
-        assert np.array_equal(single, np.einsum("xij,jx->ix", t.matrices(), amps[s]))
+from test_walk import reference_step
 
 
 # --- parts-list records ------------------------------------------------------
@@ -201,3 +181,77 @@ def test_block_reductions_equal_lone_rows(seed, height, n, scale, zero_share, su
         lone_mean, lone_var = (float(m) for m in walk.site_moments(row, sites))
         assert (mean.hex(), var.hex()) == (lone_mean.hex(), lone_var.hex())
         assert total.hex() == float(np.add.accumulate(row)[-1]).hex()
+
+
+# --- light-cone ensembles and the per-site coin --------------------------------
+
+
+def general_tables(rng, count, half_width):
+    """U(2) coin tables with all four angle columns nonzero (chi, xi, eta as well as theta)."""
+    n = 2 * half_width + 1
+    return [walk.CoinTable(-half_width, *rng.uniform(0.1, 3.0, (4, n)) * rng.choice([-1, 1], (4, n)))
+            for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(sorted(walk.STEP_MOVES)), count=st.integers(1, 4),
+       steps=st.integers(0, 30), start=st.integers(-12, 12))
+def test_light_cone_ensemble_equals_full_width_reference(seed, kind, count, steps, start):
+    """Every array ``iterate_ensemble`` yields equals a chain of full-width reference steps.
+
+    The lattice is the smallest the spec allows, so the last light-cone
+    windows reach the guard margin.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    nrm = math.hypot(abs(a), abs(b))
+    spec = walk.WalkSpec(kind, steps, 1, coin_state=(a / nrm, b / nrm), start=start,
+                         theta1=rng.uniform(-3, 3), theta2=rng.uniform(-3, 3),
+                         phi_e=rng.uniform(-3, 3) if kind == "electric-dtqw" else 0.0)
+    spec = dataclasses.replace(spec, half_width=spec.required_half_width())
+    if kind == "generalized":
+        tables = general_tables(rng, 2 * count, spec.half_width)
+        members = [dataclasses.replace(spec, table1=t1, table2=t2) for t1, t2 in zip(tables[::2], tables[1::2])]
+    else:
+        members = [spec] * count
+    refs = [m.initial_state().amps for m in members]
+    for t, batch in enumerate(walk.iterate_ensemble(members)):
+        if t:
+            refs = [reference_step(r, m) for r, m in zip(refs, members)]
+        for row, ref in zip(batch, refs, strict=True):
+            assert np.array_equal(row, ref), t
+            assert walk.site_probabilities(row).tobytes() == walk.site_probabilities(ref).tobytes(), t
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, count=st.integers(1, 5), half_width=st.integers(0, 60), zero_share=st.floats(0, 1))
+def test_batched_site_coin_equals_single_applications(seed, count, half_width, zero_share):
+    """A per-site coin on (S, 2, n) equals S one-walk applications and the earlier forms, byte for byte.
+
+    The tables are general U(2) coins with all four angle columns nonzero, so
+    the complex products have nonzero imaginary parts on both sides.  The
+    amplitudes span 1e-300 to 1e300 and include exact zeros.  The earlier
+    forms, which recorded outputs rest on, are the elementwise ``...ijx``
+    products plus an add, and the ``xij,jx->ix`` reduction.  Computed on a
+    window outside which the amplitudes vanish, the columns inside are the
+    same and the rest are zero.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * half_width + 1
+    tables = general_tables(rng, count, half_width)
+    coin = np.stack([walk._site_coefficients(t) for t in tables])
+    amps = (rng.choice([-1, 1], (count, 2, n)) * 10.0 ** rng.uniform(-300, 300, (count, 2, n))
+            + 1j * rng.choice([-1, 1], (count, 2, n)) * 10.0 ** rng.uniform(-300, 300, (count, 2, n)))
+    amps[rng.random((count, 2, n)) < zero_share] = 0.0
+    got = walk._coin(amps, coin)
+    terms = np.einsum("...ijx,...jx->...ijx", coin, amps)
+    assert got.tobytes() == (terms[..., 0, :] + terms[..., 1, :]).tobytes()
+    for s, t in enumerate(tables):
+        assert got[s].tobytes() == walk.apply_coin(walk.WalkerState(-half_width, amps[s]), t).amps.tobytes()
+        assert got[s].tobytes() == np.einsum("xij,jx->ix", t.matrices(), amps[s]).tobytes()
+    lo, hi = sorted(rng.integers(0, n + 1, 2))
+    inside = np.zeros_like(amps)
+    inside[..., lo:hi] = amps[..., lo:hi]
+    windowed = walk._coin(inside, coin, slice(lo, hi))
+    assert windowed[..., lo:hi].tobytes() == got[..., lo:hi].tobytes()
+    assert not windowed[..., :lo].any() and not windowed[..., hi:].any()

@@ -223,6 +223,15 @@ class TestShifts:
         s = walk.WalkerState(-2, amps)
         assert shift_minus(s).amps[0, 0] == 0.0
 
+    @pytest.mark.parametrize("coin, site", [(0, 0), (1, -1)], ids=["left", "right"])
+    def test_nan_boundary_amplitude_raises(self, coin, site):
+        """A NaN at an edge is not within the guard; it must not be shifted off silently."""
+        amps = np.zeros((2, 5), dtype=complex)
+        amps[:, 2] = 0.6, 0.8
+        amps[coin, site] = np.nan
+        with pytest.raises(LatticeGuardError, match="nan"):
+            shift_full(walk.WalkerState(-2, amps))
+
 
 class TestElectricPhase:
     def test_zero_is_identity(self, rng):
