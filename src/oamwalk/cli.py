@@ -23,8 +23,8 @@ Subcommands
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``
     Ensemble of disordered generalized walks, evolved together as one batch
-    whose coins are computed on the light cone only: per-seed spread
-    histories, their mean, and the ballistic baseline walk in one JSON file.
+    whose coins, shifts and probabilities touch the light cone only: per-seed
+    spread histories, their mean, and the ballistic baseline in one JSON file.
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
@@ -60,7 +60,11 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 1
+#: The config version :func:`build_spec` reads, and each output document's own.
+CONFIG_VERSION = 1
+SUMMARY_VERSION = 1
+PARTS_LIST_VERSION = 1
+LOCALIZE_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,8 +180,8 @@ def _parse_table(raw, half_width: int, name: str) -> walk.CoinTable | None:
 def build_spec(cfg: dict) -> walk.WalkSpec:
     """Validate a config mapping and turn it into a WalkSpec."""
     version = _require(cfg, "schema_version", int, "an integer")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}; this tool reads {SCHEMA_VERSION}")
+    if version != CONFIG_VERSION:
+        raise ConfigError(f"unsupported schema_version {version}; this tool reads {CONFIG_VERSION}")
     kind = _require(cfg, "walk", str, "a string")
     if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown walk {kind!r}; expected one of {sorted(_KIND_KEYS)}")
@@ -240,27 +244,25 @@ def run_command(cfg: dict, out_path: str) -> int:
     emit_all_sites = cfg.get("emit_all_sites", False)
 
     # the one-member ensemble's arrays are reduced as they arrive, their
-    # distributions in blocks of _BLOCK_STEPS rows: no state copies, and the
-    # buffers and site coordinates are built once
+    # distributions in blocks of _BLOCK_STEPS rows: no state copies, buffers
+    # built once, and rows written over light cones, each holding the last
     sites = np.arange(-spec.half_width, spec.half_width + 1)
-    squares = np.empty((2, sites.size))
-    block = np.empty((_BLOCK_STEPS, sites.size))
+    block = np.zeros((_BLOCK_STEPS, sites.size))
     partial_sums = np.empty_like(block)
     lines = ["t,x,P"]
     moments = []
     states = walk.iterate_ensemble([spec])
     for t0 in range(0, spec.steps + 1, _BLOCK_STEPS):
         rows = block[: min(_BLOCK_STEPS, spec.steps + 1 - t0)]
-        for row, amps in zip(rows, states):
-            # walk.site_probabilities' ufuncs, written into the block row
-            np.square(np.abs(amps[0], out=squares), out=squares)
-            np.add(squares[0], squares[1], out=row)
+        for t, row, amps in zip(range(t0, t0 + len(rows)), rows, states):
+            walk.site_probabilities_into(amps[0], row, walk.light_cone(spec, t))
         # each row's moments equal a lone distribution's (site_moments), and
-        # the total is the sequential sum in site order, the last running sum
-        # along the row; np.sum adds pairwise and Python 3.12's sum
-        # compensates, so either would change its last digits
+        # the total is the sequential sum in site order over the block's last
+        # cone (np.sum adds pairwise and Python 3.12's sum compensates, so
+        # either would change its last digits; the zeros outside add nothing)
         means, variances = walk.site_moments(rows, sites)
-        totals = np.add.accumulate(rows, axis=-1, out=partial_sums[: len(rows)])[:, -1]
+        cone = walk.light_cone(spec, t0 + len(rows) - 1)
+        totals = np.add.accumulate(rows[:, cone], axis=-1, out=partial_sums[: len(rows), cone])[:, -1]
         for t, p, mean, var, total in zip(range(t0, spec.steps + 1), rows, means.tolist(), variances.tolist(),
                                           totals.tolist()):
             moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
@@ -269,7 +271,7 @@ def run_command(cfg: dict, out_path: str) -> int:
     _write_text(out_path, "\n".join(lines) + "\n")
 
     summary = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SUMMARY_VERSION,
         "walk": spec.walk_kind,
         "steps": spec.steps,
         "half_width": spec.half_width,
@@ -351,7 +353,7 @@ def parts_list_document(spec: walk.WalkSpec, steps: list[CompiledStep], reports)
             block["verification"] = _report_to_json(reports[i])
         blocks.append(block)
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": PARTS_LIST_VERSION,
         "walk": spec.walk_kind,
         "step_count": spec.steps,
         "half_width": spec.half_width,
@@ -362,7 +364,7 @@ def parts_list_document(spec: walk.WalkSpec, steps: list[CompiledStep], reports)
 
 def parse_parts_list(document: dict) -> list[CompiledStep]:
     """Rebuild compiled steps from an emitted parts list."""
-    if document.get("schema_version") != SCHEMA_VERSION:
+    if document.get("schema_version") != PARTS_LIST_VERSION:
         raise ConfigError("parts list has an unsupported schema_version")
     steps = []
     for block in document["step_blocks"]:
@@ -403,16 +405,14 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
 def _sigma_history(specs: list[walk.WalkSpec], sites: np.ndarray) -> np.ndarray:
     """Spread of each walk of an ensemble at t = 0..T, shape (T+1, S).
 
-    Each state's site probabilities are written into two buffers allocated
-    once, by the ufuncs of :func:`walk.site_probabilities`, so they have its
-    bits.  The buffers are freed on return, before the document is written.
+    Each state's probabilities are written over its light cone, which holds
+    every earlier one, into a buffer zeroed once (:func:`walk.site_probabilities_into`).
+    The buffer is freed on return, before the document is written.
     """
-    squares = np.empty((len(specs), 2, sites.size))
-    p = np.empty((len(specs), sites.size))
+    p = np.zeros((len(specs), sites.size))
     history = []
-    for amps in walk.iterate_ensemble(specs):
-        np.square(np.abs(amps, out=squares), out=squares)
-        np.add(squares[:, 0], squares[:, 1], out=p)
+    for t, amps in enumerate(walk.iterate_ensemble(specs)):
+        walk.site_probabilities_into(amps, p, walk.light_cone(specs[0], t))
         history.append(np.sqrt(walk.site_moments(p, sites)[1]))
     return np.array(history)
 
@@ -449,7 +449,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
     _write_json(
         out_path,
         {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": LOCALIZE_VERSION,
             "walk": spec.walk_kind,
             "steps": spec.steps,
             "half_width": spec.half_width,

@@ -35,14 +35,14 @@ collects the whole trajectory.  Each coin writes a new array, and the kernel
 shifts it and applies the electric phases to it in place, so a step allocates
 one array per coin and never writes into a state it has already yielded.
 
-An evolution starts from a delta state, so after k steps only the light cone,
-the sites within k moves of ``start``, can be nonzero.  :func:`iterate_ensemble`
-hands the kernel that window each step, and per-site coins compute only its
-columns, which leaves every output byte as it was.  Everything else stays full
-width: a single-matrix coin goes through BLAS, whose last bits depend on the
-column range; :func:`step` and the comb probes start from arbitrary states,
-not deltas; and the guards, shifts, phases and reductions act on the whole
-lattice, so every dot product in :func:`site_moments` sums the same terms.
+An evolution starts from a delta state, so after k steps only the
+:func:`light_cone`, the sites within k moves of ``start``, can be nonzero.
+:func:`iterate_ensemble` hands the kernel that window each step, and per-site
+coins and shifts (and :func:`site_probabilities_into`) touch only its columns,
+which keeps every output byte.  The rest stays full width: a single-matrix
+coin (BLAS's last bits depend on the column range), :func:`step` and the comb
+probes (their states are not deltas), the guards, the phases, and every sum
+and dot product in :func:`site_moments`, so they add the same terms.
 
 The reductions :func:`site_probabilities` and :func:`site_moments` act on
 arrays; :func:`probability` and :func:`moments` are their mapping views.
@@ -79,7 +79,9 @@ __all__ = [
     "iterate",
     "iterate_ensemble",
     "evolve",
+    "light_cone",
     "site_probabilities",
+    "site_probabilities_into",
     "site_moments",
     "probability",
     "moments",
@@ -343,24 +345,27 @@ def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
         )
 
 
-def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool, guard: bool = True) -> np.ndarray:
+def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool, guard: bool = True,
+           window: slice = slice(None)) -> np.ndarray:
     """Move the left mover one site left and/or the right mover one site right, in place.
 
-    Writes into ``amps`` and returns it; the vacated edge site is zeroed.
-    Each guard is checked before anything moves.  With ``guard`` off,
-    amplitude moved off the lattice is dropped silently.
+    Writes into ``amps`` and returns it; the site each mover vacates is
+    zeroed.  Only the columns in ``window``, outside which ``amps`` must
+    vanish, move.  Each guard checks its lattice edge before anything moves.
+    With ``guard`` off, amplitude moved off the lattice is dropped silently.
     """
     n_sites = amps.shape[-1]
     if guard and left:
         _guard_check(amps[..., 0, 0], lattice_min, n_sites, "left")
     if guard and right:
         _guard_check(amps[..., 1, -1], lattice_min, n_sites, "right")
+    lo, hi, _ = window.indices(n_sites)
     if left:
-        amps[..., 0, :-1] = amps[..., 0, 1:]
-        amps[..., 0, -1] = 0.0
+        amps[..., 0, max(lo, 1) - 1:hi - 1] = amps[..., 0, max(lo, 1):hi]
+        amps[..., 0, hi - 1] = 0.0
     if right:
-        amps[..., 1, 1:] = amps[..., 1, :-1]
-        amps[..., 1, 0] = 0.0
+        amps[..., 1, lo + 1:min(hi, n_sites - 1) + 1] = amps[..., 1, lo:min(hi, n_sites - 1)]
+        amps[..., 1, lo] = 0.0
     return amps
 
 
@@ -409,6 +414,8 @@ STEP_MOVES = {
     "generalized": ((0, True, False), (1, False, True)),
     "electric-dtqw": ((0, True, True),),
 }
+#: How many sites one step of each kind moves the left and the right mover.
+_REACH = {kind: (sum(m[1] for m in moves), sum(m[2] for m in moves)) for kind, moves in STEP_MOVES.items()}
 
 
 @dataclass(frozen=True)
@@ -496,12 +503,12 @@ def _stepper(
     array, which the shift and the phases then change in place, so the input
     array is never written to.  The returned function takes an optional
     column ``window`` that holds every site the step can touch; per-site
-    coins compute only inside it (:func:`_coin`), while the guards, shifts
-    and phases always cover the whole lattice.  Only :func:`iterate_ensemble`,
-    which starts from a delta state, passes one; :func:`step` and the comb
-    probes of the dense operators take the whole lattice.  With ``guard`` off
-    (dense operators only), amplitude shifted off the lattice is dropped
-    instead of raising :class:`LatticeGuardError`.
+    coins (:func:`_coin`) and the shifts (:func:`_shift`) work only inside
+    it, single-matrix coins, guards and phases on the whole lattice.  Only
+    :func:`iterate_ensemble`, which starts from a delta state, passes one;
+    :func:`step` and the dense operators' comb probes take the whole lattice.
+    With ``guard`` off (dense operators only), amplitude shifted off the
+    lattice is dropped instead of raising :class:`LatticeGuardError`.
     """
     if spec.walk_kind not in STEP_MOVES:
         spec.validate()  # names the unknown kind
@@ -511,7 +518,7 @@ def _stepper(
 
     def advance(amps, window=slice(None)):
         for slot, left, right in moves:
-            amps = _shift(_coin(amps, coins[slot], window), lattice_min, left, right, guard=guard)
+            amps = _shift(_coin(amps, coins[slot], window), lattice_min, left, right, guard, window)
         if phases is not None:
             amps *= phases
         return amps
@@ -552,11 +559,10 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     (:func:`iterate`).  Each spec is resolved on its own, so a seeded member
     draws exactly the tables it would draw alone.
 
-    Every walk starts as a delta at ``start``, so step k can touch only the
-    light cone: the sites at most k left shifts left and k right shifts right
-    of ``start``, counted from the kind's :data:`STEP_MOVES`.  Per-site coins
-    are computed on that window alone; the other columns of their outputs
-    are the exact zeros the full product would give there.
+    Every walk starts as a delta at ``start``, so step k can touch only
+    :func:`light_cone` ``(spec, k)``.  Per-site coins are computed and the
+    shifts move columns on that window alone; the other columns hold the
+    zeros the full-width step would give there.
     """
     specs = [s.resolved() for s in specs]
     if not specs:
@@ -579,13 +585,17 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
             if c.ndim > 2:
                 stack[s] = c
     advance = _stepper(first, state.lattice_min, state.n_sites, coins)
-    moves = STEP_MOVES[first.walk_kind]
-    lefts, rights = sum(m[1] for m in moves), sum(m[2] for m in moves)
-    x0, n_sites = first.start - state.lattice_min, state.n_sites
     for k in range(1, first.steps + 1):
-        amps = advance(amps, slice(max(x0 - k * lefts, 0), min(x0 + k * rights + 1, n_sites)))
+        amps = advance(amps, light_cone(first, k))
         amps.setflags(write=False)
         yield amps
+
+
+def light_cone(spec: WalkSpec, k: int) -> slice:
+    """Columns k steps' moves (:data:`STEP_MOVES`) can reach from ``spec.start``, clipped to the lattice."""
+    lefts, rights = _REACH[spec.walk_kind]
+    x0 = spec.start + spec.half_width
+    return slice(max(x0 - k * lefts, 0), min(x0 + k * rights + 1, 2 * spec.half_width + 1))
 
 
 def evolve(spec: WalkSpec) -> list[WalkerState]:
@@ -599,20 +609,25 @@ def site_probabilities(amps: np.ndarray) -> np.ndarray:
     return sq[..., 0, :] + sq[..., 1, :]
 
 
+def site_probabilities_into(amps: np.ndarray, out: np.ndarray, window: slice) -> None:
+    """Write :func:`site_probabilities` of ``amps`` into ``out`` on ``window``; ``amps`` vanishes outside it."""
+    sq = np.abs(amps[..., window])
+    np.square(sq, out=sq)
+    np.add(sq[..., 0, :], sq[..., 1, :], out=out[..., window])
+
+
 def site_moments(p: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of site distributions ``p`` of shape (..., n).
 
     ``sites`` holds the n site coordinates.  Returns two float64 arrays of
-    shape ``p.shape[:-1]`` (0-d for a single distribution).  Each row takes
-    the same operations, in the same order, as a lone 1-D distribution, so a
-    walk's moments do not depend on the batch it is reduced in.
+    shape ``p.shape[:-1]`` (0-d for a single distribution).  Each row's dot
+    products are one ``ddot`` over all n sites, as a lone distribution's
+    ``@``, so a walk's moments do not depend on the batch it is reduced in.
     """
     xs = np.asarray(sites, dtype=np.float64)
-    rows = p.reshape(-1, p.shape[-1])
     total = p.sum(axis=-1)
-    mean = np.array([xs @ w for w in rows]).reshape(total.shape) / total
-    dev = ((xs - mean[..., np.newaxis]) ** 2).reshape(rows.shape)
-    var = np.array([d @ w for d, w in zip(dev, rows)]).reshape(total.shape) / total
+    mean = np.vecdot(p, xs) / total
+    var = np.vecdot((xs - mean[..., np.newaxis]) ** 2, p) / total
     return mean, var
 
 

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line front-end and its file formats."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -743,6 +746,46 @@ class TestLocalize:
     def test_rejects_non_generalized(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)
         assert main(["localize", "--config", str(cfg), "--seeds", "2", "--out", str(tmp_path / "x.json")]) == 2
+
+
+def load_bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSchemaVersions:
+    """Configs and each output document carry versions of their own, so one format can change alone."""
+
+    DOCUMENTS = {"SUMMARY_VERSION": "summary", "PARTS_LIST_VERSION": "parts list", "LOCALIZE_VERSION": "loc"}
+
+    @pytest.mark.parametrize("bumped", sorted(DOCUMENTS))
+    def test_bumping_one_output_version_moves_only_its_document(self, tmp_path, monkeypatch, bumped):
+        monkeypatch.setattr(cli, bumped, 2)
+        workloads = load_bench_workloads(monkeypatch)
+        for workload in ("spread", "certify", "disorder"):
+            for op in workloads.pool(workload, 1):
+                cli.build_spec(op.config)
+        out = {"summary": tmp_path / "dist.csv", "parts list": tmp_path / "parts.json", "loc": tmp_path / "loc.json"}
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out["summary"])]) == 0
+        assert main(["compile", "--verify", "--config", str(ssqw_config(tmp_path)), "--out",
+                     str(out["parts list"])]) == 0
+        assert main(["localize", "--config", str(TestLocalize().localize_config(tmp_path)), "--seeds", "2",
+                     "--out", str(out["loc"])]) == 0
+        out["summary"] = cli._summary_path(out["summary"])
+        documents = {name: json.loads(path.read_text()) for name, path in out.items()}
+        for name, document in documents.items():
+            assert document["schema_version"] == (2 if name == self.DOCUMENTS[bumped] else 1), name
+        assert len(cli.parse_parts_list(documents["parts list"])) == 2
+
+    def test_config_version_is_its_own(self, tmp_path, monkeypatch):
+        for name in self.DOCUMENTS:
+            monkeypatch.setattr(cli, name, 2)
+        with pytest.raises(cli.ConfigError, match="unsupported schema_version 2"):
+            cli.build_spec(json.loads(write_config(tmp_path, schema_version=2).read_text()))
 
 
 class TestUnwritableOutput:

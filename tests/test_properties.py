@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from oamwalk.compiler import PdcBlock, compile_ssqw, euler_decompose, euler_reco
 from oamwalk.optics import HalfWavePlate, JPlate, VariableWavePlate
 
 from conftest import random_u2
-from test_walk import reference_step
+from test_walk import reference_moments, reference_step
 
 
 # --- parts-list records ------------------------------------------------------
@@ -255,3 +257,81 @@ def test_batched_site_coin_equals_single_applications(seed, count, half_width, z
     windowed = walk._coin(inside, coin, slice(lo, hi))
     assert windowed[..., lo:hi].tobytes() == got[..., lo:hi].tobytes()
     assert not windowed[..., :lo].any() and not windowed[..., hi:].any()
+
+
+# --- run and localize documents against full-width reductions -----------------
+
+
+def table_config(table):
+    return {name: getattr(table, name).tolist() for name in ("chi", "xi", "eta", "theta")}
+
+
+def full_width_sigmas(specs, sites):
+    """(T+1, S) spreads from the whole-lattice distributions of ``iterate_ensemble``'s arrays."""
+    return np.array([np.sqrt(reference_moments(walk.site_probabilities(a), sites)[1])
+                     for a in walk.iterate_ensemble(specs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(sorted(walk.STEP_MOVES)), steps=st.integers(1, 24),
+       start=st.integers(-10, 10), n_seeds=st.integers(1, 4), emit_trajectory=st.booleans(),
+       emit_all_sites=st.booleans())
+def test_run_and_localize_documents_equal_full_width_reductions(seed, kind, steps, start, n_seeds, emit_trajectory,
+                                                                emit_all_sites):
+    """``run`` and ``localize`` write the bytes of documents reduced over the whole lattice.
+
+    Both reduce each state over its light cone only.  The lattice is the
+    smallest the spec allows, so the last light cones reach the guard
+    margin; ``localize`` draws its members' second tables from their seeds,
+    so the members differ.
+    """
+    rng = np.random.default_rng(seed)
+    half_width = abs(start) + steps + 2
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    nrm = math.hypot(abs(a), abs(b))
+    coin = [[c.real, c.imag] for c in (a / nrm, b / nrm)]
+    t1, t2 = (table_config(t) for t in general_tables(rng, 2, half_width))
+    base = {"schema_version": 1, "steps": steps, "half_width": half_width, "start": start, "coin_state": coin}
+    kind_keys = {"dtqw": {"theta": rng.uniform(-3, 3)},
+                 "ssqw": {"theta1": rng.uniform(-3, 3), "theta2": rng.uniform(-3, 3)},
+                 "generalized": {"table1": t1, "table2": t2},
+                 "electric-dtqw": {"theta": rng.uniform(-3, 3), "phi_e": rng.uniform(-3, 3)}}[kind]
+    run_cfg = {**base, "walk": kind, "emit_trajectory": emit_trajectory, "emit_all_sites": emit_all_sites,
+               **kind_keys}
+    loc_cfg = {**base, "walk": "generalized", "seed": seed % 1000, "table1": t1, "table2": "random"}
+    sites = np.arange(-half_width, half_width + 1)
+
+    spec = cli.build_spec(run_cfg)
+    lines, moments = ["t,x,P"], []
+    for t, amps in enumerate(walk.iterate_ensemble([spec])):
+        p = walk.site_probabilities(amps[0])
+        mean, var = (float(m) for m in reference_moments(p, sites))
+        total = 0.0
+        for v in p.tolist():
+            total += v
+        moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
+        if emit_trajectory or t == steps:
+            lines += [f"{t},{x},{v:.17g}" for x, v in zip(sites.tolist(), p.tolist()) if emit_all_sites or v > 0.0]
+    summary = {"schema_version": 1, "walk": kind, "steps": steps, "half_width": half_width, "moments": moments}
+
+    loc_spec = cli.build_spec(loc_cfg)
+    seed_list = [loc_spec.seed + i for i in range(n_seeds)]
+    per_seed = full_width_sigmas([dataclasses.replace(loc_spec, seed=s) for s in seed_list], sites).T.tolist()
+    mean = np.mean(np.asarray(per_seed), axis=0).tolist()
+    baseline = walk.WalkSpec("dtqw", steps, half_width, coin_state=loc_spec.coin_state, start=start,
+                             theta1=math.pi / 4)
+    ballistic = full_width_sigmas([baseline], sites)[:, 0].tolist()
+    loc = {"schema_version": 1, "walk": "generalized", "steps": steps, "half_width": half_width,
+           "ensemble": n_seeds, "seeds": seed_list, "sigma_per_seed": per_seed, "sigma_ensemble_mean": mean,
+           "sigma_ballistic": ballistic, "final_ratio": mean[-1] / ballistic[-1]}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.json").write_text(json.dumps(run_cfg))
+        (tmp / "loc.json").write_text(json.dumps(loc_cfg))
+        assert cli.main(["run", "--config", str(tmp / "run.json"), "--out", str(tmp / "dist.csv")]) == 0
+        assert cli.main(["localize", "--config", str(tmp / "loc.json"), "--seeds", str(n_seeds),
+                         "--out", str(tmp / "out.json")]) == 0
+        assert (tmp / "dist.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (tmp / "dist.summary.json").read_bytes() == (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+        assert (tmp / "out.json").read_bytes() == (json.dumps(loc, indent=2, sort_keys=True) + "\n").encode()

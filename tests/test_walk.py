@@ -1,7 +1,11 @@
 """Tests for the abstract walk layer: states, coins, shifts, evolutions."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,41 @@ class TestShifts:
         amps[coin, site] = np.nan
         with pytest.raises(LatticeGuardError, match="nan"):
             shift_full(walk.WalkerState(-2, amps))
+
+    @pytest.mark.parametrize("left, right", [(True, False), (False, True), (True, True)],
+                             ids=["left", "right", "both"])
+    def test_windowed_shift_equals_full_width(self, rng, left, right):
+        """Moving only a window's columns is the full-width shift of amplitudes that vanish outside it.
+
+        Windows reach either edge or both in three trials of four.  Without
+        the guard the support may touch the edges, whose amplitude is dropped.
+        """
+        for trial in range(400):
+            n = int(rng.integers(1, 40))
+            lo = 0 if trial % 4 in (0, 2) else int(rng.integers(0, n))
+            hi = n if trial % 4 in (1, 2) else int(rng.integers(lo + 1, n + 1))
+            shape = ((), (3,))[trial % 2] + (2, hi - lo)
+            amps = np.zeros(shape[:-1] + (n,), dtype=complex)
+            amps[..., lo:hi] = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.7)
+            guard = bool(rng.integers(2))
+            if guard:
+                amps[..., 0, 0] = amps[..., 1, -1] = 0.0
+            full = walk._shift(amps.copy(), -(n // 2), left, right, guard)
+            windowed = walk._shift(amps.copy(), -(n // 2), left, right, guard, slice(lo, hi))
+            assert np.array_equal(windowed, full), (n, lo, hi)
+
+    @pytest.mark.parametrize("value", [np.nan, 10 * GUARD], ids=["nan", "above_guard"])
+    @pytest.mark.parametrize("coin, site", [(0, 0), (1, -1)], ids=["left", "right"])
+    def test_windowed_shift_guards_the_whole_edge(self, value, coin, site):
+        """The guard checks the lattice edge, not the window, before anything moves."""
+        amps = np.zeros((3, 2, 9), dtype=complex)
+        amps[:, :, 4] = 0.6, 0.8
+        amps[1, coin, site] = value
+        for window in (slice(3, 6), slice(0, 5), slice(4, 9), slice(0, 9)):
+            before = amps.copy()
+            with pytest.raises(LatticeGuardError):
+                walk._shift(amps, -4, True, True, window=window)
+            assert np.array_equal(amps, before, equal_nan=True)
 
 
 class TestElectricPhase:
@@ -657,6 +696,54 @@ class TestReductions:
             assert np.array_equal(p[s], walk.site_probabilities(amps[s]))
             m, v = walk.site_moments(p[s], sites)
             assert m == mean[s] and v == var[s]
+
+
+def reference_moments(p: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance as one 1-D ``@`` per row, the form earlier releases computed."""
+    xs = np.asarray(sites, dtype=np.float64)
+    rows = p.reshape(-1, p.shape[-1])
+    total = p.sum(axis=-1)
+    mean = np.array([xs @ w for w in rows]).reshape(total.shape) / total
+    dev = ((xs - mean[..., np.newaxis]) ** 2).reshape(rows.shape)
+    var = np.array([d @ w for d, w in zip(dev, rows)]).reshape(total.shape) / total
+    return mean, var
+
+
+def check_moments_equal_reference(n: int) -> None:
+    """``site_moments`` has the reference's bytes at n sites, for leading shapes (), (3,) and (4, 5)."""
+    rng = np.random.default_rng(n)
+    sites = np.arange(n) - n // 3
+    for shape in [(), (3,), (4, 5)]:
+        p = rng.random(shape + (n,)) ** 3
+        lo = int(rng.integers(0, n))
+        p[..., :lo] = p[..., rng.integers(lo, n) + 1:] = 0.0  # a light cone, never empty
+        got, want = walk.site_moments(p, sites), reference_moments(p, sites)
+        for g, w in zip(got, want, strict=True):
+            assert np.shape(g) == shape and np.asarray(g).tobytes() == np.asarray(w).tobytes(), (n, shape)
+
+
+class TestSiteMoments:
+    """One vectorized ``ddot`` per row gives the bytes of per-row ``@``, on both sides of BLAS threading.
+
+    OpenBLAS splits a dot product of more than 10000 elements across its
+    threads, which moves the last bits; both forms make the same call, so
+    they must agree with one thread and with the default count.
+    """
+
+    @pytest.mark.parametrize("n", [605, 2049])
+    def test_equals_per_row_products(self, n):
+        check_moments_equal_reference(n)
+
+    @pytest.mark.parametrize("threads", ["1", None], ids=["one_thread", "default_threads"])
+    def test_equals_per_row_products_past_threading_threshold(self, threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        here = Path(__file__).resolve().parent
+        env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+        code = "import test_walk\nfor n in (10001, 16385):\n    test_walk.check_moments_equal_reference(n)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEnsemble:
