@@ -50,16 +50,11 @@ from .walk import (
     LatticeGuardError,
     WalkSpec,
     WalkerState,
-    apply_coin,
     coin_matrix,
-    electric_phase,
     evolve,
     make_state,
     moments,
     probability,
-    shift_full,
-    shift_minus,
-    shift_plus,
     spread,
     step,
     step_operator,

@@ -498,7 +498,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out).parent
         if not out_dir.is_dir():
             raise ConfigError(f"cannot write {args.out}: {out_dir} is not an existing directory")
-        outputs = [Path(args.out)] + ([_summary_path(args.out)] if args.command == "run" else [])
+        outputs = [Path(args.out)]
+        if args.command == "run" and not outputs[0].is_dir():  # with_suffix rejects '.', '' and '/'
+            outputs.append(_summary_path(args.out))
         for path in outputs:
             if path.is_dir():
                 raise ConfigError(f"cannot write {path}: it is an existing directory")

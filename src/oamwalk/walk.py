@@ -6,20 +6,22 @@ array of shape ``(2, n_sites)``: row 0 is the left-moving component (coin
 ``|0>``, horizontal polarization in the optical picture), row 1 the
 right-moving one (coin ``|1>``, vertical).
 
-Four walk flavours are provided, all as pure functions returning new states:
+Four walk kinds are provided, each step a fixed order of coins and shifts:
 
-- plain discrete-time walk: coin rotation followed by the full conditional
-  shift,
-- split-step walk: two coin rotations interleaved with the two half-shifts,
+- plain discrete-time walk: a coin rotation, then the full conditional shift,
+- split-step walk: two coin rotations, each followed by one half-shift,
 - generalized split-step walk: the same with position-dependent coins,
-- electric walk: plain walk followed by a position-linear phase.
+- electric walk: the plain step, then a position-linear phase.
+
+Each kind's order is written once, as its moves in :data:`STEP_MOVES`, which
+the step kernel applies and the optical compiler turns into elements.  The
+kernel is the only way to advance a walk: :func:`step` takes a state one step
+on, :func:`iterate` and :func:`iterate_ensemble` stream whole walks.
 
 Truncation is exact in practice as long as no appreciable amplitude reaches
-the boundary sites; every shift enforces that guard and raises
+the boundary sites; every shift in the kernel enforces that guard and raises
 :class:`LatticeGuardError` when it would push amplitude off the lattice.
 
-Each walk kind's step is written once, as its moves in :data:`STEP_MOVES`,
-which the step kernel applies and the optical compiler turns into elements.
 The dense one-step operators (:func:`step_operator`,
 :func:`split_step_operator`) are read from comb probes of that kernel,
 unguarded so that amplitude leaving the lattice is dropped as a truncated
@@ -70,11 +72,6 @@ __all__ = [
     "make_state",
     "coin_matrix",
     "u2_matrix",
-    "apply_coin",
-    "shift_full",
-    "shift_minus",
-    "shift_plus",
-    "electric_phase",
     "step",
     "iterate",
     "iterate_ensemble",
@@ -145,9 +142,6 @@ class WalkerState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def with_amps(self, amps: np.ndarray) -> "WalkerState":
-        return WalkerState(self.lattice_min, amps)
 
 
 @dataclass(frozen=True)
@@ -273,9 +267,6 @@ class CoinTable:
         m[:, 1, 1] = ph * (-sx * d * st + cx * dc * ct)
         return m
 
-    def covers(self, state: WalkerState) -> bool:
-        return self.lattice_min == state.lattice_min and self.n_sites == state.n_sites
-
 
 def make_state(coin: Iterable[complex], x0: int, half_width: int) -> WalkerState:
     """Delta state at site ``x0`` with the given normalized coin vector."""
@@ -320,20 +311,6 @@ def _coin(amps: np.ndarray, coin: np.ndarray, window: slice = slice(None)) -> np
     return new
 
 
-def _require_cover(table: CoinTable, state: WalkerState) -> None:
-    if not table.covers(state):
-        raise ValueError(
-            f"coin table on [{table.lattice_min}, {table.lattice_max}] does not match "
-            f"state lattice [{state.lattice_min}, {state.lattice_max}]"
-        )
-
-
-def apply_coin(state: WalkerState, table: CoinTable) -> WalkerState:
-    """Apply the position-dependent coin: site x gets the U(2) of table[x]."""
-    _require_cover(table, state)
-    return state.with_amps(_coin(state.amps, _site_coefficients(table)))
-
-
 def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
     """Raise if any walk's boundary amplitude in ``edge`` exceeds :data:`GUARD`."""
     worst = float(np.abs(edge).max())
@@ -349,10 +326,13 @@ def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool, guard: b
            window: slice = slice(None)) -> np.ndarray:
     """Move the left mover one site left and/or the right mover one site right, in place.
 
-    Writes into ``amps`` and returns it; the site each mover vacates is
-    zeroed.  Only the columns in ``window``, outside which ``amps`` must
-    vanish, move.  Each guard checks its lattice edge before anything moves.
-    With ``guard`` off, amplitude moved off the lattice is dropped silently.
+    This is the walk's only shift: ``left`` alone is the minus half-shift,
+    ``right`` alone the plus half-shift, both the full conditional shift, as
+    each move of :data:`STEP_MOVES` asks after its coin.  Writes into
+    ``amps`` and returns it; the site each mover vacates is zeroed.  Only
+    the columns in ``window``, outside which ``amps`` must vanish, move.
+    Each guard checks its lattice edge before anything moves.  With
+    ``guard`` off, amplitude moved off the lattice is dropped silently.
     """
     n_sites = amps.shape[-1]
     if guard and left:
@@ -369,21 +349,6 @@ def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool, guard: b
     return amps
 
 
-def shift_minus(state: WalkerState) -> WalkerState:
-    """Move the left-moving component one site left; leave the other fixed."""
-    return state.with_amps(_shift(state.amps.copy(), state.lattice_min, left=True, right=False))
-
-
-def shift_plus(state: WalkerState) -> WalkerState:
-    """Move the right-moving component one site right; leave the other fixed."""
-    return state.with_amps(_shift(state.amps.copy(), state.lattice_min, left=False, right=True))
-
-
-def shift_full(state: WalkerState) -> WalkerState:
-    """Conditional shift: left mover to x-1, right mover to x+1."""
-    return state.with_amps(_shift(state.amps.copy(), state.lattice_min, left=True, right=True))
-
-
 def _site_angles(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
     """Site phase angles phi_e * x over the lattice, or None when they all vanish mod 2*pi."""
     # IEEE remainder keeps e^{i*phi*x} bit-stable under adding full turns to
@@ -393,16 +358,6 @@ def _site_angles(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | N
     if r == 0.0:
         return None
     return r * np.arange(lattice_min, lattice_min + n_sites)
-
-
-def electric_phase(state: WalkerState, phi_e: float) -> WalkerState:
-    """Multiply site x by exp(i * phi_e * x).
-
-    The angle is reduced modulo 2*pi first; on integer sites that leaves the
-    action unchanged and makes phi_e and phi_e + 2*pi bit-identical.
-    """
-    angles = _site_angles(phi_e, state.lattice_min, state.n_sites)
-    return state if angles is None else state.with_amps(state.amps * np.exp(1j * angles))
 
 
 #: Each walk kind's step as moves ``(coin slot, shift left mover, shift right
@@ -530,10 +485,14 @@ def step(state: WalkerState, spec: WalkSpec) -> WalkerState:
     """Advance one full walk step of the kind selected by ``spec``."""
     coins = _coins(spec)
     if spec.walk_kind == "generalized":
-        _require_cover(spec.table1, state)
-        _require_cover(spec.table2, state)
+        for table in (spec.table1, spec.table2):
+            if (table.lattice_min, table.n_sites) != (state.lattice_min, state.n_sites):
+                raise ValueError(
+                    f"coin table on [{table.lattice_min}, {table.lattice_max}] does not match "
+                    f"state lattice [{state.lattice_min}, {state.lattice_max}]"
+                )
     advance = _stepper(spec, state.lattice_min, state.n_sites, coins)
-    return state.with_amps(advance(state.amps))
+    return WalkerState(state.lattice_min, advance(state.amps))
 
 
 def iterate(spec: WalkSpec) -> Iterator[WalkerState]:

@@ -828,6 +828,20 @@ class TestUnwritableOutput:
         assert "config error: cannot write" in err and "existing directory" in err and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("out", [".", "", "/"], ids=["dot", "empty", "root"])
+    @pytest.mark.parametrize("command", ["run", "compile", "localize"])
+    def test_nameless_directory_out_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command, out):
+        """'.', '' and '/' have no file name to derive a summary path from; they are refused like any directory."""
+        self.forbid_work(monkeypatch)
+        cfg, extra = self.configs(tmp_path)[command]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(cfg), "--out", out] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write") and "existing directory" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_summary_path_naming_a_directory_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
         self.forbid_work(monkeypatch)
         cfg, _ = self.configs(tmp_path)["run"]

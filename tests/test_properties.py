@@ -249,7 +249,7 @@ def test_batched_site_coin_equals_single_applications(seed, count, half_width, z
     terms = np.einsum("...ijx,...jx->...ijx", coin, amps)
     assert got.tobytes() == (terms[..., 0, :] + terms[..., 1, :]).tobytes()
     for s, t in enumerate(tables):
-        assert got[s].tobytes() == walk.apply_coin(walk.WalkerState(-half_width, amps[s]), t).amps.tobytes()
+        assert got[s].tobytes() == walk._coin(amps[s], walk._site_coefficients(t)).tobytes()
         assert got[s].tobytes() == np.einsum("xij,jx->ix", t.matrices(), amps[s]).tobytes()
     lo, hi = sorted(rng.integers(0, n + 1, 2))
     inside = np.zeros_like(amps)

@@ -1,4 +1,4 @@
-"""Tests for the abstract walk layer: states, coins, shifts, evolutions."""
+"""Tests for the abstract walk layer: states, the step kernel's coins and shifts, evolutions."""
 
 import math
 import os
@@ -18,16 +18,11 @@ from oamwalk.walk import (
     CoinTable,
     LatticeGuardError,
     WalkSpec,
-    apply_coin,
     coin_matrix,
-    electric_phase,
     evolve,
     make_state,
     moments,
     probability,
-    shift_full,
-    shift_minus,
-    shift_plus,
     step,
     u2_matrix,
 )
@@ -51,6 +46,28 @@ def random_state(rng, half_width=8):
     amps[:, 0] = amps[:, -1] = 0.0
     amps /= np.linalg.norm(amps)
     return walk.WalkerState(-half_width, amps)
+
+
+def coined(state, table):
+    """The kernel's per-site coin of ``table`` on ``state``'s amplitudes."""
+    return walk._coin(state.amps, walk._site_coefficients(table))
+
+
+def shifted(amps, lattice_min, left, right):
+    """The kernel's shift on a copy of ``amps``."""
+    return walk._shift(amps.copy(), lattice_min, left, right)
+
+
+def site_phases(state, phi_e):
+    """exp(i * phi_e * x) on ``state``'s sites, phi_e reduced modulo 2*pi as the kernel does."""
+    return np.exp(1j * (math.remainder(phi_e, 2 * math.pi) * state.sites))
+
+
+def electric_and_plain_steps(state, phi_e, theta1=0.3):
+    """One step of an electric walk and of the plain walk with the same coin, on ``state``."""
+    hw = -state.lattice_min
+    electric = step(state, WalkSpec("electric-dtqw", 1, hw, theta1=theta1, phi_e=phi_e)).amps
+    return electric, step(state, WalkSpec("dtqw", 1, hw, theta1=theta1)).amps
 
 
 class TestMakeState:
@@ -137,15 +154,15 @@ class TestCoinTable:
     def test_homogeneous_identity_leaves_state(self, rng):
         s = random_state(rng)
         t = CoinTable.homogeneous(CoinParams(), 8)
-        assert np.array_equal(apply_coin(s, t).amps, s.amps)
+        assert np.array_equal(coined(s, t), s.amps)
 
     def test_theta_table_on_delta(self):
         s = make_state((1, 0), 0, 8)
         t = CoinTable.homogeneous(CoinParams(theta=math.pi / 4), 8)
-        out = apply_coin(s, t)
+        out = coined(s, t)
         r = 1 / math.sqrt(2)
-        assert out.amps[0, 8] == pytest.approx(r, abs=1e-15)
-        assert out.amps[1, 8] == pytest.approx(-r, abs=1e-15)
+        assert out[0, 8] == pytest.approx(r, abs=1e-15)
+        assert out[1, 8] == pytest.approx(-r, abs=1e-15)
 
     def test_random_table_matches_single_matrix(self, rng):
         t = CoinTable(
@@ -156,10 +173,10 @@ class TestCoinTable:
             rng.uniform(-3, 3, 17),
         )
         s = make_state((0.6, 0.8j), 2, 8)
-        out = apply_coin(s, t)
+        out = coined(s, t)
         expect = u2_matrix(t[2]) @ np.array([0.6, 0.8j])
-        assert np.allclose(out.amps[:, 10], expect, atol=1e-13)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(out[:, 10], expect, atol=1e-13)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_matrices_agree_with_u2(self, rng):
         t = CoinTable.random_disorder(5, rng)
@@ -170,8 +187,9 @@ class TestCoinTable:
     def test_lattice_mismatch_raises(self, rng):
         s = random_state(rng, half_width=8)
         t = CoinTable.homogeneous(CoinParams(), 7)
+        spec = WalkSpec("generalized", 1, 7, table1=t, table2=t)
         with pytest.raises(ValueError, match="does not match"):
-            apply_coin(s, t)
+            step(s, spec)
 
     def test_disorder_is_reproducible(self):
         a = CoinTable.random_disorder(6, np.random.default_rng(7))
@@ -183,49 +201,49 @@ class TestCoinTable:
 class TestShifts:
     def test_minus_moves_left_mover(self):
         s = make_state((1, 0), 0, 8)
-        out = shift_minus(s)
-        assert out.amps[0, 7] == 1.0
-        assert np.count_nonzero(out.amps) == 1
+        out = shifted(s.amps, s.lattice_min, True, False)
+        assert out[0, 7] == 1.0
+        assert np.count_nonzero(out) == 1
 
     def test_minus_fixes_right_mover(self):
         s = make_state((0, 1), 0, 8)
-        out = shift_minus(s)
-        assert np.array_equal(out.amps, s.amps)
+        out = shifted(s.amps, s.lattice_min, True, False)
+        assert np.array_equal(out, s.amps)
 
     def test_plus_mirrors_minus(self):
         s = make_state((0, 1), 0, 8)
-        assert shift_plus(s).amps[1, 9] == 1.0
+        assert shifted(s.amps, s.lattice_min, False, True)[1, 9] == 1.0
         s = make_state((1, 0), 0, 8)
-        assert np.array_equal(shift_plus(s).amps, s.amps)
+        assert np.array_equal(shifted(s.amps, s.lattice_min, False, True), s.amps)
 
     def test_half_shifts_compose_to_full(self, rng):
         for _ in range(10):
             s = random_state(rng)
-            assert np.array_equal(shift_plus(shift_minus(s)).amps, shift_full(s).amps)
+            minus = shifted(s.amps, s.lattice_min, True, False)
+            plus_minus = shifted(minus, s.lattice_min, False, True)
+            assert np.array_equal(plus_minus, shifted(s.amps, s.lattice_min, True, True))
 
     def test_norm_exactly_preserved(self, rng):
         s = random_state(rng)
-        for op in (shift_minus, shift_plus, shift_full):
-            assert op(s).norm() == pytest.approx(s.norm(), abs=1e-15)
+        for left, right in ((True, False), (False, True), (True, True)):
+            out = shifted(s.amps, s.lattice_min, left, right)
+            assert np.linalg.norm(out) == pytest.approx(s.norm(), abs=1e-15)
 
     def test_guard_violation_raises(self):
         amps = np.zeros((2, 5), dtype=complex)
         amps[0, 0] = 1.0
-        s = walk.WalkerState(-2, amps)
         with pytest.raises(LatticeGuardError):
-            shift_minus(s)
+            shifted(amps, -2, True, False)
         amps = np.zeros((2, 5), dtype=complex)
         amps[1, -1] = 1.0
-        s = walk.WalkerState(-2, amps)
         with pytest.raises(LatticeGuardError):
-            shift_plus(s)
+            shifted(amps, -2, False, True)
 
     def test_guard_tolerates_tiny_amplitude(self):
         amps = np.zeros((2, 5), dtype=complex)
         amps[1, 2] = 1.0
         amps[0, 0] = 0.5 * GUARD
-        s = walk.WalkerState(-2, amps)
-        assert shift_minus(s).amps[0, 0] == 0.0
+        assert shifted(amps, -2, True, False)[0, 0] == 0.0
 
     @pytest.mark.parametrize("coin, site", [(0, 0), (1, -1)], ids=["left", "right"])
     def test_nan_boundary_amplitude_raises(self, coin, site):
@@ -234,7 +252,7 @@ class TestShifts:
         amps[:, 2] = 0.6, 0.8
         amps[coin, site] = np.nan
         with pytest.raises(LatticeGuardError, match="nan"):
-            shift_full(walk.WalkerState(-2, amps))
+            shifted(amps, -2, True, True)
 
     @pytest.mark.parametrize("left, right", [(True, False), (False, True), (True, True)],
                              ids=["left", "right", "both"])
@@ -273,29 +291,43 @@ class TestShifts:
 
 
 class TestElectricPhase:
+    """An electric step is the plain step times exp(i * phi_e * x), bit for bit."""
+
     def test_zero_is_identity(self, rng):
         s = random_state(rng)
-        assert np.array_equal(electric_phase(s, 0.0).amps, s.amps)
+        electric, plain = electric_and_plain_steps(s, 0.0)
+        assert electric.tobytes() == plain.tobytes()
+        assert np.array_equal(electric, plain * site_phases(s, 0.0))
 
     def test_full_turn_is_identity(self, rng):
         s = random_state(rng)
-        assert np.array_equal(electric_phase(s, 2 * math.pi).amps, s.amps)
+        electric, plain = electric_and_plain_steps(s, 2 * math.pi)
+        assert electric.tobytes() == plain.tobytes()
+        assert np.array_equal(electric, plain * site_phases(s, 2 * math.pi))
 
     def test_pi_negates_odd_site(self):
-        s = make_state((1, 0), 1, 4)
-        out = electric_phase(s, math.pi)
-        assert out.amps[0, 5] == pytest.approx(-1.0, abs=1e-15)
+        # a coin of angle 0 lets the step move the left mover from site 2 to site 1
+        s = make_state((1, 0), 2, 4)
+        electric, plain = electric_and_plain_steps(s, math.pi, theta1=0.0)
+        assert plain[0, 5] == 1.0
+        assert electric[0, 5] == pytest.approx(-1.0, abs=1e-15)
+        assert electric.tobytes() == (plain * site_phases(s, math.pi)).tobytes()
 
     def test_norm_exact(self, rng):
         s = random_state(rng)
-        assert electric_phase(s, 1.234).norm() == pytest.approx(s.norm(), abs=1e-15)
+        electric, plain = electric_and_plain_steps(s, 1.234)
+        assert np.linalg.norm(electric) == pytest.approx(np.linalg.norm(plain), abs=1e-15)
+        assert electric.tobytes() == (plain * site_phases(s, 1.234)).tobytes()
 
     def test_commutes_with_coin(self, rng):
         s = random_state(rng)
         t = CoinTable.random_disorder(8, rng)
-        a = electric_phase(apply_coin(s, t), 0.7)
-        b = apply_coin(electric_phase(s, 0.7), t)
-        assert np.allclose(a.amps, b.amps, atol=1e-15)
+        phases = site_phases(s, 0.7)
+        a = coined(s, t) * phases
+        b = walk._coin(s.amps * phases, walk._site_coefficients(t))
+        assert np.allclose(a, b, atol=1e-15)
+        electric, plain = electric_and_plain_steps(s, 0.7)
+        assert electric.tobytes() == (plain * phases).tobytes()
 
 
 class TestStep:
@@ -320,7 +352,7 @@ class TestStep:
         t = CoinTable.homogeneous(CoinParams(), 8)
         spec = WalkSpec("generalized", 1, 8, table1=t, table2=t)
         s = random_state(rng)
-        assert np.allclose(step(s, spec).amps, shift_full(s).amps, atol=1e-15)
+        assert np.allclose(step(s, spec).amps, shifted(s.amps, s.lattice_min, True, True), atol=1e-15)
 
     def test_unknown_kind_is_the_validation_error(self):
         spec = WalkSpec("foo", 1, 4)
