@@ -9,10 +9,10 @@ Subcommands
     ``<out>.summary.json`` with per-step moments and the total probability,
     the sequential sum of the site probabilities in site order (the same
     digits on every Python version).  The amplitude arrays are reduced as
-    they are produced, their distributions in blocks of 16 steps that give
-    each row the bits it would have alone (totals still summed sequentially),
-    so memory stays O(lattice) except for the CSV rows that
-    ``emit_trajectory`` asks for.
+    they are produced, in ``localize``'s loop, their distributions in blocks
+    of 16 steps that give each row the bits it would have alone (totals
+    summed sequentially), so memory stays O(lattice) except for the CSV rows
+    that ``emit_trajectory`` asks for.
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a walk of any kind.  One train
     realizes every step, so it is compiled once, and with ``--verify``
@@ -23,8 +23,9 @@ Subcommands
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --seeds N --out loc.json``
     Ensemble of disordered generalized walks, evolved together as one batch
-    whose coins, shifts and probabilities touch the light cone only: per-seed
-    spread histories, their mean, and the ballistic baseline in one JSON file.
+    whose coins, shifts and probabilities touch the light cone only, reduced
+    ``max(1, 16 // N)`` steps at a time in ``run``'s loop: per-seed spread
+    histories, their mean, and the ballistic baseline in one JSON file.
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
@@ -118,6 +119,8 @@ def load_config(path) -> dict:
         raise
     except ValueError as err:  # malformed JSON, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ConfigError(f"config {path} is nested too deeply: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -233,9 +236,27 @@ def _distribution_rows(t: int, sites: np.ndarray, p: np.ndarray, emit_all_sites:
             yield f"{t},{x},{_fmt(v)}"
 
 
-#: Distributions reduced together by ``run``.  Larger blocks save little
-#: call overhead and each row costs three lattice-sized float rows of memory.
-_BLOCK_STEPS = 16
+#: Distributions reduced together, ``max(1, _BLOCK_ROWS // S)`` steps of S walks.  Larger
+#: blocks save little call overhead and each row costs three lattice-sized float rows.
+_BLOCK_ROWS = 16
+
+
+def _distribution_blocks(specs: list[walk.WalkSpec], sites: np.ndarray):
+    """Yield ``(t0, p, means, variances)`` of an ensemble's steps t0..t0+k-1, one block at a time.
+
+    ``p`` (k, S, n) is a buffer zeroed once and reused by every block: each state is written over
+    its light cone, which holds every earlier one (:func:`walk.site_probabilities_into`).  Each
+    row's moments, shape (k, S), equal a lone distribution's (:func:`walk.site_moments`).
+    """
+    steps = specs[0].steps
+    height = max(1, _BLOCK_ROWS // len(specs))
+    buffer = np.zeros((height, len(specs), sites.size))
+    states = walk.iterate_ensemble(specs)
+    for t0 in range(0, steps + 1, height):
+        p = buffer[: min(height, steps + 1 - t0)]
+        for t, rows, amps in zip(range(t0, t0 + len(p)), p, states):
+            walk.site_probabilities_into(amps, rows, walk.light_cone(specs[0], t))
+        yield (t0, p, *walk.site_moments(p, sites))
 
 
 def run_command(cfg: dict, out_path: str) -> int:
@@ -243,31 +264,22 @@ def run_command(cfg: dict, out_path: str) -> int:
     emit_trajectory = cfg.get("emit_trajectory", False)
     emit_all_sites = cfg.get("emit_all_sites", False)
 
-    # the one-member ensemble's arrays are reduced as they arrive, their
-    # distributions in blocks of _BLOCK_STEPS rows: no state copies, buffers
-    # built once, and rows written over light cones, each holding the last
     sites = np.arange(-spec.half_width, spec.half_width + 1)
-    block = np.zeros((_BLOCK_STEPS, sites.size))
-    partial_sums = np.empty_like(block)
+    partial_sums = np.empty((_BLOCK_ROWS, sites.size))
     lines = ["t,x,P"]
     moments = []
-    states = walk.iterate_ensemble([spec])
-    for t0 in range(0, spec.steps + 1, _BLOCK_STEPS):
-        rows = block[: min(_BLOCK_STEPS, spec.steps + 1 - t0)]
-        for t, row, amps in zip(range(t0, t0 + len(rows)), rows, states):
-            walk.site_probabilities_into(amps[0], row, walk.light_cone(spec, t))
-        # each row's moments equal a lone distribution's (site_moments), and
+    for t0, p, means, variances in _distribution_blocks([spec], sites):
+        rows = p[:, 0]
         # the total is the sequential sum in site order over the block's last
         # cone (np.sum adds pairwise and Python 3.12's sum compensates, so
         # either would change its last digits; the zeros outside add nothing)
-        means, variances = walk.site_moments(rows, sites)
         cone = walk.light_cone(spec, t0 + len(rows) - 1)
         totals = np.add.accumulate(rows[:, cone], axis=-1, out=partial_sums[: len(rows), cone])[:, -1]
-        for t, p, mean, var, total in zip(range(t0, spec.steps + 1), rows, means.tolist(), variances.tolist(),
-                                          totals.tolist()):
+        for t, row, mean, var, total in zip(range(t0, spec.steps + 1), rows, means[:, 0].tolist(),
+                                            variances[:, 0].tolist(), totals.tolist()):
             moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
             if emit_trajectory or t == spec.steps:
-                lines += _distribution_rows(t, sites, p, emit_all_sites)
+                lines += _distribution_rows(t, sites, row, emit_all_sites)
     _write_text(out_path, "\n".join(lines) + "\n")
 
     summary = {
@@ -337,28 +349,25 @@ def _report_to_json(report: VerificationReport) -> dict:
     }
 
 
-def parts_list_document(spec: walk.WalkSpec, steps: list[CompiledStep], reports) -> dict:
-    blocks = []
-    for i, cs in enumerate(steps):
-        block = {
-            "step": i,
-            "phase": cs.phase,
-            "notes": list(cs.notes),
-            "elements": [
-                element_to_record(el, order, prov)
-                for order, (el, prov) in enumerate(zip(cs.elements, cs.provenance))
-            ],
-        }
-        if reports is not None:
-            block["verification"] = _report_to_json(reports[i])
-        blocks.append(block)
+def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: VerificationReport | None) -> dict:
+    """The parts list of a walk whose every step is realized by the train ``one``."""
+    block = {
+        "phase": one.phase,
+        "notes": list(one.notes),
+        "elements": [
+            element_to_record(el, order, prov)
+            for order, (el, prov) in enumerate(zip(one.elements, one.provenance))
+        ],
+    }
+    if report is not None:
+        block["verification"] = _report_to_json(report)
     return {
         "schema_version": PARTS_LIST_VERSION,
         "walk": spec.walk_kind,
         "step_count": spec.steps,
         "half_width": spec.half_width,
-        "verified": reports is not None,
-        "step_blocks": blocks,
+        "verified": report is not None,
+        "step_blocks": [{"step": i, **block} for i in range(spec.steps)],
     }
 
 
@@ -388,9 +397,8 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
     else:
         one = compiler.compile_generalized(spec)
     report = compiler.verify(one, walk.step_operator(spec)) if verify_flag else None
-    reports = None if report is None else [report] * spec.steps
 
-    _write_json(out_path, parts_list_document(spec, [one] * spec.steps, reports))
+    _write_json(out_path, parts_list_document(spec, one, report))
     if report is not None and not report.passed:
         raise VerificationError(
             f"compiled train failed phase-equivalence (worst fidelity {report.fidelity:.12g}); "
@@ -403,18 +411,8 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
 
 
 def _sigma_history(specs: list[walk.WalkSpec], sites: np.ndarray) -> np.ndarray:
-    """Spread of each walk of an ensemble at t = 0..T, shape (T+1, S).
-
-    Each state's probabilities are written over its light cone, which holds
-    every earlier one, into a buffer zeroed once (:func:`walk.site_probabilities_into`).
-    The buffer is freed on return, before the document is written.
-    """
-    p = np.zeros((len(specs), sites.size))
-    history = []
-    for t, amps in enumerate(walk.iterate_ensemble(specs)):
-        walk.site_probabilities_into(amps, p, walk.light_cone(specs[0], t))
-        history.append(np.sqrt(walk.site_moments(p, sites)[1]))
-    return np.array(history)
+    """Spread of each walk of an ensemble at t = 0..T, shape (T+1, S)."""
+    return np.sqrt(np.concatenate([variances for *_, variances in _distribution_blocks(specs, sites)]))
 
 
 def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:

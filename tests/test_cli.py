@@ -407,6 +407,17 @@ class TestConfigValidation:
         assert "config error" in err and "not valid JSON" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["[" * 200000 + "]" * 200000, '{"a": ' * 5000 + "1" + "}" * 5000],
+                             ids=["array", "key"])
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "nested too deeply" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(b"\xff\xfe" + json.dumps({"schema_version": 1}).encode("utf-16-le"))

@@ -274,7 +274,7 @@ def full_width_sigmas(specs, sites):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, kind=st.sampled_from(sorted(walk.STEP_MOVES)), steps=st.integers(1, 24),
-       start=st.integers(-10, 10), n_seeds=st.integers(1, 4), emit_trajectory=st.booleans(),
+       start=st.integers(-10, 10), n_seeds=st.integers(1, 20), emit_trajectory=st.booleans(),
        emit_all_sites=st.booleans())
 def test_run_and_localize_documents_equal_full_width_reductions(seed, kind, steps, start, n_seeds, emit_trajectory,
                                                                 emit_all_sites):
