@@ -30,7 +30,8 @@ Subcommands
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
 config (a config file that is not UTF-8 JSON, or a walk too large to
-allocate) or unwritable output (``--out`` in a missing directory, or an
+allocate, refused before any allocation when numpy could not address its
+largest array) or unwritable output (``--out`` in a missing directory, or an
 output path that names an existing directory, is refused before any work),
 3 lattice guard violation, 4 verification failure.
 """
@@ -223,6 +224,17 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
     return spec
 
 
+def _refuse_unaddressable(what: str, shape: tuple[int, ...], itemsize: int) -> None:
+    """Raise :class:`ConfigError` before allocating an array of ``shape`` that numpy cannot address.
+
+    The size is a Python integer, so it is exact whatever the configured lattice.
+    """
+    nbytes = math.prod(shape) * itemsize
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"the configured walk is too large to allocate: its {what} of shape {shape} "
+                          f"would take {nbytes} bytes")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -263,6 +275,7 @@ def run_command(cfg: dict, out_path: str) -> int:
     spec = build_spec(cfg)
     emit_trajectory = cfg.get("emit_trajectory", False)
     emit_all_sites = cfg.get("emit_all_sites", False)
+    _refuse_unaddressable("float blocks", (_BLOCK_ROWS, 2 * spec.half_width + 1), 8)
 
     sites = np.arange(-spec.half_width, spec.half_width + 1)
     partial_sums = np.empty((_BLOCK_ROWS, sites.size))
@@ -389,6 +402,11 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
     if spec.steps < 1:
         raise ConfigError("compile needs at least one step")
     verify_flag = verify_flag or cfg.get("verify", False)
+    n = 2 * spec.half_width + 1
+    if verify_flag:
+        _refuse_unaddressable("dense step operator", (2 * n, 2 * n), 16)
+    elif spec.walk_kind != "ssqw":  # the split-step recipe has no per-site elements
+        _refuse_unaddressable("PDC fields", (n, 2, 2), 16)
 
     spec = spec.resolved()
     # the homogeneous split-step keeps its five-element recipe
@@ -425,6 +443,9 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         raise ConfigError("ensemble size must be >= 1")
     if spec.seed is None:
         raise ConfigError("localize needs a seed")
+    n = 2 * spec.half_width + 1
+    _refuse_unaddressable("per-site coin stacks", (n_seeds, 2, 2, n), 16)
+    _refuse_unaddressable("float blocks", (_BLOCK_ROWS, n), 8)  # the baseline's, larger at one seed
 
     seeds = [spec.seed + i for i in range(n_seeds)]
     members = [dataclasses.replace(spec, seed=s) for s in seeds]

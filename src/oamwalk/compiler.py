@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics, walk
-from .optics import HalfWavePlate, JPlate, VariableWavePlate
+from .optics import TOL, HalfWavePlate, JPlate, VariableWavePlate
 
 __all__ = [
     "EulerAngles",
@@ -92,19 +92,19 @@ class ColumnParams:
     beta: float
 
 
-def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     # a non-finite entry is checked first: its product would be NaN with a warning
-    if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(2))) <= tol):
-        raise ValueError("matrix is not unitary within 1e-10")
+    if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(2))) <= TOL):
+        raise ValueError(f"matrix is not unitary within {TOL:g}")
     return u
 
 
-def su2_normalize(u: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def su2_normalize(u: np.ndarray) -> tuple[np.ndarray, float]:
     """Split a U(2) matrix into (SU(2) part, global phase chi), u = e^{i chi} su."""
-    u = _check_unitary(u, tol)
+    u = _check_unitary(u)
     chi = 0.5 * float(np.angle(np.linalg.det(u)))
     return np.exp(-1j * chi) * u, chi
 
@@ -116,8 +116,8 @@ def euler_decompose(u: np.ndarray) -> EulerAngles:
     the convention here is gamma3 = 0.
     """
     u = _check_unitary(u)
-    if not abs(np.linalg.det(u) - 1.0) <= 1e-10:
-        raise ValueError("determinant must be 1 within 1e-10; use su2_normalize first")
+    if not abs(np.linalg.det(u) - 1.0) <= TOL:
+        raise ValueError(f"determinant must be 1 within {TOL:g}; use su2_normalize first")
     a, b = u[0, 0], u[0, 1]
     gamma2 = 2.0 * math.atan2(abs(b), abs(a))
     if abs(b) < 1e-12:
@@ -330,7 +330,7 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
 
-def verify(cs: CompiledStep, reference: np.ndarray, tol: float = 1e-10) -> VerificationReport:
+def verify(cs: CompiledStep, reference: np.ndarray) -> VerificationReport:
     """Fold a compiled train, checking each factor, and compare it with a reference step operator.
 
     Each element is lifted once; at most one lift is alive next to the
@@ -349,5 +349,5 @@ def verify(cs: CompiledStep, reference: np.ndarray, tol: float = 1e-10) -> Verif
         del lifted
     if compiled is None:
         compiled = np.eye(dim, dtype=np.complex128)
-    match = optics.equal_up_to_phase(compiled, reference, tol=tol)
-    return VerificationReport(match.match, match.fidelity, match.phase, tol, tuple(factors), cs.notes)
+    match = optics.equal_up_to_phase(compiled, reference)
+    return VerificationReport(match.match, match.fidelity, match.phase, TOL, tuple(factors), cs.notes)

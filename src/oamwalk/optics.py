@@ -35,6 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "TOL",
     "jones_rotation",
     "jplate_pointwise",
     "halfwave_pointwise",
@@ -48,6 +49,9 @@ __all__ = [
     "equal_up_to_phase",
     "unitarity_defect",
 ]
+
+#: Tolerance of every unitarity and phase-equivalence check, here and in the compiler.
+TOL = 1e-10
 
 
 def jones_rotation(angle) -> np.ndarray:
@@ -171,13 +175,13 @@ class PhaseMatch(NamedTuple):
     phase: float
 
 
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> PhaseMatch:
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> PhaseMatch:
     """Compare operators up to a global phase.
 
     Returns the normalized overlap |tr(a†b)| / (‖a‖_F ‖b‖_F), the phase
     arg tr(a†b) (so ``a ≈ e^{-i*phase} b`` at the optimum), and whether the
     phase-minimized Frobenius residual ‖a - e^{iϕ}b‖_F / ‖a‖_F is within
-    ``tol``.  The overlap equals 1 exactly when a and b agree up to a unit
+    :data:`TOL`.  The overlap equals 1 exactly when a and b agree up to a unit
     scalar, and reduces to |tr(a†b)|/dim for unitary inputs.
     """
     a = np.asarray(a)
@@ -193,7 +197,7 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> Phase
     # explicitly avoids the cancellation that the norm-expansion formula
     # na^2 + nb^2 - 2|overlap| suffers near equality.
     residual = np.linalg.norm(a - np.exp(-1j * phase) * b)
-    return PhaseMatch(bool(residual / na <= tol), fidelity, phase)
+    return PhaseMatch(bool(residual / na <= TOL), fidelity, phase)
 
 
 def unitarity_defect(op: np.ndarray, margin: int = 0) -> float:

@@ -28,12 +28,12 @@ unguarded so that amplitude leaving the lattice is dropped as a truncated
 matrix drops it: a certificate against them is about the walk that runs.
 
 The step kernel works on bare amplitude arrays of shape ``(..., 2, n_sites)``:
-one walk has no leading axis, and an ensemble of walks that differ only in
-their coin tables is one ``(S, 2, n_sites)`` array advanced by the same code
-(:func:`iterate_ensemble`).  :func:`iterate` streams a walk state by state,
-building its coin operators once, so a consumer that reduces each state as it
-arrives holds O(n_sites) memory whatever the step count; :func:`evolve`
-collects the whole trajectory.  Each coin writes a new array, and the kernel
+an ensemble of walks that differ only in their coin tables is one
+``(S, 2, n_sites)`` array (:func:`iterate_ensemble`), and one walk is the
+one-member ensemble, in :func:`step` as everywhere.  :func:`iterate` streams
+a walk state by state, building its coin operators once, so a consumer that
+reduces each state as it arrives holds O(n_sites) memory whatever the step
+count; :func:`evolve` collects the whole trajectory.  Each coin writes a new array, and the kernel
 shifts it and applies the electric phases to it in place, so a step allocates
 one array per coin and never writes into a state it has already yielded.
 
@@ -285,16 +285,12 @@ def make_state(coin: Iterable[complex], x0: int, half_width: int) -> WalkerState
     return WalkerState(-half_width, amps)
 
 
-def _site_coefficients(table: CoinTable) -> np.ndarray:
-    """Per-site coin entries as a contiguous (2, 2, n_sites) array: [i, j, x] = U_x[i, j]."""
-    return np.ascontiguousarray(table.matrices().transpose(1, 2, 0))
-
-
 def _coin(amps: np.ndarray, coin: np.ndarray, window: slice = slice(None)) -> np.ndarray:
     """Apply a coin to amplitudes of shape (..., 2, n), always into a new array.
 
     ``coin`` is a single (2, 2) matrix applied everywhere, or per-site
-    entries of shape (..., 2, 2, n) as built by :func:`_site_coefficients`.
+    entries of shape (..., 2, 2, n), ``[..., i, j, x] = U_x[i, j]``, as
+    :func:`_coins` builds them.
     A per-site coin computes only the site columns in ``window`` and leaves
     the rest of the new array zero, so the caller must know that ``amps``
     vanishes outside it.  A single matrix ignores the window: its product
@@ -438,13 +434,27 @@ class WalkSpec:
         return make_state(self.coin_state, self.start, self.half_width)
 
 
-def _coins(spec: WalkSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The two coins of one step: (2, 2) matrices, or per-site entries for tables."""
-    if spec.walk_kind == "generalized":
+def _coins(specs: Sequence[WalkSpec], lattice_min: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two coins of one step of walks that differ only in their tables.
+
+    Angle coins are one shared (2, 2) :func:`coin_matrix` each; tables become
+    (S, 2, 2, n_sites) per-site stacks, filled one table at a time.
+    """
+    first = specs[0]
+    if first.walk_kind != "generalized":
+        return coin_matrix(first.theta1), coin_matrix(first.theta2)
+    stacks = tuple(np.empty((len(specs), 2, 2, n_sites), dtype=np.complex128) for _ in range(2))
+    for s, spec in enumerate(specs):
         if spec.table1 is None or spec.table2 is None:
             raise ValueError("generalized step needs resolved coin tables; call spec.resolved() first")
-        return _site_coefficients(spec.table1), _site_coefficients(spec.table2)
-    return coin_matrix(spec.theta1), coin_matrix(spec.theta2)
+        for stack, table in zip(stacks, (spec.table1, spec.table2)):
+            if (table.lattice_min, table.n_sites) != (lattice_min, n_sites):
+                raise ValueError(
+                    f"coin table on [{table.lattice_min}, {table.lattice_max}] does not match "
+                    f"state lattice [{lattice_min}, {lattice_min + n_sites - 1}]"
+                )
+            stack[s] = table.matrices().transpose(1, 2, 0)
+    return stacks
 
 
 def _stepper(
@@ -452,16 +462,16 @@ def _stepper(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """One step of ``spec``'s walk on amplitudes of shape (..., 2, n_sites).
 
-    Applies the kind's :data:`STEP_MOVES` with the coins prepared by
-    :func:`_coins` (stacked along the leading axis for an ensemble), then the
-    electric phases, built here once per walk.  Every coin returns a new
-    array, which the shift and the phases then change in place, so the input
-    array is never written to.  The returned function takes an optional
-    column ``window`` that holds every site the step can touch; per-site
-    coins (:func:`_coin`) and the shifts (:func:`_shift`) work only inside
-    it, single-matrix coins, guards and phases on the whole lattice.  Only
-    :func:`iterate_ensemble`, which starts from a delta state, passes one;
-    :func:`step` and the dense operators' comb probes take the whole lattice.
+    Applies the kind's :data:`STEP_MOVES` with the coins built by
+    :func:`_coins`, then the electric phases, built here once per walk.
+    Every coin returns a new array, which the shift and the phases then
+    change in place, so the input array is never written to.  The returned
+    function takes an optional column ``window`` that holds every site the
+    step can touch; per-site coins (:func:`_coin`) and the shifts
+    (:func:`_shift`) work only inside it, single-matrix coins, guards and
+    phases on the whole lattice.  Only :func:`iterate_ensemble`, which starts
+    from a delta state, passes one; :func:`step` and the dense operators'
+    comb probes take the whole lattice.
     With ``guard`` off (dense operators only), amplitude shifted off the
     lattice is dropped instead of raising :class:`LatticeGuardError`.
     """
@@ -483,16 +493,9 @@ def _stepper(
 
 def step(state: WalkerState, spec: WalkSpec) -> WalkerState:
     """Advance one full walk step of the kind selected by ``spec``."""
-    coins = _coins(spec)
-    if spec.walk_kind == "generalized":
-        for table in (spec.table1, spec.table2):
-            if (table.lattice_min, table.n_sites) != (state.lattice_min, state.n_sites):
-                raise ValueError(
-                    f"coin table on [{table.lattice_min}, {table.lattice_max}] does not match "
-                    f"state lattice [{state.lattice_min}, {state.lattice_max}]"
-                )
+    coins = _coins([spec], state.lattice_min, state.n_sites)
     advance = _stepper(spec, state.lattice_min, state.n_sites, coins)
-    return WalkerState(state.lattice_min, advance(state.amps))
+    return WalkerState(state.lattice_min, advance(state.amps[np.newaxis])[0])
 
 
 def iterate(spec: WalkSpec) -> Iterator[WalkerState]:
@@ -533,16 +536,7 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     amps = np.repeat(state.amps[np.newaxis], len(specs), axis=0)
     amps.setflags(write=False)
     yield amps
-    # homogeneous coins are equal across members (checked above): keep one.
-    # Per-site coins are copied into their stacks a member at a time, so at
-    # most one member's coefficients exist beside the stacks.
-    coins = None
-    for s, member_coins in enumerate(map(_coins, specs)):
-        if coins is None:
-            coins = [c if c.ndim == 2 else np.empty((len(specs),) + c.shape, c.dtype) for c in member_coins]
-        for stack, c in zip(coins, member_coins):
-            if c.ndim > 2:
-                stack[s] = c
+    coins = _coins(specs, state.lattice_min, state.n_sites)
     advance = _stepper(first, state.lattice_min, state.n_sites, coins)
     for k in range(1, first.steps + 1):
         amps = advance(amps, light_cone(first, k))
@@ -616,11 +610,12 @@ def spread(p: Mapping[int, float]) -> float:
 def _probed(spec: WalkSpec, coins: Sequence[np.ndarray]) -> np.ndarray:
     """Matrix of one unguarded step of ``spec`` with ``coins``, read from comb probes.
 
-    A step of w moves reaches w sites, so probe (r, c), coin c on the sites
-    x ≡ r (mod 2w+1), reaches each site from one x at most, by the operations
-    a basis state at x takes: its image at x + m is band m at x.
+    A step moves each mover at most w = max(:data:`_REACH`) sites, so probe
+    (r, c), coin c on the sites x ≡ r (mod 2w+1), reaches each site from one
+    x at most, by the operations a basis state at x takes: its image at
+    x + m is band m at x.
     """
-    n, reach = 2 * spec.half_width + 1, len(STEP_MOVES[spec.walk_kind])
+    n, reach = 2 * spec.half_width + 1, max(_REACH[spec.walk_kind])
     spacing, sites = 2 * reach + 1, np.arange(n)
     probes = np.zeros((spacing, 2, 2, n), dtype=np.complex128)
     probes[sites % spacing, :, :, sites] = np.eye(2)  # [r, c, c, x ≡ r] = 1
@@ -648,4 +643,5 @@ def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
 def step_operator(spec: WalkSpec) -> np.ndarray:
     """Dense one-step operator of the walk described by ``spec``."""
     spec = spec.resolved()
-    return _probed(spec, _coins(spec))
+    L = spec.half_width
+    return _probed(spec, _coins([spec], -L, 2 * L + 1))

@@ -20,15 +20,15 @@ from test_walk import reference_step
 
 
 @pytest.fixture
-def address_space_cap():
-    """Cap this process's address space at 1 TiB for one test.
+def address_space_cap(request):
+    """Cap this process's address space for one test, at 1 TiB unless parametrized indirectly.
 
-    An allocation of many TiB then fails at once under any overcommit policy,
-    instead of succeeding lazily and touching memory as it is filled.
+    An allocation larger than the cap then fails at once under any overcommit
+    policy, instead of succeeding lazily and touching memory as it is filled.
     """
     resource = pytest.importorskip("resource")
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = 1 << 40
+    cap = getattr(request, "param", 1 << 40)
     if soft != resource.RLIM_INFINITY and soft <= cap:
         yield
         return
@@ -436,6 +436,32 @@ class TestConfigValidation:
         assert str(2 * 10**12 + 1) in err  # numpy's message names the array shape
         assert not out.exists()
 
+    # 16 GiB: a lattice-sized table at half-width 2**31 (32 GiB) fails at once if anything builds one
+    @pytest.mark.parametrize("address_space_cap", [16 << 30], indirect=True, ids=["16GiB"])
+    @pytest.mark.parametrize("command, half_width, nbytes", [
+        *((["run"], hw, lambda n: 16 * n * 8) for hw in (10**30, 2**62)),
+        *((["compile", "--verify"], hw, lambda n: (2 * n) ** 2 * 16) for hw in (10**30, 2**62, 2**31)),
+        *((["localize", "--seeds", "2"], hw, lambda n: 2 * 2 * 2 * n * 16) for hw in (10**30, 2**62)),
+    ], ids=["run-1e30", "run-2pow62", "compile-1e30", "compile-2pow62", "compile-2pow31", "localize-1e30",
+            "localize-2pow62"])
+    def test_unaddressable_lattice_is_refused_before_allocation(self, tmp_path, capsys, address_space_cap,
+                                                                 command, half_width, nbytes):
+        # the largest array (float blocks, dense operator, coin stacks) is sized before any is built
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "walk": "generalized", "seed": 1, "steps": 1,
+                                   "half_width": half_width}))
+        tracemalloc.start()
+        try:
+            assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "config error" in err and "too large to allocate" in err and "Traceback" not in err
+        assert f"{nbytes(2 * half_width + 1)} bytes" in err
+        assert peak < 1 << 20
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     @pytest.mark.parametrize("flag", ["emit_trajectory", "emit_all_sites", "verify"])
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_flags_must_be_booleans(self, tmp_path, capsys, flag, value):
@@ -638,8 +664,8 @@ class TestCompile:
     def test_failed_verification_exits_4(self, tmp_path, monkeypatch, capsys):
         from oamwalk.compiler import VerificationReport
 
-        def fake_verify(cs, reference, tol=1e-10):
-            return VerificationReport(False, 0.5, 0.0, tol, (), ())
+        def fake_verify(cs, reference):
+            return VerificationReport(False, 0.5, 0.0, 1e-10, (), ())
 
         monkeypatch.setattr(compiler, "verify", fake_verify)
         cfg = ssqw_config(tmp_path)

@@ -15,7 +15,7 @@ from oamwalk.compiler import PdcBlock, compile_ssqw, euler_decompose, euler_reco
 from oamwalk.optics import HalfWavePlate, JPlate, VariableWavePlate
 
 from conftest import random_u2
-from test_walk import reference_moments, reference_step
+from test_walk import reference_moments, reference_step, site_coefficients
 
 
 # --- parts-list records ------------------------------------------------------
@@ -241,7 +241,7 @@ def test_batched_site_coin_equals_single_applications(seed, count, half_width, z
     rng = np.random.default_rng(seed)
     n = 2 * half_width + 1
     tables = general_tables(rng, count, half_width)
-    coin = np.stack([walk._site_coefficients(t) for t in tables])
+    coin = np.stack([site_coefficients(t) for t in tables])
     amps = (rng.choice([-1, 1], (count, 2, n)) * 10.0 ** rng.uniform(-300, 300, (count, 2, n))
             + 1j * rng.choice([-1, 1], (count, 2, n)) * 10.0 ** rng.uniform(-300, 300, (count, 2, n)))
     amps[rng.random((count, 2, n)) < zero_share] = 0.0
@@ -249,7 +249,7 @@ def test_batched_site_coin_equals_single_applications(seed, count, half_width, z
     terms = np.einsum("...ijx,...jx->...ijx", coin, amps)
     assert got.tobytes() == (terms[..., 0, :] + terms[..., 1, :]).tobytes()
     for s, t in enumerate(tables):
-        assert got[s].tobytes() == walk._coin(amps[s], walk._site_coefficients(t)).tobytes()
+        assert got[s].tobytes() == walk._coin(amps[s], site_coefficients(t)).tobytes()
         assert got[s].tobytes() == np.einsum("xij,jx->ix", t.matrices(), amps[s]).tobytes()
     lo, hi = sorted(rng.integers(0, n + 1, 2))
     inside = np.zeros_like(amps)

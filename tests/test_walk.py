@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -48,9 +49,14 @@ def random_state(rng, half_width=8):
     return walk.WalkerState(-half_width, amps)
 
 
+def site_coefficients(table):
+    """``table``'s per-site coin in the kernel's layout, shape (2, 2, n): [i, j, x] = U_x[i, j]."""
+    return np.ascontiguousarray(table.matrices().transpose(1, 2, 0))
+
+
 def coined(state, table):
     """The kernel's per-site coin of ``table`` on ``state``'s amplitudes."""
-    return walk._coin(state.amps, walk._site_coefficients(table))
+    return walk._coin(state.amps, site_coefficients(table))
 
 
 def shifted(amps, lattice_min, left, right):
@@ -324,7 +330,7 @@ class TestElectricPhase:
         t = CoinTable.random_disorder(8, rng)
         phases = site_phases(s, 0.7)
         a = coined(s, t) * phases
-        b = walk._coin(s.amps * phases, walk._site_coefficients(t))
+        b = walk._coin(s.amps * phases, site_coefficients(t))
         assert np.allclose(a, b, atol=1e-15)
         electric, plain = electric_and_plain_steps(s, 0.7)
         assert electric.tobytes() == (plain * phases).tobytes()
@@ -353,6 +359,15 @@ class TestStep:
         spec = WalkSpec("generalized", 1, 8, table1=t, table2=t)
         s = random_state(rng)
         assert np.allclose(step(s, spec).amps, shifted(s.amps, s.lattice_min, True, True), atol=1e-15)
+
+    @pytest.mark.parametrize("spec, message", [
+        (WalkSpec("generalized", 1, 7, seed=3), "call spec.resolved()"),
+        (WalkSpec("generalized", 1, 7, table1=CoinTable(-6, *np.zeros((4, 15))),
+                  table2=CoinTable(-6, *np.zeros((4, 15)))), "does not match"),
+    ], ids=["unresolved", "offset-lattice"])
+    def test_generalized_tables_must_be_resolved_on_the_state_lattice(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(make_state(SYMMETRIC_COIN, 0, 7), spec)
 
     def test_unknown_kind_is_the_validation_error(self):
         spec = WalkSpec("foo", 1, 4)
@@ -517,7 +532,7 @@ class TestDenseBuilders:
     def test_per_site_coin_block(self, rng):
         L = 4
         t = CoinTable.random_disorder(L, rng)
-        coin = walk._site_coefficients(t)
+        coin = site_coefficients(t)
         got = basis_images(lambda a: walk._coin(a, coin), 2 * L + 1)
         assert np.allclose(got, dense_coin(t.matrices(), L), atol=1e-15)
 
@@ -562,20 +577,25 @@ def probe_cases(rng, half_width):
 class TestProbedOperators:
     """Comb probes give the matrix the basis-state images give, bit for bit."""
 
-    @pytest.mark.parametrize("half_width", [3, 40])
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 40])
     def test_step_operator_equals_basis_state_images(self, rng, half_width):
+        # at half-width 1 the three-residue comb is as wide as the lattice; a one-step walk
+        # needs half-width 3, so below it the probes are read without step_operator's check
+        n = 2 * half_width + 1
         for spec in probe_cases(rng, half_width):
-            op = walk.step_operator(spec)
+            coins = walk._coins([spec], -half_width, n)
+            op = walk.step_operator(spec) if half_width >= spec.required_half_width() else walk._probed(spec, coins)
             assert op.flags.c_contiguous
-            assert np.array_equal(op, basis_state_operator(spec, walk._coins(spec))), spec.walk_kind
+            assert np.array_equal(op, basis_state_operator(spec, coins)), spec.walk_kind
 
     def test_generalized_step_operator_at_l256(self, rng):
         spec = four_kinds(rng, steps=1, half_width=256)[2]
-        assert np.array_equal(walk.step_operator(spec), basis_state_operator(spec, walk._coins(spec)))
+        coins = walk._coins([spec], -256, 513)
+        assert np.array_equal(walk.step_operator(spec), basis_state_operator(spec, coins))
 
     @pytest.mark.parametrize("half_width", [1, 2, 3, 40])
     def test_split_step_operator_equals_basis_state_images(self, rng, half_width):
-        # at half-width 1 and 2 the comb spacing (5) is not narrower than the lattice
+        # at half-width 1 the comb spacing (3) is as wide as the lattice
         (table,) = random_tables(rng, 1, half_width)
         ssqw = WalkSpec("ssqw", 1, half_width)
         general = u2_matrix(CoinParams(0.3, -1.1, 0.7, 2.0))
