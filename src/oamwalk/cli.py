@@ -8,11 +8,11 @@ Subcommands
     default, whole trajectory with ``emit_trajectory``) plus a
     ``<out>.summary.json`` with per-step moments and the total probability,
     the sequential sum of the site probabilities in site order (the same
-    digits on every Python version).  The amplitude arrays are reduced as
-    they are produced, in ``localize``'s loop, their distributions in blocks
-    of 16 steps that give each row the bits it would have alone (totals
-    summed sequentially), so memory stays O(lattice) except for the CSV rows
-    that ``emit_trajectory`` asks for.
+    digits on every Python version).  The distributions and moments are
+    streamed by :func:`walk.distribution_blocks`, in blocks of 16 steps that
+    give each row the bits it would have alone (totals summed sequentially
+    here), so memory stays O(lattice) except for the CSV rows that
+    ``emit_trajectory`` asks for.
 ``compile --config c.json --out parts.json [--verify]``
     Emit the ordered optical parts list for a walk of any kind.  One train
     realizes every step, so it is compiled once, and with ``--verify``
@@ -24,8 +24,9 @@ Subcommands
 ``localize --config c.json --seeds N --out loc.json``
     Ensemble of disordered generalized walks, evolved together as one batch
     whose coins, shifts and probabilities touch the light cone only, reduced
-    ``max(1, 16 // N)`` steps at a time in ``run``'s loop: per-seed spread
-    histories, their mean, and the ballistic baseline in one JSON file.
+    ``max(1, 16 // N)`` steps at a time by :func:`walk.distribution_blocks`,
+    as ``run`` is: per-seed spread histories, their mean, and the ballistic
+    baseline in one JSON file.
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
@@ -248,45 +249,21 @@ def _distribution_rows(t: int, sites: np.ndarray, p: np.ndarray, emit_all_sites:
             yield f"{t},{x},{_fmt(v)}"
 
 
-#: Distributions reduced together, ``max(1, _BLOCK_ROWS // S)`` steps of S walks.  Larger
-#: blocks save little call overhead and each row costs three lattice-sized float rows.
-_BLOCK_ROWS = 16
-
-
-def _distribution_blocks(specs: list[walk.WalkSpec], sites: np.ndarray):
-    """Yield ``(t0, p, means, variances)`` of an ensemble's steps t0..t0+k-1, one block at a time.
-
-    ``p`` (k, S, n) is a buffer zeroed once and reused by every block: each state is written over
-    its light cone, which holds every earlier one (:func:`walk.site_probabilities_into`).  Each
-    row's moments, shape (k, S), equal a lone distribution's (:func:`walk.site_moments`).
-    """
-    steps = specs[0].steps
-    height = max(1, _BLOCK_ROWS // len(specs))
-    buffer = np.zeros((height, len(specs), sites.size))
-    states = walk.iterate_ensemble(specs)
-    for t0 in range(0, steps + 1, height):
-        p = buffer[: min(height, steps + 1 - t0)]
-        for t, rows, amps in zip(range(t0, t0 + len(p)), p, states):
-            walk.site_probabilities_into(amps, rows, walk.light_cone(specs[0], t))
-        yield (t0, p, *walk.site_moments(p, sites))
-
-
 def run_command(cfg: dict, out_path: str) -> int:
     spec = build_spec(cfg)
     emit_trajectory = cfg.get("emit_trajectory", False)
     emit_all_sites = cfg.get("emit_all_sites", False)
-    _refuse_unaddressable("float blocks", (_BLOCK_ROWS, 2 * spec.half_width + 1), 8)
+    _refuse_unaddressable("float blocks", (walk.BLOCK_ROWS, 2 * spec.half_width + 1), 8)
 
     sites = np.arange(-spec.half_width, spec.half_width + 1)
-    partial_sums = np.empty((_BLOCK_ROWS, sites.size))
+    partial_sums = np.empty((walk.BLOCK_ROWS, sites.size))
     lines = ["t,x,P"]
     moments = []
-    for t0, p, means, variances in _distribution_blocks([spec], sites):
+    for t0, p, means, variances, cone in walk.distribution_blocks([spec]):
         rows = p[:, 0]
-        # the total is the sequential sum in site order over the block's last
-        # cone (np.sum adds pairwise and Python 3.12's sum compensates, so
-        # either would change its last digits; the zeros outside add nothing)
-        cone = walk.light_cone(spec, t0 + len(rows) - 1)
+        # the total is the sequential sum in site order over the block's cone
+        # (np.sum adds pairwise and Python 3.12's sum compensates, so either
+        # would change its last digits; the zeros outside add nothing)
         totals = np.add.accumulate(rows[:, cone], axis=-1, out=partial_sums[: len(rows), cone])[:, -1]
         for t, row, mean, var, total in zip(range(t0, spec.steps + 1), rows, means[:, 0].tolist(),
                                             variances[:, 0].tolist(), totals.tolist()):
@@ -349,19 +326,6 @@ def element_from_record(record: dict):
     return _ELEMENT_TYPES[kind](**{k: v for k, v in record["parameters"].items() if k not in constants})
 
 
-def _report_to_json(report: VerificationReport) -> dict:
-    return {
-        "passed": report.passed,
-        "fidelity": report.fidelity,
-        "phase": report.phase,
-        "tol": report.tol,
-        "factors": [
-            {"description": f.description, "unitarity_defect": f.unitarity_defect}
-            for f in report.factors
-        ],
-    }
-
-
 def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: VerificationReport | None) -> dict:
     """The parts list of a walk whose every step is realized by the train ``one``."""
     block = {
@@ -373,7 +337,7 @@ def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: Verifica
         ],
     }
     if report is not None:
-        block["verification"] = _report_to_json(report)
+        block["verification"] = {k: v for k, v in dataclasses.asdict(report).items() if k != "notes"}
     return {
         "schema_version": PARTS_LIST_VERSION,
         "walk": spec.walk_kind,
@@ -428,9 +392,9 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
 # --- localize ---------------------------------------------------------------
 
 
-def _sigma_history(specs: list[walk.WalkSpec], sites: np.ndarray) -> np.ndarray:
+def _sigma_history(specs: list[walk.WalkSpec]) -> np.ndarray:
     """Spread of each walk of an ensemble at t = 0..T, shape (T+1, S)."""
-    return np.sqrt(np.concatenate([variances for *_, variances in _distribution_blocks(specs, sites)]))
+    return np.sqrt(np.concatenate([variances for *_, variances, _ in walk.distribution_blocks(specs)]))
 
 
 def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
@@ -445,12 +409,11 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         raise ConfigError("localize needs a seed")
     n = 2 * spec.half_width + 1
     _refuse_unaddressable("per-site coin stacks", (n_seeds, 2, 2, n), 16)
-    _refuse_unaddressable("float blocks", (_BLOCK_ROWS, n), 8)  # the baseline's, larger at one seed
+    _refuse_unaddressable("float blocks", (walk.BLOCK_ROWS, n), 8)  # the baseline's, larger at one seed
 
     seeds = [spec.seed + i for i in range(n_seeds)]
     members = [dataclasses.replace(spec, seed=s) for s in seeds]
-    sites = spec.initial_state().sites
-    per_seed = _sigma_history(members, sites).T.tolist()
+    per_seed = _sigma_history(members).T.tolist()
     # averaged over a C-ordered (seeds, steps) array, which fixes the order
     # in which the seeds are summed and so the digits of the mean
     mean = np.mean(np.asarray(per_seed), axis=0).tolist()
@@ -463,7 +426,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         start=spec.start,
         theta1=math.pi / 4,
     )
-    ballistic = _sigma_history([baseline_spec], sites)[:, 0].tolist()
+    ballistic = _sigma_history([baseline_spec])[:, 0].tolist()
 
     _write_json(
         out_path,

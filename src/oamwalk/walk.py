@@ -37,12 +37,14 @@ count; :func:`evolve` collects the whole trajectory.  Each coin writes a new arr
 shifts it and applies the electric phases to it in place, so a step allocates
 one array per coin and never writes into a state it has already yielded.
 
-An evolution starts from a delta state, so after k steps only the
-:func:`light_cone`, the sites within k moves of ``start``, can be nonzero.
-:func:`iterate_ensemble` hands the kernel that window each step, and per-site
-coins and shifts (and :func:`site_probabilities_into`) touch only its columns,
-which keeps every output byte.  The rest stays full width: a single-matrix
-coin (BLAS's last bits depend on the column range), :func:`step` and the comb
+An evolution starts from a delta state, so after k steps only the light
+cone, the sites within k moves of ``start``, can be nonzero.  Only this
+module knows that window: :func:`iterate_ensemble` hands it to the kernel
+each step, and :func:`distribution_blocks`, the reduction loop of the ``run``
+and ``localize`` commands, writes each state's :func:`site_probabilities` on
+it, so per-site coins, shifts and probabilities touch only its columns, which
+keeps every output byte.  The rest stays full width: a single-matrix coin
+(BLAS's last bits depend on the column range), :func:`step` and the comb
 probes (their states are not deltas), the guards, the phases, and every sum
 and dot product in :func:`site_moments`, so they add the same terms.
 
@@ -76,9 +78,9 @@ __all__ = [
     "iterate",
     "iterate_ensemble",
     "evolve",
-    "light_cone",
+    "BLOCK_ROWS",
+    "distribution_blocks",
     "site_probabilities",
-    "site_probabilities_into",
     "site_moments",
     "probability",
     "moments",
@@ -522,7 +524,7 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     draws exactly the tables it would draw alone.
 
     Every walk starts as a delta at ``start``, so step k can touch only
-    :func:`light_cone` ``(spec, k)``.  Per-site coins are computed and the
+    :func:`_light_cone` ``(spec, k)``.  Per-site coins are computed and the
     shifts move columns on that window alone; the other columns hold the
     zeros the full-width step would give there.
     """
@@ -539,12 +541,12 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     coins = _coins(specs, state.lattice_min, state.n_sites)
     advance = _stepper(first, state.lattice_min, state.n_sites, coins)
     for k in range(1, first.steps + 1):
-        amps = advance(amps, light_cone(first, k))
+        amps = advance(amps, _light_cone(first, k))
         amps.setflags(write=False)
         yield amps
 
 
-def light_cone(spec: WalkSpec, k: int) -> slice:
+def _light_cone(spec: WalkSpec, k: int) -> slice:
     """Columns k steps' moves (:data:`STEP_MOVES`) can reach from ``spec.start``, clipped to the lattice."""
     lefts, rights = _REACH[spec.walk_kind]
     x0 = spec.start + spec.half_width
@@ -556,17 +558,41 @@ def evolve(spec: WalkSpec) -> list[WalkerState]:
     return list(iterate(spec))
 
 
-def site_probabilities(amps: np.ndarray) -> np.ndarray:
-    """Site occupations |psi_l|^2 + |psi_r|^2 of amplitudes (..., 2, n); shape (..., n)."""
-    sq = np.abs(amps) ** 2
-    return sq[..., 0, :] + sq[..., 1, :]
+#: Distributions :func:`distribution_blocks` reduces together, ``max(1, BLOCK_ROWS // S)`` steps
+#: of S walks.  Larger blocks save little call overhead and each row costs three lattice-sized
+#: float rows.
+BLOCK_ROWS = 16
 
 
-def site_probabilities_into(amps: np.ndarray, out: np.ndarray, window: slice) -> None:
-    """Write :func:`site_probabilities` of ``amps`` into ``out`` on ``window``; ``amps`` vanishes outside it."""
-    sq = np.abs(amps[..., window])
+def distribution_blocks(specs: Sequence[WalkSpec]) -> Iterator[tuple]:
+    """Yield ``(t0, p, means, variances, cone)`` of an ensemble's steps t0..t0+k-1, one block at a time.
+
+    ``p`` (k, S, n) holds the site probabilities of the k states of the S walks of
+    :func:`iterate_ensemble`, in a buffer zeroed once and reused by every block: each state
+    is written over its light cone only, which holds every earlier one, so ``p`` is zero
+    outside ``cone``, the block's last and widest light cone.  Each row's moments, shape
+    (k, S), equal a lone distribution's (:func:`site_moments`).
+    """
+    states = iterate_ensemble(specs)
+    amps = next(states)  # resolves and checks the ensemble, so an empty one raises here
+    first = specs[0]
+    sites = np.arange(-first.half_width, first.half_width + 1)
+    height = max(1, BLOCK_ROWS // len(specs))
+    buffer = np.zeros((height, len(specs), sites.size))
+    for t0 in range(0, first.steps + 1, height):
+        p = buffer[: min(height, first.steps + 1 - t0)]
+        for t, rows in zip(range(t0, t0 + len(p)), p):
+            amps = next(states) if t else amps  # state 0 was read above
+            cone = _light_cone(first, t)
+            site_probabilities(amps[..., cone], out=rows[..., cone])
+        yield (t0, p, *site_moments(p, sites), cone)
+
+
+def site_probabilities(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Site occupations |psi_l|^2 + |psi_r|^2 of amplitudes (..., 2, n); shape (..., n), into ``out`` if given."""
+    sq = np.abs(amps)
     np.square(sq, out=sq)
-    np.add(sq[..., 0, :], sq[..., 1, :], out=out[..., window])
+    return np.add(sq[..., 0, :], sq[..., 1, :], out=out)
 
 
 def site_moments(p: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line front-end and its file formats."""
 
 import dataclasses
+import errno
 import importlib.util
 import json
 import math
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -278,6 +280,10 @@ def assert_run_documents_equal_reference(tmp_path, raw):
     assert (tmp_path / "dist.summary.json").read_text() == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
+DTQW = {"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7}
+GENERALIZED = {"schema_version": 1, "walk": "generalized", "steps": 2, "half_width": 4, "seed": 3}
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lattice=5)
@@ -441,12 +447,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, half_width, nbytes", [
         *((["run"], hw, lambda n: 16 * n * 8) for hw in (10**30, 2**62)),
         *((["compile", "--verify"], hw, lambda n: (2 * n) ** 2 * 16) for hw in (10**30, 2**62, 2**31)),
+        *((["compile"], hw, lambda n: n * 2 * 2 * 16) for hw in (10**30, 2**62)),
         *((["localize", "--seeds", "2"], hw, lambda n: 2 * 2 * 2 * n * 16) for hw in (10**30, 2**62)),
-    ], ids=["run-1e30", "run-2pow62", "compile-1e30", "compile-2pow62", "compile-2pow31", "localize-1e30",
-            "localize-2pow62"])
+    ], ids=["run-1e30", "run-2pow62", "compile-1e30", "compile-2pow62", "compile-2pow31", "compile-plain-1e30",
+            "compile-plain-2pow62", "localize-1e30", "localize-2pow62"])
     def test_unaddressable_lattice_is_refused_before_allocation(self, tmp_path, capsys, address_space_cap,
                                                                  command, half_width, nbytes):
-        # the largest array (float blocks, dense operator, coin stacks) is sized before any is built
+        # the largest array (float blocks, dense operator, PDC fields, coin stacks) is sized before any is built
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"schema_version": 1, "walk": "generalized", "seed": 1, "steps": 1,
                                    "half_width": half_width}))
@@ -461,6 +468,54 @@ class TestConfigValidation:
         assert f"{nbytes(2 * half_width + 1)} bytes" in err
         assert peak < 1 << 20
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("address_space_cap", [16 << 30], indirect=True, ids=["16GiB"])
+    def test_ssqw_compiles_at_an_unaddressable_lattice(self, tmp_path, address_space_cap):
+        """The split-step recipe builds no per-site element, so plain ``compile`` needs no lattice-sized array."""
+        cfg = ssqw_config(tmp_path, steps=1, half_width=10**30)
+        out = tmp_path / "parts.json"
+        tracemalloc.start()
+        try:
+            assert main(["compile", "--config", str(cfg), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        doc = json.loads(out.read_text())
+        assert doc["half_width"] == 10**30 and doc["verified"] is False
+        assert len(cli.parse_parts_list(doc)[0].elements) == 5
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command, raw, message", [
+        (["run"], None, "cannot read config"),
+        (["run"], [], "config root must be a JSON object"),
+        (["run"], {"walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7}, "missing required key 'schema_version'"),
+        (["run"], {**DTQW, "schema_version": "1"}, "'schema_version' must be an integer"),
+        (["run"], {**DTQW, "walk": "foo"}, "unknown walk 'foo'"),
+        (["run"], {**DTQW, "start": 1.5}, "start must be an integer site"),
+        (["run"], {**DTQW, "seed": "x"}, "seed must be an integer"),
+        (["run"], {**DTQW, "steps": -1}, "steps must be >= 0 and half_width >= 1"),
+        (["run"], {**DTQW, "half_width": 0}, "steps must be >= 0 and half_width >= 1"),
+        (["run"], {**GENERALIZED, "table1": [0.1]}, 'table1 must be "random" or an object'),
+        (["run"], {**GENERALIZED, "table1": {"foo": 0.1}}, "unknown keys in table1"),
+        (["localize", "--seeds", "0"], GENERALIZED, "ensemble size must be >= 1"),
+        (["localize", "--seeds", "-3"], GENERALIZED, "ensemble size must be >= 1"),
+        (["localize", "--seeds", "2"], {**GENERALIZED, "steps": 0}, "localize needs at least one step"),
+        (["compile"], {**GENERALIZED, "steps": 0}, "compile needs at least one step"),
+        (["localize", "--seeds", "2"], {"schema_version": 1, "walk": "generalized", "steps": 2, "half_width": 4,
+                                        "table1": {"theta": 0.1}, "table2": {"theta": 0.2}}, "localize needs a seed"),
+    ], ids=["missing-file", "array-root", "no-schema-version", "string-schema-version", "unknown-walk",
+            "fractional-start", "string-seed", "negative-steps", "zero-half-width", "table-list",
+            "table-unknown-key", "zero-seeds", "negative-seeds", "localize-zero-steps", "compile-zero-steps",
+            "localize-explicit-tables-no-seed"])
+    def test_bad_config_exits_2_with_its_message(self, tmp_path, capsys, command, raw, message):
+        cfg = tmp_path / "c.json"
+        if raw is not None:
+            cfg.write_text(json.dumps(raw))
+        out = tmp_path / "x.out"
+        assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["emit_trajectory", "emit_all_sites", "verify"])
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
@@ -541,6 +596,17 @@ class TestCompile:
         spec = cli.build_spec(json.loads(cfg.read_text()))
         rep = compiler.verify(steps[0], walk.step_operator(spec))
         assert rep.fidelity == pytest.approx(doc["step_blocks"][0]["verification"]["fidelity"], abs=1e-14)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: cli.element_to_record(object(), 0, "x"), TypeError, "cannot serialize element of type object"),
+        (lambda: cli.element_from_record({"element_type": "mirror", "parameters": {}}), cli.ConfigError,
+         "unknown element_type 'mirror'"),
+        (lambda: cli.parse_parts_list({"schema_version": 2, "step_blocks": []}), cli.ConfigError,
+         "unsupported schema_version"),
+    ], ids=["unknown-element", "unknown-element-type", "parts-list-version"])
+    def test_parts_list_records_reject_what_they_cannot_read(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     def test_generalized_blocks_match_homogeneous_compilation(self, tmp_path):
         L = 5
@@ -889,10 +955,16 @@ class TestUnwritableOutput:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["run", "compile", "localize"])
-    def test_write_failure_exits_2_without_traceback(self, tmp_path, capsys, command):
+    def test_write_failure_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys, command):
         cfg, extra = self.configs(tmp_path)[command]
-        out = tmp_path / "taken"
-        out.mkdir()  # the directory exists, so writing a file at its path fails
+
+        def disk_full(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(Path, "write_text", disk_full)  # passes the pre-flight checks, fails the write
+        out = tmp_path / "x.out"
         assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
         err = capsys.readouterr().err
-        assert "config error: cannot write" in err and "Traceback" not in err
+        assert err.startswith("config error: cannot write") and os.strerror(errno.ENOSPC) in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oamwalk import optics, walk
+from oamwalk import compiler, optics, walk
 from oamwalk.compiler import (
     CompiledStep,
     PdcBlock,
@@ -190,6 +190,15 @@ class TestPdcCompilation:
         assert np.allclose(block.site_matrix(-2), u2_matrix(table[-2]), atol=1e-13)
         with pytest.raises(KeyError):
             block.plates(9)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: compiler._check_unitary(np.eye(3)), r"expected a 2x2 matrix, got shape \(3, 3\)"),
+        (lambda: PdcBlock(-1, np.zeros((3, 2)), np.zeros((3, 2))), r"must both have shape \(n_sites, 3\)"),
+        (lambda: PdcBlock(-1, np.zeros((3, 3)), np.zeros((3, 3))).lift(2), "does not match the requested half-width"),
+    ], ids=["non-2x2-coin", "plate-columns", "lift-half-width"])
+    def test_malformed_arguments_raise_with_their_message(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestCompileSsqw:

@@ -201,8 +201,11 @@ def general_tables(rng, count, half_width):
 def test_light_cone_ensemble_equals_full_width_reference(seed, kind, count, steps, start):
     """Every array ``iterate_ensemble`` yields equals a chain of full-width reference steps.
 
-    The lattice is the smallest the spec allows, so the last light-cone
-    windows reach the guard margin.
+    So does every block of ``distribution_blocks``: its rows are the
+    references' site probabilities and moments, it is zero outside the cone
+    it yields, and it holds ``max(1, BLOCK_ROWS // S)`` steps (fewer only at
+    the end).  The lattice is the smallest the spec allows, so the last
+    light-cone windows reach the guard margin.
     """
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -216,13 +219,26 @@ def test_light_cone_ensemble_equals_full_width_reference(seed, kind, count, step
         members = [dataclasses.replace(spec, table1=t1, table2=t2) for t1, t2 in zip(tables[::2], tables[1::2])]
     else:
         members = [spec] * count
-    refs = [m.initial_state().amps for m in members]
+    refs, probabilities = [m.initial_state().amps for m in members], []
     for t, batch in enumerate(walk.iterate_ensemble(members)):
         if t:
             refs = [reference_step(r, m) for r, m in zip(refs, members)]
         for row, ref in zip(batch, refs, strict=True):
             assert np.array_equal(row, ref), t
             assert walk.site_probabilities(row).tobytes() == walk.site_probabilities(ref).tobytes(), t
+        probabilities.append([walk.site_probabilities(ref) for ref in refs])
+
+    sites, height, t = np.arange(-spec.half_width, spec.half_width + 1), max(1, walk.BLOCK_ROWS // count), 0
+    for t0, p, means, variances, cone in walk.distribution_blocks(members):
+        assert (t0, len(p)) == (t, min(height, steps + 1 - t))
+        expected = np.array(probabilities[t0:t0 + len(p)])
+        assert p.tobytes() == expected.tobytes(), t0
+        assert not p[..., :cone.start].any() and not p[..., cone.stop:].any(), t0
+        lone = [walk.site_moments(q, sites) for q in expected.reshape(-1, sites.size)]
+        assert means.tobytes() == np.array([m for m, _ in lone]).tobytes(), t0
+        assert variances.tobytes() == np.array([v for _, v in lone]).tobytes(), t0
+        t += len(p)
+    assert t == steps + 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,24 @@ class TestSpecValidation:
         assert WalkSpec.KINDS == ("dtqw", "ssqw", "generalized", "electric-dtqw")
         assert WalkSpec.KINDS == tuple(walk.STEP_MOVES)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: walk.WalkerState(0, np.zeros((3, 4))), ValueError, r"must have shape \(2, n_sites\), got \(3, 4\)"),
+        (lambda: CoinTable(0, np.zeros((2, 2)), [0, 0], [0, 0], [0, 0]), ValueError, "column chi must be 1-D"),
+        (lambda: CoinTable(0, [0, 0], [0], [0, 0], [0, 0]), ValueError, "columns must have equal length"),
+        (lambda: CoinTable(0, [], [], [], []), ValueError, "must cover at least one site"),
+        (lambda: CoinTable(0, [0], [0], [0], [0])[1], KeyError, r"site 1 outside table range \[0, 0\]"),
+        (lambda: make_state(SYMMETRIC_COIN, 0, 0), ValueError, "half_width must be at least 1"),
+        (lambda: WalkSpec("dtqw", -1, 8).validate(), ValueError, "step count must be non-negative"),
+        (lambda: next(walk.iterate_ensemble([])), ValueError, "an ensemble needs at least one walk"),
+        (lambda: next(walk.distribution_blocks([])), ValueError, "an ensemble needs at least one walk"),
+        (lambda: walk.split_step_operator(np.tile(np.eye(2), (3, 1, 1)), np.eye(2), 4), ValueError,
+         r"coin must be \(2, 2\) or \(9, 2, 2\), got \(3, 2, 2\)"),
+    ], ids=["state-shape", "table-column-2d", "table-column-lengths", "empty-table", "table-site", "zero-half-width",
+            "negative-steps", "empty-ensemble", "empty-distribution-blocks", "coin-stack-length"])
+    def test_malformed_arguments_raise_with_their_message(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
 
 def basis_images(advance, n):
     """Matrix of a linear map on amplitudes (..., 2, n): its image of every basis state at once."""
@@ -829,3 +848,19 @@ class TestEnsemble:
         members = [WalkSpec("generalized", 8, 12, seed=1), WalkSpec("generalized", 8, 12, start=1, seed=2)]
         with pytest.raises(ValueError, match="differ only"):
             next(walk.iterate_ensemble(members))
+
+    @pytest.mark.parametrize("count", [1, 5, 20])
+    def test_distribution_blocks_keep_only_the_current_state(self, monkeypatch, count):
+        """A block reads its states one at a time, so no earlier state outlives the step after it."""
+        streamed, iterate_ensemble = [], walk.iterate_ensemble
+
+        def recorded(specs):
+            for amps in iterate_ensemble(specs):
+                streamed.append(weakref.ref(amps))
+                yield amps
+
+        monkeypatch.setattr(walk, "iterate_ensemble", recorded)
+        members = [WalkSpec("generalized", 20, 24, seed=s) for s in range(count)]
+        for _ in walk.distribution_blocks(members):
+            assert [t for t, ref in enumerate(streamed) if ref() is not None] == [len(streamed) - 1]
+        assert len(streamed) == 21
