@@ -243,8 +243,8 @@ def _fmt(value: float) -> str:
 # --- run -------------------------------------------------------------------
 
 
-def _distribution_rows(t: int, sites: np.ndarray, p: np.ndarray, emit_all_sites: bool):
-    for x, v in zip(sites.tolist(), p.tolist()):
+def _distribution_rows(t: int, half_width: int, p: np.ndarray, emit_all_sites: bool):
+    for x, v in zip(range(-half_width, half_width + 1), p.tolist()):
         if emit_all_sites or v > 0.0:
             yield f"{t},{x},{_fmt(v)}"
 
@@ -255,8 +255,7 @@ def run_command(cfg: dict, out_path: str) -> int:
     emit_all_sites = cfg.get("emit_all_sites", False)
     _refuse_unaddressable("float blocks", (walk.BLOCK_ROWS, 2 * spec.half_width + 1), 8)
 
-    sites = np.arange(-spec.half_width, spec.half_width + 1)
-    partial_sums = np.empty((walk.BLOCK_ROWS, sites.size))
+    partial_sums = np.empty((walk.BLOCK_ROWS, 2 * spec.half_width + 1))
     lines = ["t,x,P"]
     moments = []
     for t0, p, means, variances, cone in walk.distribution_blocks([spec]):
@@ -269,7 +268,7 @@ def run_command(cfg: dict, out_path: str) -> int:
                                             variances[:, 0].tolist(), totals.tolist()):
             moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
             if emit_trajectory or t == spec.steps:
-                lines += _distribution_rows(t, sites, row, emit_all_sites)
+                lines += _distribution_rows(t, spec.half_width, row, emit_all_sites)
     _write_text(out_path, "\n".join(lines) + "\n")
 
     summary = {

@@ -18,8 +18,8 @@ Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 or an (n_sites, 2, 2) field of them.  A lift places its bands in a dense matrix
 on ``|polarization> ⊗ |l>``, and :func:`compose` folds a train lift by lift.
 OAM-shift rows that leave the lattice are dropped, so lifted operators are
-unitary on states that keep clear of the boundary (the walk layer's guard)
-but not on the edge columns themselves.
+unitary on states that keep clear of the boundary (as validated walks and
+guarded steps do) but not on the edge columns themselves.
 :func:`equal_up_to_phase` therefore normalizes its overlap by Frobenius
 norms, which coincides with the unitary normalization 1/dim away from edge
 effects and keeps "fidelity 1 iff equal up to a global phase" exact.

@@ -18,9 +18,9 @@ the step kernel applies and the optical compiler turns into elements.  The
 kernel is the only way to advance a walk: :func:`step` takes a state one step
 on, :func:`iterate` and :func:`iterate_ensemble` stream whole walks.
 
-Truncation is exact in practice as long as no appreciable amplitude reaches
-the boundary sites; every shift in the kernel enforces that guard and raises
-:class:`LatticeGuardError` when it would push amplitude off the lattice.
+Truncation is exact while no appreciable amplitude reaches the lattice edges.
+:meth:`WalkSpec.validate` sizes every configured walk so that none does, and
+:func:`step`, which advances arbitrary states, guards each shift against it.
 
 The dense one-step operators (:func:`step_operator`,
 :func:`split_step_operator`) are read from comb probes of that kernel,
@@ -45,8 +45,8 @@ and ``localize`` commands, writes each state's :func:`site_probabilities` on
 it, so per-site coins, shifts and probabilities touch only its columns, which
 keeps every output byte.  The rest stays full width: a single-matrix coin
 (BLAS's last bits depend on the column range), :func:`step` and the comb
-probes (their states are not deltas), the guards, the phases, and every sum
-and dot product in :func:`site_moments`, so they add the same terms.
+probes (their states are not deltas), the phases, and every sum and dot
+product in :func:`site_moments`, so they add the same terms.
 
 The reductions :func:`site_probabilities` and :func:`site_moments` act on
 arrays; :func:`probability` and :func:`moments` are their mapping views.
@@ -396,7 +396,8 @@ class WalkSpec:
     KINDS = tuple(STEP_MOVES)
 
     def required_half_width(self) -> int:
-        return abs(self.start) + self.steps + 2
+        lefts, rights = _REACH[self.walk_kind]  # the last light cone stays 2 sites clear of each edge
+        return max(self.steps * lefts - self.start, self.steps * rights + self.start) + 2
 
     def validate(self) -> None:
         if self.walk_kind not in self.KINDS:
@@ -471,10 +472,10 @@ def _stepper(
     function takes an optional column ``window`` that holds every site the
     step can touch; per-site coins (:func:`_coin`) and the shifts
     (:func:`_shift`) work only inside it, single-matrix coins, guards and
-    phases on the whole lattice.  Only :func:`iterate_ensemble`, which starts
-    from a delta state, passes one; :func:`step` and the dense operators'
-    comb probes take the whole lattice.
-    With ``guard`` off (dense operators only), amplitude shifted off the
+    phases on the whole lattice.  Only :func:`iterate_ensemble` passes one;
+    it also turns ``guard`` off, as its validated walks never reach the
+    edges.  :func:`step` and the dense operators' comb probes take the whole
+    lattice; with ``guard`` off, as the probes want, amplitude shifted off the
     lattice is dropped instead of raising :class:`LatticeGuardError`.
     """
     if spec.walk_kind not in STEP_MOVES:
@@ -524,9 +525,9 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     draws exactly the tables it would draw alone.
 
     Every walk starts as a delta at ``start``, so step k can touch only
-    :func:`_light_cone` ``(spec, k)``.  Per-site coins are computed and the
-    shifts move columns on that window alone; the other columns hold the
-    zeros the full-width step would give there.
+    :func:`_light_cone` ``(spec, k)``, which validation keeps 2 sites clear of
+    each edge.  Per-site coins are computed and the unguarded shifts move
+    columns on that window alone; the rest hold the full-width step's zeros.
     """
     specs = [s.resolved() for s in specs]
     if not specs:
@@ -539,7 +540,7 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     amps.setflags(write=False)
     yield amps
     coins = _coins(specs, state.lattice_min, state.n_sites)
-    advance = _stepper(first, state.lattice_min, state.n_sites, coins)
+    advance = _stepper(first, state.lattice_min, state.n_sites, coins, guard=False)
     for k in range(1, first.steps + 1):
         amps = advance(amps, _light_cone(first, k))
         amps.setflags(write=False)
@@ -547,10 +548,10 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
 
 
 def _light_cone(spec: WalkSpec, k: int) -> slice:
-    """Columns k steps' moves (:data:`STEP_MOVES`) can reach from ``spec.start``, clipped to the lattice."""
+    """Columns k steps' moves (:data:`STEP_MOVES`) can reach from ``spec.start``, on the lattice once validated."""
     lefts, rights = _REACH[spec.walk_kind]
     x0 = spec.start + spec.half_width
-    return slice(max(x0 - k * lefts, 0), min(x0 + k * rights + 1, 2 * spec.half_width + 1))
+    return slice(x0 - k * lefts, x0 + k * rights + 1)
 
 
 def evolve(spec: WalkSpec) -> list[WalkerState]:

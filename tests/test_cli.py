@@ -284,6 +284,33 @@ DTQW = {"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta
 GENERALIZED = {"schema_version": 1, "walk": "generalized", "steps": 2, "half_width": 4, "seed": 3}
 
 
+class TestValidatedWalksRunUnguarded:
+    def test_no_configured_walk_checks_the_guard(self, tmp_path, monkeypatch):
+        """Validation alone keeps configured walks on the lattice, so the ensemble path never guards.
+
+        Every lattice is the smallest validation accepts, so the last light
+        cones reach the 2-site margin.
+        """
+        def refuse(*args):
+            raise AssertionError("a validated walk checked the lattice guard")
+
+        monkeypatch.setattr(walk, "_guard_check", refuse)
+        kinds = [walk.WalkSpec("dtqw", 7, 10, start=-1), walk.WalkSpec("ssqw", 7, 12, start=3, theta2=0.4),
+                 walk.WalkSpec("generalized", 7, 9, seed=3), walk.WalkSpec("electric-dtqw", 7, 9, phi_e=0.5)]
+        for spec in kinds:
+            assert spec.half_width == spec.required_half_width()
+            assert len(walk.evolve(spec)) == spec.steps + 1
+        members = [dataclasses.replace(kinds[2], seed=s) for s in range(3)]
+        assert len(list(walk.iterate_ensemble(members))) == 8
+        assert sum(len(p) for _, p, *_ in walk.distribution_blocks(members)) == 8
+
+        run_cfg = write_config(tmp_path, "run.json", steps=7, half_width=11, start=2, emit_trajectory=True)
+        assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "run.csv")]) == 0
+        loc_cfg = tmp_path / "localize.json"
+        loc_cfg.write_text(json.dumps({**GENERALIZED, "steps": 7, "half_width": 10, "start": -1}))
+        assert main(["localize", "--config", str(loc_cfg), "--out", str(tmp_path / "loc.json"), "--seeds", "3"]) == 0
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lattice=5)

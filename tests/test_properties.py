@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -239,6 +240,32 @@ def test_light_cone_ensemble_equals_full_width_reference(seed, kind, count, step
         assert variances.tobytes() == np.array([v for _, v in lone]).tobytes(), t0
         t += len(p)
     assert t == steps + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(walk.STEP_MOVES)), steps=st.integers(0, 80), start=st.integers(-60, 60),
+       extra=st.integers(0, 40))
+def test_validated_light_cones_keep_clear_of_the_edges(kind, steps, start, extra):
+    """Validation is the one check that a configured walk fits its lattice.
+
+    At every half-width it accepts, each light cone up to the last keeps 2
+    sites clear of each edge, so the ensemble kernel's unguarded shifts never
+    reach one; at the smallest it accepts the last cone touches that margin,
+    and one site less raises with the required half-width.
+    """
+    spec = walk.WalkSpec(kind, steps, 1, start=start, seed=0)
+    need = spec.required_half_width()
+    spec = dataclasses.replace(spec, half_width=need + extra)
+    spec.validate()
+    n = 2 * spec.half_width + 1
+    for k in range(steps + 1):
+        cone = walk._light_cone(spec, k)
+        assert 2 <= cone.start < cone.stop <= n - 2, k
+    if not extra:
+        assert cone.start == 2 or cone.stop == n - 2
+    with pytest.raises(walk.LatticeGuardError) as err:
+        dataclasses.replace(spec, half_width=need - 1).validate()
+    assert err.value.required_half_width == need
 
 
 @settings(max_examples=100, deadline=None)

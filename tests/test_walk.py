@@ -399,6 +399,25 @@ class TestStep:
                 assert abs(state.norm() - 1.0) < 1e-12
 
 
+class TestStepGuard:
+    """:func:`step` advances arbitrary states, so for every kind each shift guards its lattice edge."""
+
+    @pytest.mark.parametrize("value", [1.0, np.nan], ids=["amplitude", "nan"])
+    @pytest.mark.parametrize("site, side", [(0, "left"), (-1, "right")], ids=["left", "right"])
+    @pytest.mark.parametrize("spec", [
+        WalkSpec("dtqw", 1, 4, theta1=0.9),
+        WalkSpec("ssqw", 1, 4, theta1=0.9, theta2=-0.4),
+        WalkSpec("generalized", 1, 4, seed=5).resolved(),
+        WalkSpec("electric-dtqw", 1, 4, theta1=0.9, phi_e=0.5),
+    ], ids=lambda spec: spec.walk_kind)
+    def test_edge_amplitude_raises(self, spec, site, side, value):
+        amps = np.zeros((2, 2 * spec.half_width + 1), dtype=complex)
+        amps[:, site] = value * np.array(SYMMETRIC_COIN)
+        magnitude = "nan" if math.isnan(value) else r"\S+"
+        with pytest.raises(LatticeGuardError, match=rf"magnitude {magnitude} off the {side} edge"):
+            step(walk.WalkerState(-spec.half_width, amps), spec)
+
+
 class TestEvolve:
     def test_zero_steps(self):
         traj = evolve(WalkSpec("dtqw", 0, 4))
