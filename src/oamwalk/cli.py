@@ -332,7 +332,7 @@ def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: Verifica
         "notes": list(one.notes),
         "elements": [
             element_to_record(el, order, prov)
-            for order, (el, prov) in enumerate(zip(one.elements, one.provenance))
+            for order, (el, prov) in enumerate(zip(one.elements, one.provenance, strict=True))
         ],
     }
     if report is not None:

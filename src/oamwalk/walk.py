@@ -19,8 +19,8 @@ kernel is the only way to advance a walk: :func:`step` takes a state one step
 on, :func:`iterate` and :func:`iterate_ensemble` stream whole walks.
 
 Truncation is exact while no appreciable amplitude reaches the lattice edges.
-:meth:`WalkSpec.validate` sizes every configured walk so that none does, and
-:func:`step`, which advances arbitrary states, guards each shift against it.
+:meth:`WalkSpec.validate` sizes every configured walk so that none does.  For
+:func:`step`, which advances arbitrary states, :func:`_stepper` guards each move.
 
 The dense one-step operators (:func:`step_operator`,
 :func:`split_step_operator`) are read from comb probes of that kernel,
@@ -42,11 +42,13 @@ cone, the sites within k moves of ``start``, can be nonzero.  Only this
 module knows that window: :func:`iterate_ensemble` hands it to the kernel
 each step, and :func:`distribution_blocks`, the reduction loop of the ``run``
 and ``localize`` commands, writes each state's :func:`site_probabilities` on
-it, so per-site coins, shifts and probabilities touch only its columns, which
-keeps every output byte.  The rest stays full width: a single-matrix coin
-(BLAS's last bits depend on the column range), :func:`step` and the comb
-probes (their states are not deltas), the phases, and every sum and dot
-product in :func:`site_moments`, so they add the same terms.
+it.  Per-site coins, shifts and probabilities touch only its columns: the
+shift moves a view of them, and the cone of step k holds the image of state
+k-1, so nothing leaves it and every output byte stays.  The rest stays full
+width: a single-matrix coin (BLAS's last bits depend on the column range),
+:func:`step` and the comb probes (their states are not deltas), the phases,
+and every sum and dot product in :func:`site_moments`, so they add the same
+terms.
 
 The reductions :func:`site_probabilities` and :func:`site_moments` act on
 arrays; :func:`probability` and :func:`moments` are their mapping views.
@@ -320,30 +322,20 @@ def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
         )
 
 
-def _shift(amps: np.ndarray, lattice_min: int, left: bool, right: bool, guard: bool = True,
-           window: slice = slice(None)) -> np.ndarray:
-    """Move the left mover one site left and/or the right mover one site right, in place.
+def _shift(amps: np.ndarray, left: bool, right: bool) -> np.ndarray:
+    """Move the left mover one column left and/or the right mover one column right, in place.
 
     This is the walk's only shift: ``left`` alone is the minus half-shift,
-    ``right`` alone the plus half-shift, both the full conditional shift, as
-    each move of :data:`STEP_MOVES` asks after its coin.  Writes into
-    ``amps`` and returns it; the site each mover vacates is zeroed.  Only
-    the columns in ``window``, outside which ``amps`` must vanish, move.
-    Each guard checks its lattice edge before anything moves.  With
-    ``guard`` off, amplitude moved off the lattice is dropped silently.
+    ``right`` alone the plus half-shift, both the full conditional shift.
+    ``amps`` is the whole lattice or a window view of it; the column each
+    mover vacates is zeroed and amplitude moved past its end is dropped.
     """
-    n_sites = amps.shape[-1]
-    if guard and left:
-        _guard_check(amps[..., 0, 0], lattice_min, n_sites, "left")
-    if guard and right:
-        _guard_check(amps[..., 1, -1], lattice_min, n_sites, "right")
-    lo, hi, _ = window.indices(n_sites)
     if left:
-        amps[..., 0, max(lo, 1) - 1:hi - 1] = amps[..., 0, max(lo, 1):hi]
-        amps[..., 0, hi - 1] = 0.0
+        amps[..., 0, :-1] = amps[..., 0, 1:]
+        amps[..., 0, -1] = 0.0
     if right:
-        amps[..., 1, lo + 1:min(hi, n_sites - 1) + 1] = amps[..., 1, lo:min(hi, n_sites - 1)]
-        amps[..., 1, lo] = 0.0
+        amps[..., 1, 1:] = amps[..., 1, :-1]
+        amps[..., 1, 0] = 0.0
     return amps
 
 
@@ -395,13 +387,15 @@ class WalkSpec:
 
     KINDS = tuple(STEP_MOVES)
 
+    def __post_init__(self):
+        if self.walk_kind not in self.KINDS:
+            raise ValueError(f"unknown walk kind {self.walk_kind!r}; expected one of {self.KINDS}")
+
     def required_half_width(self) -> int:
         lefts, rights = _REACH[self.walk_kind]  # the last light cone stays 2 sites clear of each edge
         return max(self.steps * lefts - self.start, self.steps * rights + self.start) + 2
 
     def validate(self) -> None:
-        if self.walk_kind not in self.KINDS:
-            raise ValueError(f"unknown walk kind {self.walk_kind!r}; expected one of {self.KINDS}")
         if self.steps < 0:
             raise ValueError("step count must be non-negative")
         for name in ("theta1", "theta2", "phi_e"):
@@ -468,25 +462,30 @@ def _stepper(
     Applies the kind's :data:`STEP_MOVES` with the coins built by
     :func:`_coins`, then the electric phases, built here once per walk.
     Every coin returns a new array, which the shift and the phases then
-    change in place, so the input array is never written to.  The returned
+    change in place, so the input array is never written to.  Only this
+    kernel decides where a step works and whether it guards.  The returned
     function takes an optional column ``window`` that holds every site the
-    step can touch; per-site coins (:func:`_coin`) and the shifts
-    (:func:`_shift`) work only inside it, single-matrix coins, guards and
-    phases on the whole lattice.  Only :func:`iterate_ensemble` passes one;
-    it also turns ``guard`` off, as its validated walks never reach the
-    edges.  :func:`step` and the dense operators' comb probes take the whole
-    lattice; with ``guard`` off, as the probes want, amplitude shifted off the
-    lattice is dropped instead of raising :class:`LatticeGuardError`.
+    step can touch: per-site coins (:func:`_coin`) work inside it and each
+    shift (:func:`_shift`) moves its view alone; single-matrix coins, guards
+    and phases take the whole lattice.  :func:`iterate_ensemble` passes one
+    with ``guard`` off, as its validated walks never reach the edges.  With
+    ``guard`` on (:func:`step`), each move checks the lattice edges it empties
+    (:func:`_guard_check`) and raises :class:`LatticeGuardError` before
+    anything moves; with it off (the comb probes), amplitude shifted off the
+    lattice is dropped.
     """
-    if spec.walk_kind not in STEP_MOVES:
-        spec.validate()  # names the unknown kind
     moves = STEP_MOVES[spec.walk_kind]
     angles = _site_angles(spec.phi_e, lattice_min, n_sites)
     phases = None if angles is None else np.exp(1j * angles)
 
     def advance(amps, window=slice(None)):
         for slot, left, right in moves:
-            amps = _shift(_coin(amps, coins[slot], window), lattice_min, left, right, guard, window)
+            amps = _coin(amps, coins[slot], window)
+            if guard and left:
+                _guard_check(amps[..., 0, 0], lattice_min, n_sites, "left")
+            if guard and right:
+                _guard_check(amps[..., 1, -1], lattice_min, n_sites, "right")
+            _shift(amps[..., window], left, right)
         if phases is not None:
             amps *= phases
         return amps

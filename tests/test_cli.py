@@ -15,7 +15,7 @@ import pytest
 
 from oamwalk import cli, compiler, walk
 from oamwalk.cli import main
-from oamwalk.optics import equal_up_to_phase
+from oamwalk.optics import HalfWavePlate, equal_up_to_phase
 
 from conftest import dense_shift_full
 from test_walk import reference_step
@@ -598,6 +598,12 @@ class TestCompile:
             v = block["verification"]
             assert v["passed"] and v["fidelity"] >= 1 - 1e-10
             assert len(v["factors"]) == 5
+
+    def test_unnamed_element_is_rejected(self):
+        """Elements pair with their provenance one to one, as in ``compiler.verify``; none is dropped."""
+        one = compiler.CompiledStep((HalfWavePlate(0.0), HalfWavePlate(0.3)), ("only one name",), 0.0)
+        with pytest.raises(ValueError):
+            cli.parts_list_document(walk.WalkSpec("ssqw", 1, 3), one, None)
 
     def test_verify_subcommand_equals_forced_toggle(self, tmp_path):
         cfg = ssqw_config(tmp_path)

@@ -60,9 +60,18 @@ def coined(state, table):
     return walk._coin(state.amps, site_coefficients(table))
 
 
-def shifted(amps, lattice_min, left, right):
+def shifted(amps, left, right):
     """The kernel's shift on a copy of ``amps``."""
-    return walk._shift(amps.copy(), lattice_min, left, right)
+    return walk._shift(amps.copy(), left, right)
+
+
+def guarded_step(amps, spec):
+    """:func:`step` of ``spec`` on ``amps``, a state on the lattice [-(n // 2), n // 2]."""
+    return step(walk.WalkerState(-(amps.shape[-1] // 2), amps), spec).amps
+
+
+#: A split-step walk with identity coins: the minus half-shift, then the plus half-shift.
+PURE_SHIFTS = WalkSpec("ssqw", 1, 2, theta1=0.0, theta2=0.0)
 
 
 def site_phases(state, phi_e):
@@ -208,66 +217,45 @@ class TestCoinTable:
 class TestShifts:
     def test_minus_moves_left_mover(self):
         s = make_state((1, 0), 0, 8)
-        out = shifted(s.amps, s.lattice_min, True, False)
+        out = shifted(s.amps, True, False)
         assert out[0, 7] == 1.0
         assert np.count_nonzero(out) == 1
 
     def test_minus_fixes_right_mover(self):
         s = make_state((0, 1), 0, 8)
-        out = shifted(s.amps, s.lattice_min, True, False)
+        out = shifted(s.amps, True, False)
         assert np.array_equal(out, s.amps)
 
     def test_plus_mirrors_minus(self):
         s = make_state((0, 1), 0, 8)
-        assert shifted(s.amps, s.lattice_min, False, True)[1, 9] == 1.0
+        assert shifted(s.amps, False, True)[1, 9] == 1.0
         s = make_state((1, 0), 0, 8)
-        assert np.array_equal(shifted(s.amps, s.lattice_min, False, True), s.amps)
+        assert np.array_equal(shifted(s.amps, False, True), s.amps)
 
     def test_half_shifts_compose_to_full(self, rng):
         for _ in range(10):
             s = random_state(rng)
-            minus = shifted(s.amps, s.lattice_min, True, False)
-            plus_minus = shifted(minus, s.lattice_min, False, True)
-            assert np.array_equal(plus_minus, shifted(s.amps, s.lattice_min, True, True))
+            minus = shifted(s.amps, True, False)
+            plus_minus = shifted(minus, False, True)
+            assert np.array_equal(plus_minus, shifted(s.amps, True, True))
 
     def test_norm_exactly_preserved(self, rng):
         s = random_state(rng)
         for left, right in ((True, False), (False, True), (True, True)):
-            out = shifted(s.amps, s.lattice_min, left, right)
+            out = shifted(s.amps, left, right)
             assert np.linalg.norm(out) == pytest.approx(s.norm(), abs=1e-15)
-
-    def test_guard_violation_raises(self):
-        amps = np.zeros((2, 5), dtype=complex)
-        amps[0, 0] = 1.0
-        with pytest.raises(LatticeGuardError):
-            shifted(amps, -2, True, False)
-        amps = np.zeros((2, 5), dtype=complex)
-        amps[1, -1] = 1.0
-        with pytest.raises(LatticeGuardError):
-            shifted(amps, -2, False, True)
-
-    def test_guard_tolerates_tiny_amplitude(self):
-        amps = np.zeros((2, 5), dtype=complex)
-        amps[1, 2] = 1.0
-        amps[0, 0] = 0.5 * GUARD
-        assert shifted(amps, -2, True, False)[0, 0] == 0.0
-
-    @pytest.mark.parametrize("coin, site", [(0, 0), (1, -1)], ids=["left", "right"])
-    def test_nan_boundary_amplitude_raises(self, coin, site):
-        """A NaN at an edge is not within the guard; it must not be shifted off silently."""
-        amps = np.zeros((2, 5), dtype=complex)
-        amps[:, 2] = 0.6, 0.8
-        amps[coin, site] = np.nan
-        with pytest.raises(LatticeGuardError, match="nan"):
-            shifted(amps, -2, True, True)
 
     @pytest.mark.parametrize("left, right", [(True, False), (False, True), (True, True)],
                              ids=["left", "right", "both"])
     def test_windowed_shift_equals_full_width(self, rng, left, right):
-        """Moving only a window's columns is the full-width shift of amplitudes that vanish outside it.
+        """Shifting a window view is the full-width shift of amplitudes that vanish outside it.
 
-        Windows reach either edge or both in three trials of four.  Without
-        the guard the support may touch the edges, whose amplitude is dropped.
+        Inside the lattice they must also vanish in the column each mover
+        leaves the window through: the light cone of the next step holds the
+        image of every state, so no step of a validated walk carries amplitude
+        there.  Windows reach either edge or both in three trials of four; at
+        an edge the support may touch it, and both shifts drop that amplitude
+        as a whole-lattice shift does (:meth:`TestDenseBuilders.test_shift_matrices_match_oracle`).
         """
         for trial in range(400):
             n = int(rng.integers(1, 40))
@@ -276,24 +264,56 @@ class TestShifts:
             shape = ((), (3,))[trial % 2] + (2, hi - lo)
             amps = np.zeros(shape[:-1] + (n,), dtype=complex)
             amps[..., lo:hi] = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.7)
-            guard = bool(rng.integers(2))
-            if guard:
-                amps[..., 0, 0] = amps[..., 1, -1] = 0.0
-            full = walk._shift(amps.copy(), -(n // 2), left, right, guard)
-            windowed = walk._shift(amps.copy(), -(n // 2), left, right, guard, slice(lo, hi))
+            if left and lo > 0:
+                amps[..., 0, lo] = 0.0
+            if right and hi < n:
+                amps[..., 1, hi - 1] = 0.0
+            full = shifted(amps, left, right)
+            windowed = amps.copy()
+            walk._shift(windowed[..., lo:hi], left, right)
             assert np.array_equal(windowed, full), (n, lo, hi)
+            assert not (left and windowed[..., 0, hi - 1].any()) and not (right and windowed[..., 1, lo].any())
+
+    def test_guard_violation_raises(self):
+        amps = np.zeros((2, 5), dtype=complex)
+        amps[0, 0] = 1.0
+        with pytest.raises(LatticeGuardError, match="off the left edge"):
+            guarded_step(amps, PURE_SHIFTS)
+        amps = np.zeros((2, 5), dtype=complex)
+        amps[1, -1] = 1.0
+        with pytest.raises(LatticeGuardError, match="off the right edge"):
+            guarded_step(amps, PURE_SHIFTS)
+
+    def test_guard_tolerates_tiny_amplitude(self):
+        amps = np.zeros((2, 5), dtype=complex)
+        amps[1, 2] = 1.0
+        amps[0, 0] = 0.5 * GUARD
+        out = guarded_step(amps, PURE_SHIFTS)
+        assert out[0, 0] == 0.0
+        assert out[1, 3] == 1.0
+
+    @pytest.mark.parametrize("coin, site", [(0, 0), (1, -1)], ids=["left", "right"])
+    def test_nan_boundary_amplitude_raises(self, coin, site):
+        """A NaN at an edge is not within the guard; it must not be shifted off silently."""
+        amps = np.zeros((2, 5), dtype=complex)
+        amps[:, 2] = 0.6, 0.8
+        amps[coin, site] = np.nan
+        with pytest.raises(LatticeGuardError, match="nan"):
+            guarded_step(amps, WalkSpec("dtqw", 1, 2, theta1=0.0))
 
     @pytest.mark.parametrize("value", [np.nan, 10 * GUARD], ids=["nan", "above_guard"])
     @pytest.mark.parametrize("coin, site", [(0, 0), (1, -1)], ids=["left", "right"])
     def test_windowed_shift_guards_the_whole_edge(self, value, coin, site):
         """The guard checks the lattice edge, not the window, before anything moves."""
+        spec = WalkSpec("ssqw", 1, 4, theta1=0.9, theta2=-0.4)
+        advance = walk._stepper(spec, -4, 9, walk._coins([spec], -4, 9), guard=True)
         amps = np.zeros((3, 2, 9), dtype=complex)
         amps[:, :, 4] = 0.6, 0.8
         amps[1, coin, site] = value
         for window in (slice(3, 6), slice(0, 5), slice(4, 9), slice(0, 9)):
             before = amps.copy()
             with pytest.raises(LatticeGuardError):
-                walk._shift(amps, -4, True, True, window=window)
+                advance(amps, window)
             assert np.array_equal(amps, before, equal_nan=True)
 
 
@@ -359,7 +379,7 @@ class TestStep:
         t = CoinTable.homogeneous(CoinParams(), 8)
         spec = WalkSpec("generalized", 1, 8, table1=t, table2=t)
         s = random_state(rng)
-        assert np.allclose(step(s, spec).amps, shifted(s.amps, s.lattice_min, True, True), atol=1e-15)
+        assert np.allclose(step(s, spec).amps, shifted(s.amps, True, True), atol=1e-15)
 
     @pytest.mark.parametrize("spec, message", [
         (WalkSpec("generalized", 1, 7, seed=3), "call spec.resolved()"),
@@ -371,11 +391,10 @@ class TestStep:
             step(make_state(SYMMETRIC_COIN, 0, 7), spec)
 
     def test_unknown_kind_is_the_validation_error(self):
-        spec = WalkSpec("foo", 1, 4)
         with pytest.raises(ValueError) as validated:
-            spec.validate()
+            WalkSpec("foo", 1, 4).validate()
         with pytest.raises(ValueError) as stepped:
-            step(make_state(SYMMETRIC_COIN, 0, 4), spec)
+            step(make_state(SYMMETRIC_COIN, 0, 4), WalkSpec("foo", 1, 4))
         assert str(stepped.value) == str(validated.value)
         assert str(stepped.value).startswith("unknown walk kind 'foo'; expected one of")
 
@@ -489,6 +508,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="walk kind"):
             WalkSpec("ctqw", 1, 8).validate()
 
+    def test_unknown_kind_is_refused_at_construction(self):
+        """No method of a spec meets an unknown kind: the lattice size, for one, needs the kind's reach."""
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown walk kind 'ctqw'; expected one of ('dtqw', 'ssqw', 'generalized', 'electric-dtqw')")):
+            WalkSpec("ctqw", 3, 8)
+
     def test_generalized_needs_tables_or_seed(self):
         with pytest.raises(ValueError, match="seed"):
             WalkSpec("generalized", 1, 8).validate()
@@ -541,7 +566,7 @@ def basis_state_operator(spec, coins):
 
 class TestDenseBuilders:
     def test_shift_matrices_match_oracle(self):
-        # the kernel's shifts, unguarded and applied to every basis state
+        # the kernel's shift, applied to every basis state
         for L in (2, 5):
             n = 2 * L + 1
             for (left, right), oracle in [
@@ -549,7 +574,7 @@ class TestDenseBuilders:
                 ((False, True), dense_shift_plus),
                 ((True, True), dense_shift_full),
             ]:
-                got = basis_images(lambda a: walk._shift(a, -L, left, right, guard=False), n)
+                got = basis_images(lambda a: walk._shift(a, left, right), n)
                 assert np.array_equal(got, oracle(L))
 
     def test_step_operator_matches_state_path(self, rng):
