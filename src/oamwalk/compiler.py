@@ -26,7 +26,9 @@ becomes a PDC block and a J-plate, and an electric site phase one more PDC.
 Verification lifts each element once, records its unitarity defect, and
 folds it into the running product, which :func:`oamwalk.optics.equal_up_to_phase`
 compares with the walk's dense step operator (:func:`oamwalk.walk.step_operator`):
-comb probes of the step kernel that evolves the walk, placed as lifts are.
+comb probes of the step kernel that evolves the walk, placed as lifts are.  It
+holds exactly three dense operators, the reference included, in buffers
+allocated once per :func:`verify` and reused by every lift, product and check.
 """
 
 from __future__ import annotations
@@ -202,10 +204,11 @@ class PdcBlock:
     def bands(self) -> list:
         return [(0, self._field)]
 
-    def lift(self, half_width: int) -> np.ndarray:
+    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Dense operator of the per-site coins, written into ``out`` if given (see :func:`oamwalk.optics.lift`)."""
         if self.lattice_min != -half_width or self.n_sites != 2 * half_width + 1:
             raise ValueError("block lattice does not match the requested half-width")
-        return optics._place_bands(self.bands(), half_width)
+        return optics._place_bands(self.bands(), half_width, out=out)
 
 
 def compile_pdc(table: walk.CoinTable) -> PdcBlock:
@@ -330,24 +333,43 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
 
-def verify(cs: CompiledStep, reference: np.ndarray) -> VerificationReport:
+def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> VerificationReport:
     """Fold a compiled train, checking each factor, and compare it with a reference step operator.
 
-    Each element is lifted once; at most one lift is alive next to the
-    running product, the same fold as :func:`oamwalk.optics.compose`.
+    ``reference`` is the dense operator or the :class:`oamwalk.walk.WalkSpec`
+    whose :func:`oamwalk.walk.step_operator` it is.  The fold is that of
+    :func:`oamwalk.optics.compose`, in three dense buffers allocated once:
+    each element is lifted once into the first, its unitarity defect uses
+    the spare one as scratch, and its product with the running one is
+    written into the spare, which then takes the running product's place.
+    A spec's operator is built into the first buffer after the fold, and the
+    comparison forms its residual in the spare, so verification holds
+    exactly three dense operators, the reference included.
     """
-    reference = np.asarray(reference)
-    dim = reference.shape[0]
-    if reference.ndim != 2 or reference.shape[1] != dim or dim % 2 or (dim // 2) % 2 == 0:
-        raise ValueError(f"reference must be square of dimension 2*(2L+1), got {reference.shape}")
+    if isinstance(reference, walk.WalkSpec):
+        reference.validate()
+        dim = 2 * (2 * reference.half_width + 1)
+    else:
+        reference = np.asarray(reference)
+        dim = reference.shape[0]
+        if reference.ndim != 2 or reference.shape[1] != dim or dim % 2 or (dim // 2) % 2 == 0:
+            raise ValueError(f"reference must be square of dimension 2*(2L+1), got {reference.shape}")
     half_width = (dim // 2 - 1) // 2
-    compiled, factors = None, []
+    lifted, compiled, spare = (np.empty((dim, dim), dtype=np.complex128) for _ in range(3))
+    factors = []
     for el, desc in zip(cs.elements, cs.provenance, strict=True):
-        lifted, margin = el.lift(half_width), max(abs(m) for m, _ in el.bands())  # margin: sites shifts empty
-        factors.append(FactorCheck(desc, optics.unitarity_defect(lifted, margin=margin)))
-        compiled = lifted if compiled is None else lifted @ compiled
-        del lifted
-    if compiled is None:
-        compiled = np.eye(dim, dtype=np.complex128)
-    match = optics.equal_up_to_phase(compiled, reference)
+        el.lift(half_width, out=lifted)
+        margin = max(abs(m) for m, _ in el.bands())  # sites its shifts empty
+        factors.append(FactorCheck(desc, optics.unitarity_defect(lifted, margin=margin, out=spare)))
+        if len(factors) > 1:
+            np.matmul(lifted, compiled, out=spare)
+            compiled, spare = spare, compiled
+        else:  # the fold starts from the first lift
+            compiled, lifted = lifted, compiled
+    if not factors:
+        compiled.fill(0)
+        np.fill_diagonal(compiled, 1)
+    if isinstance(reference, walk.WalkSpec):
+        reference = walk.step_operator(reference, out=lifted)
+    match = optics.equal_up_to_phase(compiled, reference, out=spare)
     return VerificationReport(match.match, match.fidelity, match.phase, TOL, tuple(factors), cs.notes)

@@ -78,17 +78,37 @@ def varwave_pointwise(retardance: float) -> np.ndarray:
     return np.diag([np.exp(0.5j * retardance), np.exp(-0.5j * retardance)])
 
 
-def _place_bands(bands, half_width: int) -> np.ndarray:
+def _dense_out(out, shape: tuple, *operands) -> np.ndarray:
+    """``out`` checked as a buffer numpy can write a ``shape`` complex128 result into.
+
+    It must be C-contiguous, so that a reshape of it is a view, not a silent
+    copy that would take the result, and must not overlap ``operands``.
+    """
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.complex128
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous complex128 array of shape {shape}")
+    if any(np.may_share_memory(out, op) for op in operands):
+        raise ValueError("out must not overlap the operands")
+    return out
+
+
+def _place_bands(bands, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of ``(m, coefficient)`` bands, fields indexed by source site; off-lattice rows dropped.
 
     Bands are added in order into zeros, so an entry one band alone reaches holds its coefficient exactly.
+    ``out``, a C-contiguous complex128 ``(2n, 2n)`` array, is zeroed and receives the matrix in place of
+    a new one; it is returned.
     """
     n = 2 * half_width + 1
-    out = np.zeros((2, n, 2, n), dtype=np.complex128)
+    if out is None:
+        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    else:
+        _dense_out(out, (2 * n, 2 * n)).fill(0)
+    dense = out.reshape(2, n, 2, n)
     for m, coef in bands:
         src = np.arange(max(0, -m), min(n, n - m))
-        out[:, src + m, :, src] += coef[src] if np.ndim(coef) == 3 else coef
-    return out.reshape(2 * n, 2 * n)
+        dense[:, src + m, :, src] += coef[src] if np.ndim(coef) == 3 else coef
+    return out
 
 
 def _as_multiplier(value) -> int:
@@ -118,8 +138,8 @@ class JPlate:
         return [(m, np.array([[rot_back[a, c] * phases[c] * rot[c, b] for b in range(2)] for a in range(2)]))
                 for c, m in enumerate((self.m_x, self.m_y))]
 
-    def lift(self, half_width: int) -> np.ndarray:
-        return _place_bands(self.bands(), half_width)
+    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
+        return _place_bands(self.bands(), half_width, out=out)
 
 
 @dataclass(frozen=True)
@@ -132,8 +152,8 @@ class HalfWavePlate:
     def bands(self) -> list:
         return [(0, self.jones())]
 
-    def lift(self, half_width: int) -> np.ndarray:
-        return _place_bands(self.bands(), half_width)
+    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
+        return _place_bands(self.bands(), half_width, out=out)
 
 
 @dataclass(frozen=True)
@@ -146,13 +166,18 @@ class VariableWavePlate:
     def bands(self) -> list:
         return [(0, self.jones())]
 
-    def lift(self, half_width: int) -> np.ndarray:
-        return _place_bands(self.bands(), half_width)
+    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
+        return _place_bands(self.bands(), half_width, out=out)
 
 
-def lift(element, half_width: int) -> np.ndarray:
-    """Dense operator of one element on the coin ⊗ lattice basis."""
-    return element.lift(half_width)
+def lift(element, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense operator of one element on the coin ⊗ lattice basis.
+
+    Every element's ``lift`` takes the same optional ``out``: a C-contiguous
+    complex128 array of the operator's shape, overwritten with it and
+    returned in place of a new array (``ValueError`` for any other buffer).
+    """
+    return element.lift(half_width, out=out)
 
 
 def compose(elements: Sequence, half_width: int) -> np.ndarray:
@@ -175,7 +200,7 @@ class PhaseMatch(NamedTuple):
     phase: float
 
 
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> PhaseMatch:
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> PhaseMatch:
     """Compare operators up to a global phase.
 
     Returns the normalized overlap |tr(a†b)| / (‖a‖_F ‖b‖_F), the phase
@@ -183,6 +208,11 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> PhaseMatch:
     phase-minimized Frobenius residual ‖a - e^{iϕ}b‖_F / ‖a‖_F is within
     :data:`TOL`.  The overlap equals 1 exactly when a and b agree up to a unit
     scalar, and reduces to |tr(a†b)|/dim for unitary inputs.
+
+    The residual's operand is formed in ``out`` when given: a C-contiguous
+    complex128 array of the operators' shape that overlaps neither, which is
+    overwritten (``ValueError`` for any other buffer).  Without it, one
+    temporary of that shape is allocated.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -196,17 +226,25 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> PhaseMatch:
     # The optimal alignment phase is -arg tr(a†b); forming the difference
     # explicitly avoids the cancellation that the norm-expansion formula
     # na^2 + nb^2 - 2|overlap| suffers near equality.
-    residual = np.linalg.norm(a - np.exp(-1j * phase) * b)
+    diff = np.empty(a.shape, dtype=np.complex128) if out is None else _dense_out(out, a.shape, a, b)
+    np.multiply(np.exp(-1j * phase), b, out=diff)
+    residual = np.linalg.norm(np.subtract(a, diff, out=diff))
     return PhaseMatch(bool(residual / na <= TOL), fidelity, phase)
 
 
-def unitarity_defect(op: np.ndarray, margin: int = 0) -> float:
+def unitarity_defect(op: np.ndarray, margin: int = 0, out: np.ndarray | None = None) -> float:
     """Largest deviation of a column norm from 1, ignoring ``margin`` edge sites.
 
     Lifted shift-carrying elements lose norm only in the edge columns their
     OAM shift empties; interior columns of a well-formed element are exactly
-    isometric.
+    isometric.  The squared moduli are formed in ``out`` when given: a
+    C-contiguous complex128 array of ``op``'s shape that does not overlap it,
+    which is overwritten (``ValueError`` for any other buffer).  Without it,
+    one temporary of that shape is allocated.
     """
     n = op.shape[0] // 2
-    norms = np.linalg.norm(op, axis=0).reshape(2, n)[:, margin:n - margin]
+    sq = np.empty(op.shape, dtype=np.complex128) if out is None else _dense_out(out, op.shape, op)
+    # the terms and sums of np.linalg.norm(op, axis=0), without its two temporaries
+    np.multiply(np.conjugate(op, out=sq), op, out=sq)
+    norms = np.sqrt(np.add.reduce(sq.real, axis=0)).reshape(2, n)[:, margin:n - margin]
     return float(np.max(np.abs(norms - 1.0)))

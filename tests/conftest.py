@@ -7,6 +7,8 @@ checked against constructions that do not share their implementation.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and its highest traced memory in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def expm_unitary(hermitian: np.ndarray) -> np.ndarray:

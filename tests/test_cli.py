@@ -7,7 +7,6 @@ import json
 import math
 import os
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from oamwalk import cli, compiler, walk
 from oamwalk.cli import main
 from oamwalk.optics import HalfWavePlate, equal_up_to_phase
 
-from conftest import dense_shift_full
+from conftest import dense_shift_full, traced_peak
 from test_walk import reference_step
 
 
@@ -223,12 +222,8 @@ class TestRun:
         raw = {"schema_version": 1, "walk": "ssqw", "steps": 200, "half_width": half_width,
                "theta1": 0.9, "theta2": -0.4}
         cli.run_command(raw, str(tmp_path / "warm.csv"))  # one-time imports and caches
-        tracemalloc.start()
-        try:
-            assert cli.run_command(raw, str(tmp_path / "m.csv")) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(cli.run_command, raw, str(tmp_path / "m.csv"))
+        assert code == 0
         assert peak < 24 * state_bytes
 
     def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
@@ -237,12 +232,9 @@ class TestRun:
 
         def peak(n_steps):
             cfg = ssqw_config(tmp_path, steps=n_steps, half_width=half_width)
-            tracemalloc.start()
-            try:
-                assert main(["run", "--config", str(cfg), "--out", str(tmp_path / f"m{n_steps}.csv")]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, traced = traced_peak(main, ["run", "--config", str(cfg), "--out", str(tmp_path / f"m{n_steps}.csv")])
+            assert code == 0
+            return traced
 
         peak(steps)  # first run pays the one-time imports and caches
         growth = peak(2 * steps) - peak(steps)
@@ -484,12 +476,8 @@ class TestConfigValidation:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"schema_version": 1, "walk": "generalized", "seed": 1, "steps": 1,
                                    "half_width": half_width}))
-        tracemalloc.start()
-        try:
-            assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, command + ["--config", str(cfg), "--out", str(tmp_path / "x.out")])
+        assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "too large to allocate" in err and "Traceback" not in err
         assert f"{nbytes(2 * half_width + 1)} bytes" in err
@@ -501,12 +489,8 @@ class TestConfigValidation:
         """The split-step recipe builds no per-site element, so plain ``compile`` needs no lattice-sized array."""
         cfg = ssqw_config(tmp_path, steps=1, half_width=10**30)
         out = tmp_path / "parts.json"
-        tracemalloc.start()
-        try:
-            assert main(["compile", "--config", str(cfg), "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["compile", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
         doc = json.loads(out.read_text())
         assert doc["half_width"] == 10**30 and doc["verified"] is False
         assert len(cli.parse_parts_list(doc)[0].elements) == 5
@@ -604,6 +588,24 @@ class TestCompile:
         one = compiler.CompiledStep((HalfWavePlate(0.0), HalfWavePlate(0.3)), ("only one name",), 0.0)
         with pytest.raises(ValueError):
             cli.parts_list_document(walk.WalkSpec("ssqw", 1, 3), one, None)
+
+    @pytest.mark.parametrize("kind_keys", [
+        {"walk": "dtqw", "theta": 0.61},
+        {"walk": "ssqw", "theta1": 0.9, "theta2": -0.4},
+        {"walk": "electric-dtqw", "theta": 0.5, "phi_e": 0.37},
+        {"walk": "generalized", "seed": 5},
+    ], ids=["dtqw", "ssqw", "electric-dtqw", "generalized"])
+    def test_verify_holds_three_dense_matrices(self, tmp_path, kind_keys):
+        """The fold's three buffers hold the reference too; building it first made four (4.01-4.03 at L=128)."""
+        L = 128
+        dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "steps": 2, "half_width": L, **kind_keys}))
+        argv = ["compile", "--verify", "--config", str(cfg), "--out", str(tmp_path / "parts.json")]
+        assert main(argv) == 0  # one-time imports and caches
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak <= 3.25 * dense_bytes
 
     def test_verify_subcommand_equals_forced_toggle(self, tmp_path):
         cfg = ssqw_config(tmp_path)

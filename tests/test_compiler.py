@@ -1,7 +1,6 @@
 """Tests for the optical compiler: decompositions, recipes, verification."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +31,9 @@ from conftest import (
     expm_unitary,
     random_su2,
     random_u2,
+    traced_peak,
 )
+from test_walk import four_kinds
 
 
 def euler_oracle(angles):
@@ -404,9 +405,9 @@ class TestVerifyFold:
         for cls in lift_methods():
             original = cls.lift
 
-            def counting(self, hw, _original=original):
+            def counting(self, hw, _original=original, **kwargs):
                 lifted.append(id(self))
-                return _original(self, hw)
+                return _original(self, hw, **kwargs)
 
             monkeypatch.setattr(cls, "lift", counting)
         for name, cs, ref in verify_cases(rng, half_width):
@@ -448,11 +449,30 @@ class TestVerifyFold:
         L = 64
         dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
         _, cs, ref = next(case for case in verify_cases(rng, L) if case[0] == kind)
-        tracemalloc.start()
-        try:
-            rep = verify(cs, ref)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced_peak(verify, cs, ref)
         assert rep.passed
-        assert peak <= 3.5 * dense_bytes
+        assert peak <= 3.25 * dense_bytes
+
+    @pytest.mark.parametrize("half_width", [3, 5, 40])
+    def test_spec_reference_reports_as_its_dense_operator(self, rng, half_width):
+        specs = [*four_kinds(rng, steps=1, half_width=half_width), WalkSpec("generalized", 1, half_width, seed=7)]
+        for spec in specs:
+            trains = [(compile_generalized(spec), True)]
+            if spec.walk_kind == "ssqw":  # the CLI's recipe, and its failing variant
+                c1, c2 = coin_matrix(spec.theta1), coin_matrix(spec.theta2)
+                trains += [(compile_ssqw(c1, c2), True), (compile_ssqw(c1, c2, first_plate="gamma2"), False)]
+            for cs, passes in trains:
+                got, want = verify(cs, spec), verify(cs, walk.step_operator(spec))
+                fields = (got.passed, got.fidelity, got.phase, got.factors, got.tol, got.notes)
+                assert fields == (want.passed, want.fidelity, want.phase, want.factors, want.tol, want.notes)
+                assert got.passed is passes, spec.walk_kind
+
+    @pytest.mark.parametrize("kind", WalkSpec.KINDS)
+    def test_spec_reference_holds_three_dense_matrices(self, rng, kind):
+        """The reference is built into the fold's buffers, so it adds no fourth dense operator."""
+        L = 64
+        dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
+        spec = next(s for s in four_kinds(rng, steps=1, half_width=L) if s.walk_kind == kind)
+        rep, peak = traced_peak(verify, compile_generalized(spec), spec)
+        assert rep.passed
+        assert peak <= 3.25 * dense_bytes

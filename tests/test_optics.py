@@ -26,6 +26,7 @@ from conftest import (
     dense_shift_minus,
     dense_shift_plus,
     random_su2,
+    random_u2,
 )
 
 
@@ -311,3 +312,91 @@ class TestLiftAgainstWalkMatrices:
         # the walk's own step with identity coins is the same full shift
         identity_dtqw = walk.WalkSpec("dtqw", 1, L, theta1=0.0)
         assert np.array_equal(lift(JPlate(-1, 0, 1, 0, 0), L), walk.step_operator(identity_dtqw))
+
+
+OUT_HALF_WIDTH = 5
+OUT_DIM = 2 * (2 * OUT_HALF_WIDTH + 1)
+
+
+def out_calls(rng):
+    """name -> (call, inputs): ``call(out)`` writes into ``out`` what ``call(None)`` allocates; ``inputs`` stay."""
+    L, n = OUT_HALF_WIDTH, 2 * OUT_HALF_WIDTH + 1
+    block = random_pdc_block(rng, L)
+    field = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    bands = [(-1, random_u2(rng)), (0, field), (2, random_u2(rng))]
+    t1, t2 = (walk.CoinTable(-L, *rng.uniform(-3, 3, size=(4, n))) for _ in range(2))
+    spec = walk.WalkSpec("generalized", 1, L, table1=t1, table2=t2, phi_e=0.5)
+    op = lift(JPlate(-1, 0.7, 1, -1.3, 2.5), L)
+    a = compose([block, JPlate(-1, 0.7, 1, -1.3, 2.5)], L)
+    b = np.exp(0.4j) * a + 1e-9 * rng.normal(size=a.shape)
+    elements = [JPlate(-1, 0.7, 1, -1.3, 2.5), HalfWavePlate(0.4), VariableWavePlate(1.2), block]
+    return {
+        "place_bands": (lambda out: optics._place_bands(bands, L, out=out), [c for _, c in bands]),
+        **{f"{type(el).__name__}.lift": (lambda out, el=el: el.lift(L, out=out), []) for el in elements},
+        "lift": (lambda out: lift(block, L, out=out), [block.q1, block.q2]),
+        "step_operator": (lambda out: walk.step_operator(spec, out=out),
+                          [getattr(t, f) for t in (t1, t2) for f in ("chi", "xi", "eta", "theta")]),
+        "unitarity_defect": (lambda out: unitarity_defect(op, margin=1, out=out), [op]),
+        "equal_up_to_phase": (lambda out: equal_up_to_phase(a, b, out=out), [a, b]),
+    }
+
+
+OUT_CALLS = ["place_bands", "JPlate.lift", "HalfWavePlate.lift", "VariableWavePlate.lift", "PdcBlock.lift", "lift",
+             "step_operator", "unitarity_defect", "equal_up_to_phase"]
+
+
+class TestOutBuffers:
+    """Every ``out=`` keyword writes the allocating call's bytes into a caller's buffer, or refuses it."""
+
+    def test_every_out_call_is_listed(self, rng):
+        assert list(out_calls(rng)) == OUT_CALLS
+
+    @pytest.mark.parametrize("name", OUT_CALLS)
+    def test_nan_filled_out_receives_the_allocating_result(self, rng, name):
+        call, inputs = out_calls(rng)[name]
+        before = [x.tobytes() for x in inputs]
+        want = call(None)
+        out = np.full((OUT_DIM, OUT_DIM), complex(math.nan, math.nan))
+        got = call(out)
+        if isinstance(want, np.ndarray):
+            assert got is out
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert [x.tobytes() for x in inputs] == before
+
+    @pytest.mark.parametrize("name", OUT_CALLS)
+    @pytest.mark.parametrize("bad", [
+        np.zeros((OUT_DIM, OUT_DIM + 1), dtype=complex),
+        np.zeros((OUT_DIM, OUT_DIM), dtype=np.complex64),
+        np.zeros((OUT_DIM, OUT_DIM)),
+        np.zeros((OUT_DIM, 2 * OUT_DIM), dtype=complex)[:, ::2],
+        np.zeros((OUT_DIM, OUT_DIM), dtype=complex, order="F"),
+    ], ids=["shape", "complex64", "float64", "strided", "fortran"])
+    def test_unusable_out_is_refused(self, rng, name, bad):
+        call, inputs = out_calls(rng)[name]
+        before = [x.tobytes() for x in inputs]
+        with pytest.raises(ValueError, match="out must be"):
+            call(bad)
+        assert [x.tobytes() for x in inputs] == before
+
+    def test_out_overlapping_an_operand_is_refused(self, rng):
+        a = lift(JPlate(-1, 0.7, 1, -1.3, 2.5), OUT_HALF_WIDTH)
+        b = 1j * a
+        for call in (lambda: unitarity_defect(a, out=a), lambda: equal_up_to_phase(a, b, out=a),
+                     lambda: equal_up_to_phase(a, b, out=b)):
+            before = a.tobytes(), b.tobytes()
+            with pytest.raises(ValueError, match="overlap"):
+                call()
+            assert (a.tobytes(), b.tobytes()) == before
+
+    @pytest.mark.parametrize("half_width", [1, 5, 40])
+    def test_unitarity_defect_is_the_column_norm_formula(self, rng, half_width):
+        """The defect's squares and sums are those of ``np.linalg.norm(op, axis=0)``, bit for bit."""
+        n = 2 * half_width + 1
+        scratch = np.empty((2 * n, 2 * n), dtype=complex)
+        for margin in range(min(3, half_width + 1)):
+            op = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+            op /= np.sqrt(2 * n)  # columns of norm about 1
+            norms = np.linalg.norm(op, axis=0).reshape(2, n)[:, margin:n - margin]
+            want = float(np.max(np.abs(norms - 1.0)))
+            assert unitarity_defect(op, margin=margin) == want
+            assert unitarity_defect(op, margin=margin, out=scratch) == want
