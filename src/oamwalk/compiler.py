@@ -205,7 +205,7 @@ class PdcBlock:
         return [(0, self._field)]
 
     def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Dense operator of the per-site coins, written into ``out`` if given (see :func:`oamwalk.optics.lift`)."""
+        """Dense operator of the per-site coins, written into ``out`` if given (see :mod:`oamwalk.optics`)."""
         if self.lattice_min != -half_width or self.n_sites != 2 * half_width + 1:
             raise ValueError("block lattice does not match the requested half-width")
         return optics._place_bands(self.bands(), half_width, out=out)

@@ -17,6 +17,9 @@ Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 ``|b> ⊗ |l>`` to ``coefficient[a, b] |a> ⊗ |l+m>`` with one (2, 2) Jones matrix
 or an (n_sites, 2, 2) field of them.  A lift places its bands in a dense matrix
 on ``|polarization> ⊗ |l>``, and :func:`compose` folds a train lift by lift.
+Every element's ``lift(half_width, out=None)`` takes an optional ``out``: a
+C-contiguous complex128 array of the operator's shape, overwritten with it and
+returned in place of a new array (``ValueError`` for any other buffer).
 OAM-shift rows that leave the lattice are dropped, so lifted operators are
 unitary on states that keep clear of the boundary (as validated walks and
 guarded steps do) but not on the edge columns themselves.
@@ -170,14 +173,9 @@ class VariableWavePlate:
         return _place_bands(self.bands(), half_width, out=out)
 
 
-def lift(element, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense operator of one element on the coin ⊗ lattice basis.
-
-    Every element's ``lift`` takes the same optional ``out``: a C-contiguous
-    complex128 array of the operator's shape, overwritten with it and
-    returned in place of a new array (``ValueError`` for any other buffer).
-    """
-    return element.lift(half_width, out=out)
+def lift(element, half_width: int) -> np.ndarray:
+    """Dense operator of one element on the coin ⊗ lattice basis."""
+    return element.lift(half_width)
 
 
 def compose(elements: Sequence, half_width: int) -> np.ndarray:

@@ -333,7 +333,6 @@ def out_calls(rng):
     return {
         "place_bands": (lambda out: optics._place_bands(bands, L, out=out), [c for _, c in bands]),
         **{f"{type(el).__name__}.lift": (lambda out, el=el: el.lift(L, out=out), []) for el in elements},
-        "lift": (lambda out: lift(block, L, out=out), [block.q1, block.q2]),
         "step_operator": (lambda out: walk.step_operator(spec, out=out),
                           [getattr(t, f) for t in (t1, t2) for f in ("chi", "xi", "eta", "theta")]),
         "unitarity_defect": (lambda out: unitarity_defect(op, margin=1, out=out), [op]),
@@ -341,7 +340,7 @@ def out_calls(rng):
     }
 
 
-OUT_CALLS = ["place_bands", "JPlate.lift", "HalfWavePlate.lift", "VariableWavePlate.lift", "PdcBlock.lift", "lift",
+OUT_CALLS = ["place_bands", "JPlate.lift", "HalfWavePlate.lift", "VariableWavePlate.lift", "PdcBlock.lift",
              "step_operator", "unitarity_defect", "equal_up_to_phase"]
 
 
