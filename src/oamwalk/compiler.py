@@ -23,9 +23,12 @@ the failure of that variant stays demonstrable.
 Any walk kind: each move of its step (:data:`oamwalk.walk.STEP_MOVES`)
 becomes a PDC block and a J-plate, and an electric site phase one more PDC.
 
-Verification lifts each element once, records its unitarity defect, and
-folds it into the running product, which :func:`oamwalk.optics.equal_up_to_phase`
-compares with the walk's dense step operator (:func:`oamwalk.walk.step_operator`):
+Verification records each element's unitarity defect from its bands and
+folds it into the running product: by its bands where every entry of the
+product is a single term, and lifted and multiplied densely only where two
+terms meet (in the CLI trains, the split-step half-waveplate), so each element
+is lifted at most once.  :func:`oamwalk.optics.equal_up_to_phase` compares the
+product with the walk's dense step operator (:func:`oamwalk.walk.step_operator`):
 comb probes of the step kernel that evolves the walk, placed as lifts are.  It
 holds exactly three dense operators, the reference included, in buffers
 allocated once per :func:`verify` and reused by every lift, product and check.
@@ -202,12 +205,13 @@ class PdcBlock:
         return self._field[x - self.lattice_min].copy()
 
     def bands(self) -> list:
+        """The per-site coins as one band on sites -L..L; a block not centred on site 0 fits no lattice."""
+        if 2 * self.lattice_min + self.n_sites != 1:
+            raise ValueError(optics._LATTICE_MISMATCH)
         return [(0, self._field)]
 
     def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
         """Dense operator of the per-site coins, written into ``out`` if given (see :mod:`oamwalk.optics`)."""
-        if self.lattice_min != -half_width or self.n_sites != 2 * half_width + 1:
-            raise ValueError("block lattice does not match the requested half-width")
         return optics._place_bands(self.bands(), half_width, out=out)
 
 
@@ -337,13 +341,15 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
     """Fold a compiled train, checking each factor, and compare it with a reference step operator.
 
     ``reference`` is the dense operator or the :class:`oamwalk.walk.WalkSpec`
-    whose :func:`oamwalk.walk.step_operator` it is.  The fold is that of
-    :func:`oamwalk.optics.compose`, in three dense buffers allocated once:
-    each element is lifted once into the first, its unitarity defect uses
-    the spare one as scratch, and its product with the running one is
-    written into the spare, which then takes the running product's place.
-    A spec's operator is built into the first buffer after the fold, and the
-    comparison forms its residual in the spare, so verification holds
+    whose :func:`oamwalk.walk.step_operator` it is.  Each factor's unitarity
+    defect comes from its bands.  The fold is that of
+    :func:`oamwalk.optics.compose`, in three dense buffers allocated once: the
+    first element is lifted, and each further one is applied to the running
+    product by its bands, or, where an entry of the product adds two nonzero
+    terms, lifted into the spare buffer and multiplied in densely; the result
+    is written into the third buffer, which then takes the running product's
+    place.  A spec's operator is built into a free buffer after the fold, and
+    the comparison forms its residual in the other, so verification holds
     exactly three dense operators, the reference included.
     """
     if isinstance(reference, walk.WalkSpec):
@@ -355,21 +361,16 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
         if reference.ndim != 2 or reference.shape[1] != dim or dim % 2 or (dim // 2) % 2 == 0:
             raise ValueError(f"reference must be square of dimension 2*(2L+1), got {reference.shape}")
     half_width = (dim // 2 - 1) // 2
-    lifted, compiled, spare = (np.empty((dim, dim), dtype=np.complex128) for _ in range(3))
-    factors = []
+    scratch, compiled, spare = (np.empty((dim, dim), dtype=np.complex128) for _ in range(3))
+    factors, reach = [], None
     for el, desc in zip(cs.elements, cs.provenance, strict=True):
-        el.lift(half_width, out=lifted)
-        margin = max(abs(m) for m, _ in el.bands())  # sites its shifts empty
-        factors.append(FactorCheck(desc, optics.unitarity_defect(lifted, margin=margin, out=spare)))
-        if len(factors) > 1:
-            np.matmul(lifted, compiled, out=spare)
-            compiled, spare = spare, compiled
-        else:  # the fold starts from the first lift
-            compiled, lifted = lifted, compiled
-    if not factors:
+        factors.append(FactorCheck(desc, optics.unitarity_defect(el.bands(), half_width)))
+        reach = optics._fold_step(el, half_width, compiled, reach, out=spare, scratch=scratch)
+        compiled, spare = spare, compiled
+    if reach is None:
         compiled.fill(0)
         np.fill_diagonal(compiled, 1)
     if isinstance(reference, walk.WalkSpec):
-        reference = walk.step_operator(reference, out=lifted)
+        reference = walk.step_operator(reference, out=scratch)
     match = optics.equal_up_to_phase(compiled, reference, out=spare)
     return VerificationReport(match.match, match.fidelity, match.phase, TOL, tuple(factors), cs.notes)

@@ -15,8 +15,11 @@ Three element kinds are modeled:
 
 Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 ``|b> ⊗ |l>`` to ``coefficient[a, b] |a> ⊗ |l+m>`` with one (2, 2) Jones matrix
-or an (n_sites, 2, 2) field of them.  A lift places its bands in a dense matrix
-on ``|polarization> ⊗ |l>``, and :func:`compose` folds a train lift by lift.
+or an (n_sites, 2, 2) field of them, indexed by the sites -L..L.  A lift places
+its bands in a dense matrix on ``|polarization> ⊗ |l>``.  :func:`compose` folds
+a train from its first lift, applying each further element by its bands unless
+an entry of the product adds two nonzero terms, and :func:`unitarity_defect`
+reads an element's column norms from its bands.
 Every element's ``lift(half_width, out=None)`` takes an optional ``out``: a
 C-contiguous complex128 array of the operator's shape, overwritten with it and
 returned in place of a new array (``ValueError`` for any other buffer).
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -95,23 +99,76 @@ def _dense_out(out, shape: tuple, *operands) -> np.ndarray:
     return out
 
 
+#: Raised when a per-site field does not cover the lattice it is placed on.
+_LATTICE_MISMATCH = "block lattice does not match the requested half-width"
+
+
+def _by_offset(bands, n: int) -> dict:
+    """``{m: coefficient}`` of ``bands`` on ``n`` sites, offsets ascending, equal offsets summed in band order."""
+    merged = {}
+    for m, coef in bands:
+        if np.ndim(coef) == 3 and len(coef) != n:
+            raise ValueError(_LATTICE_MISMATCH)
+        merged[m] = merged[m] + coef if m in merged else coef
+    return dict(sorted(merged.items()))
+
+
+def _sources(m: int, n: int) -> slice:
+    """The sites whose shift by ``m`` stays on an ``n``-site lattice (empty when none does)."""
+    return slice(min(n, max(0, -m)), max(0, min(n, n - m)))
+
+
 def _place_bands(bands, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of ``(m, coefficient)`` bands, fields indexed by source site; off-lattice rows dropped.
 
-    Bands are added in order into zeros, so an entry one band alone reaches holds its coefficient exactly.
-    ``out``, a C-contiguous complex128 ``(2n, 2n)`` array, is zeroed and receives the matrix in place of
-    a new one; it is returned.
+    Each offset's summed coefficient is added into zeros, so an entry one band alone reaches holds its
+    coefficient exactly.  ``out``, a C-contiguous complex128 ``(2n, 2n)`` array, is zeroed and receives
+    the matrix in place of a new one; it is returned.
     """
     n = 2 * half_width + 1
+    fields = _by_offset(bands, n)
     if out is None:
         out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     else:
         _dense_out(out, (2 * n, 2 * n)).fill(0)
     dense = out.reshape(2, n, 2, n)
-    for m, coef in bands:
-        src = np.arange(max(0, -m), min(n, n - m))
+    for m, coef in fields.items():
+        src = np.arange(n)[_sources(m, n)]
         dense[:, src + m, :, src] += coef[src] if np.ndim(coef) == 3 else coef
     return out
+
+
+def _fold_step(element, half_width: int, op, reach, out: np.ndarray, scratch: np.ndarray) -> set:
+    """Write ``lift(element) @ op`` into ``out``, or the lift alone when ``reach`` is None; return its reach.
+
+    A reach is the set of ``(a, b, m)`` for which |b> ⊗ |l> can reach |a> ⊗ |l+m>; ``reach`` is
+    ``op``'s.  When no entry of the product has two nonzero terms, each offset's coefficients multiply
+    ``op``'s rows by one ``np.matmul`` of ``(n, 2, 2)`` with ``(n, 2, dim)``, shifted by the offset, and
+    the element is not lifted: OpenBLAS gives an entry of one nonzero term the same bits in any zgemm
+    of the same width, so these are the dense product's.  An element meeting a term it must add to
+    another is lifted into ``scratch`` and multiplied densely.  The three buffers are distinct
+    ``(dim, dim)`` arrays.
+    """
+    n = 2 * half_width + 1
+    fields = _by_offset(element.bands(), n)
+    own = {(a, b, m) for m, coef in fields.items() for a in range(2) for b in range(2)
+           if np.any(coef[..., a, b] != 0)}
+    if reach is None:
+        element.lift(half_width, out=out)
+        return own
+    terms = Counter((a, c, m + k) for a, b, m in own for b_run, c, k in reach if b == b_run)
+    if max(terms.values(), default=0) > 1:
+        np.matmul(element.lift(half_width, out=scratch), op, out=out)
+        return set(terms)
+    dim = op.shape[1]
+    rows, into, product = (x.reshape(2, n, dim).transpose(1, 0, 2) for x in (op, out, scratch))
+    out.fill(0)
+    for m, coef in fields.items():
+        src = _sources(m, n)
+        dst = slice(src.start + m, src.stop + m)
+        np.matmul(coef[src] if np.ndim(coef) == 3 else coef, rows[src], out=product[dst])
+        np.add(into[dst], product[dst], out=into[dst])
+    return set(terms)
 
 
 def _as_multiplier(value) -> int:
@@ -181,15 +238,17 @@ def lift(element, half_width: int) -> np.ndarray:
 def compose(elements: Sequence, half_width: int) -> np.ndarray:
     """Operator of an element train given in application order (first applied first).
 
-    The fold starts from the first lift and releases each lift once it is
-    multiplied in; an empty train is the identity.
+    The fold starts from the first lift and takes each further element by the
+    step :func:`oamwalk.compiler.verify` takes, in three reused dense buffers;
+    an empty train is the identity.
     """
-    op = None
+    dim = 2 * (2 * half_width + 1)
+    op, out, scratch = (np.empty((dim, dim), dtype=np.complex128) for _ in range(3))
+    reach = None
     for element in elements:
-        lifted = element.lift(half_width)
-        op = lifted if op is None else lifted @ op
-        del lifted
-    return np.eye(2 * (2 * half_width + 1), dtype=np.complex128) if op is None else op
+        reach = _fold_step(element, half_width, op, reach, out, scratch)
+        op, out = out, op
+    return np.eye(dim, dtype=np.complex128) if reach is None else op
 
 
 class PhaseMatch(NamedTuple):
@@ -230,19 +289,23 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     return PhaseMatch(bool(residual / na <= TOL), fidelity, phase)
 
 
-def unitarity_defect(op: np.ndarray, margin: int = 0, out: np.ndarray | None = None) -> float:
-    """Largest deviation of a column norm from 1, ignoring ``margin`` edge sites.
+def unitarity_defect(bands, half_width: int) -> float:
+    """Largest deviation of a lifted column norm from 1, ignoring the edge sites the bands' shifts empty.
 
-    Lifted shift-carrying elements lose norm only in the edge columns their
-    OAM shift empties; interior columns of a well-formed element are exactly
-    isometric.  The squared moduli are formed in ``out`` when given: a
-    C-contiguous complex128 array of ``op``'s shape that does not overlap it,
-    which is overwritten (``ValueError`` for any other buffer).  Without it,
-    one temporary of that shape is allocated.
+    The norms are taken from the bands, without a lift.  Column (b, l) of the lift holds each
+    offset's summed coefficient [a, b] in row (a, l+m); its squared moduli are added in the row
+    order of ``np.linalg.norm(lift, axis=0)``, a first and offsets ascending, so every bit is that
+    norm's.  Lifted shift-carrying elements lose norm only in the edge columns their OAM shift
+    empties; interior columns of a well-formed element are exactly isometric.
     """
-    n = op.shape[0] // 2
-    sq = np.empty(op.shape, dtype=np.complex128) if out is None else _dense_out(out, op.shape, op)
-    # the terms and sums of np.linalg.norm(op, axis=0), without its two temporaries
-    np.multiply(np.conjugate(op, out=sq), op, out=sq)
-    norms = np.sqrt(np.add.reduce(sq.real, axis=0)).reshape(2, n)[:, margin:n - margin]
+    n = 2 * half_width + 1
+    fields = _by_offset(bands, n)
+    margin = max(map(abs, fields), default=0)
+    sums = np.zeros((2, n))  # [b, l]
+    for a in range(2):
+        for m, coef in fields.items():
+            src = _sources(m, n)
+            entry = coef[src, a] if np.ndim(coef) == 3 else coef[a][np.newaxis]  # [l, b]
+            sums[:, src] += np.multiply(np.conjugate(entry), entry).real.T
+    norms = np.sqrt(sums)[:, margin:n - margin]
     return float(np.max(np.abs(norms - 1.0)))

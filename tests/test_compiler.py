@@ -376,15 +376,18 @@ def four_angle_spec(rng, half_width):
 
 
 def verify_cases(rng, half_width):
-    """(name, train, reference): ssqw, its gamma2 variant, a four-angle generalized step."""
+    """(name, train, reference): ssqw, its gamma2 variant, and the train of one step of every walk kind.
+
+    The generalized walk has four-angle U(2) tables (nonzero chi, xi, eta).
+    """
     c1, c2 = random_u2(rng), random_u2(rng)
     ref = walk.split_step_operator(c1, c2, half_width)
-    spec = four_angle_spec(rng, half_width)
-    return [
-        ("ssqw", compile_ssqw(c1, c2), ref),
-        ("gamma2", compile_ssqw(c1, c2, first_plate="gamma2"), ref),
-        ("generalized", compile_generalized(spec), walk.step_operator(spec)),
-    ]
+    cases = [("ssqw", compile_ssqw(c1, c2), ref), ("gamma2", compile_ssqw(c1, c2, first_plate="gamma2"), ref)]
+    specs = [s for s in four_kinds(rng, steps=1, half_width=half_width) if s.walk_kind != "generalized"]
+    for name, spec in [("generalized", four_angle_spec(rng, half_width)),
+                       *((f"{s.walk_kind} moves", s) for s in specs)]:
+        cases.append((name, compile_generalized(spec), walk.step_operator(spec)))
+    return cases
 
 
 def shift_margin(element) -> int:
@@ -392,15 +395,35 @@ def shift_margin(element) -> int:
     return max(abs(element.m_x), abs(element.m_y)) if isinstance(element, JPlate) else 0
 
 
+def dense_report(cs, ref, half_width):
+    """The report as computed before the band fold: the whole train composed densely from
+    the identity, then every factor lifted again for the column norms of its check."""
+    n = 2 * half_width + 1
+    op = np.eye(ref.shape[0], dtype=complex)
+    for el in cs.elements:
+        op = el.lift(half_width) @ op
+    defects = []
+    for el in cs.elements:
+        margin = shift_margin(el)
+        norms = np.linalg.norm(el.lift(half_width), axis=0).reshape(2, n)[:, margin:n - margin]
+        defects.append(float(np.max(np.abs(norms - 1.0))))
+    return equal_up_to_phase(op, ref), defects
+
+
 def lift_methods():
     return [optics.JPlate, optics.HalfWavePlate, optics.VariableWavePlate, PdcBlock]
 
 
+#: Elements each train lifts, by position: the first, and the ssqw half-waveplate, whose
+#: product adds two nonzero terms; the CLI's other factors are applied by their bands.
+LIFTED = {"ssqw": [0, 3], "gamma2": [0, 3]}
+
+
 class TestVerifyFold:
-    """verify lifts each element once and reports what compose-then-relift reported."""
+    """verify lifts each element at most once and reports what compose-then-relift reported."""
 
     @pytest.mark.parametrize("half_width", [5, 40])
-    def test_each_element_lifted_once(self, rng, monkeypatch, half_width):
+    def test_each_element_lifted_at_most_once(self, rng, monkeypatch, half_width):
         lifted = []
         for cls in lift_methods():
             original = cls.lift
@@ -413,25 +436,49 @@ class TestVerifyFold:
         for name, cs, ref in verify_cases(rng, half_width):
             lifted.clear()
             verify(cs, ref)
-            assert sorted(lifted) == sorted(id(el) for el in cs.elements), name
+            assert lifted == [id(cs.elements[i]) for i in LIFTED.get(name, [0])], name
 
-    @pytest.mark.parametrize("half_width", [5, 40])
+    @pytest.mark.parametrize("half_width", [3, 5, 17, 31, 32, 40, 64, 129])
     def test_report_equals_compose_then_relift(self, rng, half_width):
         for name, cs, ref in verify_cases(rng, half_width):
-            # The report as computed before the fold: the whole train composed
-            # from the identity, then every factor lifted again for its check.
-            op = np.eye(ref.shape[0], dtype=complex)
-            for el in cs.elements:
-                op = el.lift(half_width) @ op
-            expect = equal_up_to_phase(op, ref)
+            expect, defects = dense_report(cs, ref, half_width)
             rep = verify(cs, ref)
             assert (rep.passed, rep.fidelity, rep.phase) == tuple(expect), name
             assert rep.passed == (name != "gamma2")
-            defects = [
-                optics.unitarity_defect(el.lift(half_width), margin=shift_margin(el)) for el in cs.elements
-            ]
             assert [f.unitarity_defect for f in rep.factors] == defects, name
             assert [f.description for f in rep.factors] == list(cs.provenance)
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_non_finite_field_fails_as_in_the_dense_fold(self, rng, position):
+        L = 5
+        spec = four_angle_spec(rng, L)
+        cs = compile_generalized(spec)
+        q2 = cs.elements[position].q2.copy()
+        q2[L, 0] = math.nan
+        elements = list(cs.elements)
+        elements[position] = PdcBlock(-L, q2, cs.elements[position].q1)
+        train = CompiledStep(tuple(elements), cs.provenance, cs.phase)
+        ref = walk.step_operator(spec)
+        expect, defects = dense_report(train, ref, L)
+        rep = verify(train, ref)
+        assert not rep.passed and not expect.match
+        assert math.isnan(rep.fidelity) and math.isnan(expect.fidelity)
+        got = [f.unitarity_defect for f in rep.factors]
+        assert np.array_equal(got, defects, equal_nan=True) and math.isnan(got[position])
+
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("lattice_min, n_sites", [(-3, 7), (-4, 11)], ids=["short", "off-centre"])
+    def test_block_off_the_lattice_is_refused(self, rng, position, lattice_min, n_sites):
+        """A block is refused whether it is lifted (first) or applied by its band (later)."""
+        L = 5
+        spec = four_angle_spec(rng, L)
+        cs = compile_generalized(spec)
+        elements = list(cs.elements)
+        elements[position] = PdcBlock(lattice_min, np.zeros((n_sites, 3)), np.zeros((n_sites, 3)))
+        train = CompiledStep(tuple(elements), cs.provenance, cs.phase)
+        for call in (lambda: verify(train, spec), lambda: compose(train.elements, L)):
+            with pytest.raises(ValueError, match="block lattice does not match the requested half-width"):
+                call()
 
     def test_empty_train_is_the_identity(self):
         L = 3

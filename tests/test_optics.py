@@ -115,8 +115,7 @@ class TestLift:
     def test_interior_columns_isometric(self, rng):
         L = 6
         for el in (JPlate(-1, 0.3, 2, -0.2, 0.9), HalfWavePlate(0.4), VariableWavePlate(1.2)):
-            op = lift(el, L)
-            assert unitarity_defect(op, margin=2) < 1e-14
+            assert unitarity_defect(el.bands(), L) < 1e-14
 
 
 def shift_oracle(m: int, half_width: int) -> np.ndarray:
@@ -326,7 +325,6 @@ def out_calls(rng):
     bands = [(-1, random_u2(rng)), (0, field), (2, random_u2(rng))]
     t1, t2 = (walk.CoinTable(-L, *rng.uniform(-3, 3, size=(4, n))) for _ in range(2))
     spec = walk.WalkSpec("generalized", 1, L, table1=t1, table2=t2, phi_e=0.5)
-    op = lift(JPlate(-1, 0.7, 1, -1.3, 2.5), L)
     a = compose([block, JPlate(-1, 0.7, 1, -1.3, 2.5)], L)
     b = np.exp(0.4j) * a + 1e-9 * rng.normal(size=a.shape)
     elements = [JPlate(-1, 0.7, 1, -1.3, 2.5), HalfWavePlate(0.4), VariableWavePlate(1.2), block]
@@ -335,13 +333,12 @@ def out_calls(rng):
         **{f"{type(el).__name__}.lift": (lambda out, el=el: el.lift(L, out=out), []) for el in elements},
         "step_operator": (lambda out: walk.step_operator(spec, out=out),
                           [getattr(t, f) for t in (t1, t2) for f in ("chi", "xi", "eta", "theta")]),
-        "unitarity_defect": (lambda out: unitarity_defect(op, margin=1, out=out), [op]),
         "equal_up_to_phase": (lambda out: equal_up_to_phase(a, b, out=out), [a, b]),
     }
 
 
 OUT_CALLS = ["place_bands", "JPlate.lift", "HalfWavePlate.lift", "VariableWavePlate.lift", "PdcBlock.lift",
-             "step_operator", "unitarity_defect", "equal_up_to_phase"]
+             "step_operator", "equal_up_to_phase"]
 
 
 class TestOutBuffers:
@@ -380,22 +377,42 @@ class TestOutBuffers:
     def test_out_overlapping_an_operand_is_refused(self, rng):
         a = lift(JPlate(-1, 0.7, 1, -1.3, 2.5), OUT_HALF_WIDTH)
         b = 1j * a
-        for call in (lambda: unitarity_defect(a, out=a), lambda: equal_up_to_phase(a, b, out=a),
-                     lambda: equal_up_to_phase(a, b, out=b)):
+        for call in (lambda: equal_up_to_phase(a, b, out=a), lambda: equal_up_to_phase(a, b, out=b)):
             before = a.tobytes(), b.tobytes()
             with pytest.raises(ValueError, match="overlap"):
                 call()
             assert (a.tobytes(), b.tobytes()) == before
 
+
+def random_bands(rng, half_width, offsets):
+    """One band per offset, each a constant (2, 2) or a per-site (n, 2, 2) field of norm about 1."""
+    n = 2 * half_width + 1
+    shapes = [(2, 2), (n, 2, 2)]
+    return [(int(m), (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 2)
+            for m in offsets for shape in [shapes[rng.integers(2)]]]
+
+
+class TestUnitarityDefect:
+    """The defect is taken from the bands, with the bits of the lift's column norms."""
+
     @pytest.mark.parametrize("half_width", [1, 5, 40])
     def test_unitarity_defect_is_the_column_norm_formula(self, rng, half_width):
-        """The defect's squares and sums are those of ``np.linalg.norm(op, axis=0)``, bit for bit."""
+        """Squares and sums are those of ``np.linalg.norm(lift, axis=0)``, bit for bit."""
         n = 2 * half_width + 1
-        scratch = np.empty((2 * n, 2 * n), dtype=complex)
-        for margin in range(min(3, half_width + 1)):
-            op = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
-            op /= np.sqrt(2 * n)  # columns of norm about 1
-            norms = np.linalg.norm(op, axis=0).reshape(2, n)[:, margin:n - margin]
-            want = float(np.max(np.abs(norms - 1.0)))
-            assert unitarity_defect(op, margin=margin) == want
-            assert unitarity_defect(op, margin=margin, out=scratch) == want
+        draws = [[0, 0, -1], [2, -2, 2, 1]] + [rng.integers(-2, 3, size=rng.integers(1, 6)) for _ in range(30)]
+        for offsets in draws:
+            bands = random_bands(rng, half_width, offsets)
+            margin = max(abs(m) for m, _ in bands)
+            norms = np.linalg.norm(optics._place_bands(bands, half_width), axis=0).reshape(2, n)
+            interior = norms[:, margin:n - margin]
+            if interior.size == 0:  # shifts as wide as the lattice leave no interior column
+                with pytest.raises(ValueError):
+                    unitarity_defect(bands, half_width)
+                continue
+            assert unitarity_defect(bands, half_width) == float(np.max(np.abs(interior - 1.0)))
+
+    def test_field_off_the_lattice_is_refused(self, rng):
+        bands = [(0, np.eye(2, dtype=complex)), (1, np.tile(np.eye(2, dtype=complex), (7, 1, 1)))]
+        for call in (lambda: unitarity_defect(bands, 5), lambda: optics._place_bands(bands, 5)):
+            with pytest.raises(ValueError, match="block lattice does not match the requested half-width"):
+                call()
