@@ -25,11 +25,13 @@ becomes a PDC block and a J-plate, and an electric site phase one more PDC.
 
 Verification records each element's unitarity defect from its bands and
 folds it into the running product: by its bands where every entry of the
-product is a single term, and lifted and multiplied densely only where two
-terms meet (in the CLI trains, the split-step half-waveplate), so each element
-is lifted at most once.  :func:`oamwalk.optics.equal_up_to_phase` compares the
-product with the walk's dense step operator (:func:`oamwalk.walk.step_operator`):
-comb probes of the step kernel that evolves the walk, placed as lifts are.  It
+product is a single term, and lifted only where two terms meet (in the CLI
+trains, the split-step half-waveplate), so each element is lifted at most once.
+A lifted element is multiplied into the rows each block of columns can reach,
+over the whole inner dimension, with the bits of the dense product.
+:func:`oamwalk.optics.equal_up_to_phase` compares the product with the walk's
+dense step operator (:func:`oamwalk.walk.step_operator`): comb probes of the
+step kernel that evolves the walk, placed as lifts are.  It
 holds exactly three dense operators, the reference included, in buffers
 allocated once per :func:`verify` and reused by every lift, product and check.
 """
@@ -346,11 +348,12 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
     :func:`oamwalk.optics.compose`, in three dense buffers allocated once: the
     first element is lifted, and each further one is applied to the running
     product by its bands, or, where an entry of the product adds two nonzero
-    terms, lifted into the spare buffer and multiplied in densely; the result
-    is written into the third buffer, which then takes the running product's
-    place.  A spec's operator is built into a free buffer after the fold, and
-    the comparison forms its residual in the other, so verification holds
-    exactly three dense operators, the reference included.
+    terms, lifted into the spare buffer and multiplied in blocks of columns,
+    each into only the rows it can reach; the result is written into the third
+    buffer, which then takes the running product's place.  A spec's operator is
+    built into a free buffer after the fold, and the comparison forms its
+    residual in the other, so verification holds exactly three dense operators,
+    the reference included.
     """
     if isinstance(reference, walk.WalkSpec):
         reference.validate()

@@ -18,8 +18,10 @@ Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 or an (n_sites, 2, 2) field of them, indexed by the sites -L..L.  A lift places
 its bands in a dense matrix on ``|polarization> ⊗ |l>``.  :func:`compose` folds
 a train from its first lift, applying each further element by its bands unless
-an entry of the product adds two nonzero terms, and :func:`unitarity_defect`
-reads an element's column norms from its bands.
+an entry of the product adds two nonzero terms; such an element is lifted and
+multiplied into only the rows each block of columns can reach, with the dense
+product's bits.  :func:`unitarity_defect` reads an element's column norms from
+its bands.
 Every element's ``lift(half_width, out=None)`` takes an optional ``out``: a
 C-contiguous complex128 array of the operator's shape, overwritten with it and
 returned in place of a new array (``ValueError`` for any other buffer).
@@ -99,6 +101,12 @@ def _dense_out(out, shape: tuple, *operands) -> np.ndarray:
     return out
 
 
+#: Columns per block of a lifted element's product in :func:`_fold_step`.
+_BLOCK = 16
+#: Operator widths up to which that product stays one zgemm: from 130 to 254 a threaded OpenBLAS
+#: splits K into other blocks for the whole product than for a narrow one, whose bits then differ.
+_DENSE_UP_TO = 256
+
 #: Raised when a per-site field does not cover the lattice it is placed on.
 _LATTICE_MISMATCH = "block lattice does not match the requested half-width"
 
@@ -145,9 +153,18 @@ def _fold_step(element, half_width: int, op, reach, out: np.ndarray, scratch: np
     ``op``'s.  When no entry of the product has two nonzero terms, each offset's coefficients multiply
     ``op``'s rows by one ``np.matmul`` of ``(n, 2, 2)`` with ``(n, 2, dim)``, shifted by the offset, and
     the element is not lifted: OpenBLAS gives an entry of one nonzero term the same bits in any zgemm
-    of the same width, so these are the dense product's.  An element meeting a term it must add to
-    another is lifted into ``scratch`` and multiplied densely.  The three buffers are distinct
-    ``(dim, dim)`` arrays.
+    of the same width, so these are the dense product's.  The first offset's product is written in
+    place and the others are added to it, so an exact zero may differ from the dense one in sign.
+
+    An element meeting a term it must add to another is lifted into ``scratch`` and multiplied by
+    ``op`` in blocks of :data:`_BLOCK` columns, counted from column 0 as the dense zgemm tiles them.
+    For each block and target polarization one zgemm multiplies the lift's rows of the sites the
+    product's reach lets the block's sources reach, over the whole of K, by the block's columns of
+    ``op``; every other entry of the product is an exact zero.  The block holding both polarizations
+    takes the rows of its two ends, each at least two rows, since numpy hands a one-row product to
+    zgemv.  With K whole and the dense product's column tiles, OpenBLAS sums each entry as the dense
+    zgemm does, for any M, above :data:`_DENSE_UP_TO`; up to that width the product stays one zgemm.
+    The three buffers are distinct ``(dim, dim)`` arrays.
     """
     n = 2 * half_width + 1
     fields = _by_offset(element.bands(), n)
@@ -158,16 +175,35 @@ def _fold_step(element, half_width: int, op, reach, out: np.ndarray, scratch: np
         return own
     terms = Counter((a, c, m + k) for a, b, m in own for b_run, c, k in reach if b == b_run)
     if max(terms.values(), default=0) > 1:
-        np.matmul(element.lift(half_width, out=scratch), op, out=out)
+        lifted = element.lift(half_width, out=scratch)
+        if 2 * n <= _DENSE_UP_TO:
+            np.matmul(lifted, op, out=out)
+            return set(terms)
+        kmin, kmax = min(0, *(k for _, _, k in terms)), max(0, *(k for _, _, k in terms))
+        out.fill(0)
+        for c0 in range(0, 2 * n, _BLOCK):
+            c1 = min(c0 + _BLOCK, 2 * n)
+            if c0 // n == (c1 - 1) // n:
+                spans = [(c0 % n + kmin, (c1 - 1) % n + 1 + kmax)]
+            else:  # sites c0.. of one polarization and ..c1-n of the other
+                spans = [(min(c0 + kmin, n - 2), n), (0, max(c1 - n + kmax, 2))]
+            for lo, hi in spans:
+                lo, hi = max(0, lo), min(n, hi)
+                for a in range(2):
+                    np.matmul(lifted[a * n + lo:a * n + hi], op[:, c0:c1], out=out[a * n + lo:a * n + hi, c0:c1])
         return set(terms)
     dim = op.shape[1]
     rows, into, product = (x.reshape(2, n, dim).transpose(1, 0, 2) for x in (op, out, scratch))
-    out.fill(0)
-    for m, coef in fields.items():
+    for i, (m, coef) in enumerate(fields.items()):
         src = _sources(m, n)
         dst = slice(src.start + m, src.stop + m)
-        np.matmul(coef[src] if np.ndim(coef) == 3 else coef, rows[src], out=product[dst])
-        np.add(into[dst], product[dst], out=into[dst])
+        field = coef[src] if np.ndim(coef) == 3 else coef
+        if i == 0:
+            np.matmul(field, rows[src], out=into[dst])
+            into[:dst.start], into[dst.stop:] = 0, 0
+        else:
+            np.matmul(field, rows[src], out=product[dst])
+            np.add(into[dst], product[dst], out=into[dst])
     return set(terms)
 
 
@@ -296,11 +332,15 @@ def unitarity_defect(bands, half_width: int) -> float:
     offset's summed coefficient [a, b] in row (a, l+m); its squared moduli are added in the row
     order of ``np.linalg.norm(lift, axis=0)``, a first and offsets ascending, so every bit is that
     norm's.  Lifted shift-carrying elements lose norm only in the edge columns their OAM shift
-    empties; interior columns of a well-formed element are exactly isometric.
+    empties; interior columns of a well-formed element are exactly isometric.  Bands whose widest
+    offset m leaves no interior column (2|m| >= 2L+1) raise ``ValueError``.
     """
     n = 2 * half_width + 1
     fields = _by_offset(bands, n)
-    margin = max(map(abs, fields), default=0)
+    widest = max(fields, key=abs, default=0)
+    margin = abs(widest)
+    if 2 * margin >= n:
+        raise ValueError(f"offset {widest} leaves no interior column at half-width {half_width}")
     sums = np.zeros((2, n))  # [b, l]
     for a in range(2):
         for m, coef in fields.items():

@@ -1,6 +1,10 @@
 """Tests for the optical compiler: decompositions, recipes, verification."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from oamwalk.compiler import (
     su2_normalize,
     verify,
 )
-from oamwalk.optics import JPlate, VariableWavePlate, compose, equal_up_to_phase
+from oamwalk.optics import HalfWavePlate, JPlate, VariableWavePlate, compose, equal_up_to_phase
 from oamwalk.walk import CoinParams, CoinTable, WalkSpec, coin_matrix, u2_matrix
 
 from conftest import (
@@ -419,6 +423,62 @@ def lift_methods():
 LIFTED = {"ssqw": [0, 3], "gamma2": [0, 3]}
 
 
+#: Lattices of the fold-step check: fewer sites than a block of ``optics._BLOCK`` columns, one more
+#: and one fewer, one past a multiple of it; the widths at which a threaded OpenBLAS splits K
+#: differently (L = 32..63); the first blocked width (L = 64); a block holding one site of the
+#: second polarization (L = 71); and the benchmark's (L = 256).
+FOLD_HALF_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 48, 56, 64, 71, 129, 256]
+
+
+def fold_trains(rng, half_width):
+    """(name, train, lifted): ssqw and its gamma2 variant, and a generalized step followed by two lifted elements.
+
+    The last two are a rotated half-waveplate, whose product adds the terms of both polarizations,
+    and a rotated J-plate with two shifts, whose product adds terms of neighbouring sites.  The
+    generalized walk needs three sites of margin, so it is left out below L = 3.  ``lifted`` holds
+    the positions of the elements the fold lifts.
+    """
+    c1, c2 = random_u2(rng), random_u2(rng)
+    trains = [(name, compile_ssqw(c1, c2, first_plate=plate).elements, LIFTED[name])
+              for name, plate in [("ssqw", "gamma1"), ("gamma2", "gamma2")]]
+    if half_width >= 3:
+        generalized = compile_generalized(four_angle_spec(rng, half_width)).elements
+        train = generalized + (HalfWavePlate(0.37), JPlate(-1, 0.2, 1, -0.4, 0.7))
+        trains.append(("generalized + hwp + jplate", train, [0, len(train) - 2, len(train) - 1]))
+    return trains
+
+
+def check_fold_steps(half_width, seed=20240917):
+    """Each fold step after the first writes ``lift(element) @ op`` bit for bit; the expected elements are lifted."""
+    dim = 2 * (2 * half_width + 1)
+    for name, train, lifted in fold_trains(np.random.default_rng(seed), half_width):
+        op, out, scratch = (np.empty((dim, dim), dtype=complex) for _ in range(3))
+        reach = optics._fold_step(train[0], half_width, None, None, out=op, scratch=scratch)
+        for i, el in enumerate(train[1:], start=1):
+            reach = optics._fold_step(el, half_width, op, reach, out=out, scratch=scratch)
+            expect = el.lift(half_width) @ op
+            assert np.array_equal(out.view(np.float64), expect.view(np.float64)), (name, i, half_width)
+            if i in lifted:
+                assert np.array_equal(scratch, el.lift(half_width)), (name, i, half_width)
+            op, out = out, op
+
+
+class TestFoldStep:
+    """A fold step, by bands or by blocks of a lift, writes the dense product's bits."""
+
+    @pytest.mark.parametrize("half_width", FOLD_HALF_WIDTHS)
+    def test_step_is_the_dense_product(self, half_width):
+        check_fold_steps(half_width)
+
+    def test_step_is_the_dense_product_on_one_thread(self):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        here = Path(__file__).resolve().parent
+        env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+        code = f"import test_compiler\nfor L in {FOLD_HALF_WIDTHS}:\n    test_compiler.check_fold_steps(L)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestVerifyFold:
     """verify lifts each element at most once and reports what compose-then-relift reported."""
 
@@ -438,7 +498,7 @@ class TestVerifyFold:
             verify(cs, ref)
             assert lifted == [id(cs.elements[i]) for i in LIFTED.get(name, [0])], name
 
-    @pytest.mark.parametrize("half_width", [3, 5, 17, 31, 32, 40, 64, 129])
+    @pytest.mark.parametrize("half_width", [3, 5, 17, 31, 32, 40, 48, 56, 64, 129])
     def test_report_equals_compose_then_relift(self, rng, half_width):
         for name, cs, ref in verify_cases(rng, half_width):
             expect, defects = dense_report(cs, ref, half_width)

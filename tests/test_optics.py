@@ -406,7 +406,8 @@ class TestUnitarityDefect:
             norms = np.linalg.norm(optics._place_bands(bands, half_width), axis=0).reshape(2, n)
             interior = norms[:, margin:n - margin]
             if interior.size == 0:  # shifts as wide as the lattice leave no interior column
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=rf"offset -?{margin} leaves no interior column "
+                                                     rf"at half-width {half_width}$"):
                     unitarity_defect(bands, half_width)
                 continue
             assert unitarity_defect(bands, half_width) == float(np.max(np.abs(interior - 1.0)))
