@@ -24,16 +24,15 @@ Any walk kind: each move of its step (:data:`oamwalk.walk.STEP_MOVES`)
 becomes a PDC block and a J-plate, and an electric site phase one more PDC.
 
 Verification records each element's unitarity defect from its bands and
-folds it into the running product: by its bands where every entry of the
-product is a single term, and lifted only where two terms meet (in the CLI
-trains, the split-step half-waveplate), so each element is lifted at most once.
-A lifted element is multiplied into the rows each block of columns can reach,
-over the whole inner dimension, with the bits of the dense product.
-:func:`oamwalk.optics.equal_up_to_phase` compares the product with the walk's
-dense step operator (:func:`oamwalk.walk.step_operator`): comb probes of the
-step kernel that evolves the walk, placed as lifts are.  It
-holds exactly three dense operators, the reference included, in buffers
-allocated once per :func:`verify` and reused by every lift, product and check.
+folds the train in bands (:func:`oamwalk.optics.compose`'s fold), each entry
+with the bits of the dense product: per site, in the dense zgemm's column
+tiles, and lifted only where two terms meet at operator width 256 or less, or
+at neighbouring sites (no CLI train has those).  It goes dense only for the
+comparison: the folded bands are placed once, and
+:func:`oamwalk.optics.equal_up_to_phase` compares them with the walk's dense
+step operator (:func:`oamwalk.walk.step_operator`: comb probes of the step
+kernel that evolves the walk, placed as lifts are), three dense operators in
+all, the residual included.
 """
 
 from __future__ import annotations
@@ -344,16 +343,10 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
 
     ``reference`` is the dense operator or the :class:`oamwalk.walk.WalkSpec`
     whose :func:`oamwalk.walk.step_operator` it is.  Each factor's unitarity
-    defect comes from its bands.  The fold is that of
-    :func:`oamwalk.optics.compose`, in three dense buffers allocated once: the
-    first element is lifted, and each further one is applied to the running
-    product by its bands, or, where an entry of the product adds two nonzero
-    terms, lifted into the spare buffer and multiplied in blocks of columns,
-    each into only the rows it can reach; the result is written into the third
-    buffer, which then takes the running product's place.  A spec's operator is
-    built into a free buffer after the fold, and the comparison forms its
-    residual in the other, so verification holds exactly three dense operators,
-    the reference included.
+    defect comes from its bands.  The train is folded in bands as
+    :func:`oamwalk.optics.compose` folds it, with the dense product's bits, and
+    placed once; a spec's operator is built after that, and the comparison
+    forms its residual in a third dense operator.
     """
     if isinstance(reference, walk.WalkSpec):
         reference.validate()
@@ -364,16 +357,10 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
         if reference.ndim != 2 or reference.shape[1] != dim or dim % 2 or (dim // 2) % 2 == 0:
             raise ValueError(f"reference must be square of dimension 2*(2L+1), got {reference.shape}")
     half_width = (dim // 2 - 1) // 2
-    scratch, compiled, spare = (np.empty((dim, dim), dtype=np.complex128) for _ in range(3))
-    factors, reach = [], None
-    for el, desc in zip(cs.elements, cs.provenance, strict=True):
-        factors.append(FactorCheck(desc, optics.unitarity_defect(el.bands(), half_width)))
-        reach = optics._fold_step(el, half_width, compiled, reach, out=spare, scratch=scratch)
-        compiled, spare = spare, compiled
-    if reach is None:
-        compiled.fill(0)
-        np.fill_diagonal(compiled, 1)
+    factors = tuple(FactorCheck(desc, optics.unitarity_defect(el.bands(), half_width))
+                    for el, desc in zip(cs.elements, cs.provenance, strict=True))
+    compiled = optics._place_bands(optics._fold(cs.elements, half_width).items(), half_width)
     if isinstance(reference, walk.WalkSpec):
-        reference = walk.step_operator(reference, out=scratch)
-    match = optics.equal_up_to_phase(compiled, reference, out=spare)
-    return VerificationReport(match.match, match.fidelity, match.phase, TOL, tuple(factors), cs.notes)
+        reference = walk.step_operator(reference)
+    match = optics.equal_up_to_phase(compiled, reference)
+    return VerificationReport(match.match, match.fidelity, match.phase, TOL, factors, cs.notes)

@@ -17,11 +17,16 @@ Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 ``|b> ⊗ |l>`` to ``coefficient[a, b] |a> ⊗ |l+m>`` with one (2, 2) Jones matrix
 or an (n_sites, 2, 2) field of them, indexed by the sites -L..L.  A lift places
 its bands in a dense matrix on ``|polarization> ⊗ |l>``.  :func:`compose` folds
-a train from its first lift, applying each further element by its bands unless
-an entry of the product adds two nonzero terms; such an element is lifted and
-multiplied into only the rows each block of columns can reach, with the dense
-product's bits.  :func:`unitarity_defect` reads an element's column norms from
-its bands.
+a train in bands, the running product's ``{offset: (n_sites, 2, 2) field}`` by
+source site, and places the result once.  Each element applies per site with
+the dense product's bits: a per-site K=2 OpenBLAS zgemm gives an entry those
+bits only in the same kind of column tile as the dense zgemm, a full 4-column
+tile or the 2-column tail that width 4L+2 leaves, so the rows it multiplies are
+laid out in those tiles.  An element whose entries add the terms of a site's
+two polarizations is applied as two single-column products summed above
+operator width 256; up to that width, or where terms of neighbouring sites
+meet, it is lifted.  :func:`unitarity_defect` reads an element's column norms
+from its bands.
 Every element's ``lift(half_width, out=None)`` takes an optional ``out``: a
 C-contiguous complex128 array of the operator's shape, overwritten with it and
 returned in place of a new array (``ValueError`` for any other buffer).
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -101,10 +105,9 @@ def _dense_out(out, shape: tuple, *operands) -> np.ndarray:
     return out
 
 
-#: Columns per block of a lifted element's product in :func:`_fold_step`.
-_BLOCK = 16
-#: Operator widths up to which that product stays one zgemm: from 130 to 254 a threaded OpenBLAS
-#: splits K into other blocks for the whole product than for a narrow one, whose bits then differ.
+#: Operator widths up to which a step adding the terms of both polarizations is one dense zgemm: its
+#: two-product split missed the dense bits at L <= 31 on 2 threads and L <= 63 on 1, where OpenBLAS
+#: adds a term pair inside one K block, and kept them at every L tested from 64 to 512.
 _DENSE_UP_TO = 256
 
 #: Raised when a per-site field does not cover the lattice it is placed on.
@@ -146,65 +149,98 @@ def _place_bands(bands, half_width: int, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _fold_step(element, half_width: int, op, reach, out: np.ndarray, scratch: np.ndarray) -> set:
-    """Write ``lift(element) @ op`` into ``out``, or the lift alone when ``reach`` is None; return its reach.
+def _tail(n: int) -> list:
+    """``(polarization, site)`` of the last two columns of a dense ``(2n, 2n)`` operator."""
+    return [divmod(col, n) for col in (2 * n - 2, 2 * n - 1)]
 
-    A reach is the set of ``(a, b, m)`` for which |b> ⊗ |l> can reach |a> ⊗ |l+m>; ``reach`` is
-    ``op``'s.  When no entry of the product has two nonzero terms, each offset's coefficients multiply
-    ``op``'s rows by one ``np.matmul`` of ``(n, 2, 2)`` with ``(n, 2, dim)``, shifted by the offset, and
-    the element is not lifted: OpenBLAS gives an entry of one nonzero term the same bits in any zgemm
-    of the same width, so these are the dense product's.  The first offset's product is written in
-    place and the others are added to it, so an exact zero may differ from the dense one in sign.
 
-    An element meeting a term it must add to another is lifted into ``scratch`` and multiplied by
-    ``op`` in blocks of :data:`_BLOCK` columns, counted from column 0 as the dense zgemm tiles them.
-    For each block and target polarization one zgemm multiplies the lift's rows of the sites the
-    product's reach lets the block's sources reach, over the whole of K, by the block's columns of
-    ``op``; every other entry of the product is an exact zero.  The block holding both polarizations
-    takes the rows of its two ends, each at least two rows, since numpy hands a one-row product to
-    zgemv.  With K whole and the dense product's column tiles, OpenBLAS sums each entry as the dense
-    zgemm does, for any M, above :data:`_DENSE_UP_TO`; up to that width the product stays one zgemm.
-    The three buffers are distinct ``(dim, dim)`` arrays.
+def _rows(bands: dict, n: int) -> np.ndarray:
+    """Rows of the operator with ``bands`` by target site, ``(n, 2, W)``, tiled as the dense zgemm tiles them.
+
+    Columns ``2i`` and ``2i + 1`` hold band i's two source polarizations, zero-padded to a multiple of
+    4 columns; the last two hold the dense matrix's last two columns, so W ≡ 2 (mod 4).
+    """
+    width = 4 * -(-len(bands) // 2) + 2
+    rows = np.zeros((n, 2, width), dtype=np.complex128)
+    for i, (k, field) in enumerate(bands.items()):
+        src = _sources(k, n)
+        rows[src.start + k:src.stop + k, :, 2 * i:2 * i + 2] = field[src]
+        for t, (c, s) in enumerate(_tail(n)):
+            if 0 <= s + k < n:
+                rows[s + k, :, width - 2 + t] = field[s, :, c]
+    return rows
+
+
+def _fold_step(element, half_width: int, bands: dict | None, reach: set | None) -> tuple[dict, set]:
+    """Bands and reach of ``lift(element) @ P`` for P's ``bands`` and ``reach``, or of the element alone.
+
+    Bands are ``{k: (n, 2, 2) field}`` by source site, ascending in k, with entry ``[a, c]`` at site l
+    the operator's ``[(a, l+k), (c, l)]`` and off-lattice targets zeroed.  A reach is the set of
+    ``(a, c, k)`` that can be nonzero.  Every entry keeps the bits of the dense product
+    ``lift(element) @ _place_bands(bands)``; only an exact zero may differ from it in sign.
+
+    Each element offset m takes one ``np.matmul`` of its ``(n, 2, 2)`` coefficients with P's rows
+    from :func:`_rows`, whose band columns sit in full 4-column tiles and whose last two columns
+    are the dense matrix's 2-column tail: a per-site K=2 OpenBLAS zgemm gives an entry of one
+    nonzero term the dense product's bits only in the same kind of tile.  So an entry in one of the
+    dense tail columns is taken from the tail.  Where entries add two terms of one site's two
+    polarizations (the split-step half-waveplate), each coefficient column multiplies the rows with
+    the other zeroed and ``np.add`` sums the two products, as the dense zgemm sums across its K
+    blocks above width :data:`_DENSE_UP_TO` (numpy's own loop for a one-column product would miss
+    the tail's bits for complex coefficients).  Up to that width, or where terms of neighbouring
+    sites meet, the bands are placed, the lifted element multiplies them in one zgemm, and the
+    product's bands are read back.
     """
     n = 2 * half_width + 1
     fields = _by_offset(element.bands(), n)
     own = {(a, b, m) for m, coef in fields.items() for a in range(2) for b in range(2)
            if np.any(coef[..., a, b] != 0)}
     if reach is None:
-        element.lift(half_width, out=out)
-        return own
-    terms = Counter((a, c, m + k) for a, b, m in own for b_run, c, k in reach if b == b_run)
-    if max(terms.values(), default=0) > 1:
-        lifted = element.lift(half_width, out=scratch)
-        if 2 * n <= _DENSE_UP_TO:
-            np.matmul(lifted, op, out=out)
-            return set(terms)
-        kmin, kmax = min(0, *(k for _, _, k in terms)), max(0, *(k for _, _, k in terms))
-        out.fill(0)
-        for c0 in range(0, 2 * n, _BLOCK):
-            c1 = min(c0 + _BLOCK, 2 * n)
-            if c0 // n == (c1 - 1) // n:
-                spans = [(c0 % n + kmin, (c1 - 1) % n + 1 + kmax)]
-            else:  # sites c0.. of one polarization and ..c1-n of the other
-                spans = [(min(c0 + kmin, n - 2), n), (0, max(c1 - n + kmax, 2))]
-            for lo, hi in spans:
-                lo, hi = max(0, lo), min(n, hi)
-                for a in range(2):
-                    np.matmul(lifted[a * n + lo:a * n + hi], op[:, c0:c1], out=out[a * n + lo:a * n + hi, c0:c1])
-        return set(terms)
-    dim = op.shape[1]
-    rows, into, product = (x.reshape(2, n, dim).transpose(1, 0, 2) for x in (op, out, scratch))
-    for i, (m, coef) in enumerate(fields.items()):
+        first = {}
+        for m, coef in fields.items():
+            src = _sources(m, n)
+            first[m] = np.zeros((n, 2, 2), dtype=np.complex128)
+            first[m][src] = coef[src] if np.ndim(coef) == 3 else coef
+        return first, own
+    meetings = {}  # (a, c, offset) -> the (m, k) of each of its terms
+    for a, b, m in own:
+        for b_run, c, k in reach:
+            if b == b_run:
+                meetings.setdefault((a, c, m + k), []).append((m, k))
+    pairs = {pair for meeting in meetings.values() for pair in meeting}
+    product = {offset: np.zeros((n, 2, 2), dtype=np.complex128) for offset in sorted({m + k for m, k in pairs})}
+    two_terms = max(map(len, meetings.values()), default=0) > 1
+    if two_terms and (2 * n <= _DENSE_UP_TO or any(len(set(meeting)) > 1 for meeting in meetings.values())):
+        dense = (element.lift(half_width) @ _place_bands(bands.items(), half_width)).reshape(2, n, 2, n)
+        for k, field in product.items():
+            src = np.arange(n)[_sources(k, n)]
+            field[src] = dense[:, src + k, :, src]
+        return product, set(meetings)
+    rows = _rows(bands, n)
+    for m, coef in fields.items():
         src = _sources(m, n)
-        dst = slice(src.start + m, src.stop + m)
         field = coef[src] if np.ndim(coef) == 3 else coef
-        if i == 0:
-            np.matmul(field, rows[src], out=into[dst])
-            into[:dst.start], into[dst.stop:] = 0, 0
+        if two_terms:
+            rows_m = np.add(*(np.where(column, field, 0) @ rows[src] for column in ([True, False], [False, True])))
         else:
-            np.matmul(field, rows[src], out=product[dst])
-            np.add(into[dst], product[dst], out=into[dst])
-    return set(terms)
+            rows_m = field @ rows[src]
+        for i, k in enumerate(bands):
+            if (m, k) not in pairs:
+                continue
+            for t, (c, s) in enumerate(_tail(n)):
+                if src.start <= s + k < src.stop:
+                    rows_m[s + k - src.start, :, 2 * i + c] = rows_m[s + k - src.start, :, t - 2]
+            lo, hi = max(src.start, k), min(src.stop, n + k)  # targets of P whose source is on the lattice
+            product[m + k][lo - k:hi - k] += rows_m[lo - src.start:hi - src.start, :, 2 * i:2 * i + 2]
+    return product, set(meetings)
+
+
+def _fold(elements: Sequence, half_width: int) -> dict:
+    """Bands of a train given in application order; an empty train's are the identity's."""
+    bands = reach = None
+    for element in elements:
+        bands, reach = _fold_step(element, half_width, bands, reach)
+    return {0: np.eye(2, dtype=np.complex128)} if bands is None else bands
 
 
 def _as_multiplier(value) -> int:
@@ -274,17 +310,10 @@ def lift(element, half_width: int) -> np.ndarray:
 def compose(elements: Sequence, half_width: int) -> np.ndarray:
     """Operator of an element train given in application order (first applied first).
 
-    The fold starts from the first lift and takes each further element by the
-    step :func:`oamwalk.compiler.verify` takes, in three reused dense buffers;
-    an empty train is the identity.
+    The train is folded in bands by :func:`_fold_step`, as :func:`oamwalk.compiler.verify` folds
+    it, and placed once, so the fold holds one dense operator; an empty train is the identity.
     """
-    dim = 2 * (2 * half_width + 1)
-    op, out, scratch = (np.empty((dim, dim), dtype=np.complex128) for _ in range(3))
-    reach = None
-    for element in elements:
-        reach = _fold_step(element, half_width, op, reach, out, scratch)
-        op, out = out, op
-    return np.eye(dim, dtype=np.complex128) if reach is None else op
+    return _place_bands(_fold(elements, half_width).items(), half_width)
 
 
 class PhaseMatch(NamedTuple):

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from oamwalk.cli import main
 from oamwalk.optics import HalfWavePlate, equal_up_to_phase
 
 from conftest import dense_shift_full, traced_peak
+from test_compiler import dense_report
 from test_walk import reference_step
 
 
@@ -596,7 +598,7 @@ class TestCompile:
         {"walk": "generalized", "seed": 5},
     ], ids=["dtqw", "ssqw", "electric-dtqw", "generalized"])
     def test_verify_holds_three_dense_matrices(self, tmp_path, kind_keys):
-        """The fold's three buffers hold the reference too; building it first made four (4.01-4.03 at L=128)."""
+        """The placed fold, the reference and the residual are the only dense matrices."""
         L = 128
         dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
         cfg = tmp_path / "c.json"
@@ -774,6 +776,52 @@ class TestCompile:
         assert main(["compile", "--config", str(cfg), "--out", str(out), "--verify"]) == 4
         assert "verification failure" in capsys.readouterr().err
         assert out.exists()  # diagnostics still written
+
+
+def check_compile_bytes(half_width, directory):
+    """``compile --verify`` writes, for every walk kind, the parts list of the dense oracle's report byte for byte.
+
+    The oracle composes the train densely from the identity and lifts every factor again for its
+    column norms; the generalized walk has four-angle U(2) tables.
+    """
+    rng = np.random.default_rng(half_width)
+    n = 2 * half_width + 1
+    theta, theta2, phi_e = rng.uniform(-math.pi, math.pi, size=3)
+    tables = {name: dict(zip(("chi", "xi", "eta", "theta"), rng.uniform(-math.pi, math.pi, (4, n)).tolist()))
+              for name in ("table1", "table2")}
+    configs = {"ssqw": {"theta1": theta, "theta2": theta2}, "dtqw": {"theta": theta},
+               "electric-dtqw": {"theta": theta, "phi_e": phi_e}, "generalized": tables}
+    for kind, keys in configs.items():
+        raw = {"schema_version": 1, "walk": kind, "steps": 2, "half_width": half_width, **keys}
+        path, out = directory / f"{kind}.json", directory / f"{kind}.parts.json"
+        path.write_text(json.dumps(raw))
+        assert main(["compile", "--verify", "--config", str(path), "--out", str(out)]) == 0, kind
+        spec = cli.build_spec(raw).resolved()
+        if kind == "ssqw":
+            train = compiler.compile_ssqw(walk.coin_matrix(spec.theta1), walk.coin_matrix(spec.theta2))
+        else:
+            train = compiler.compile_generalized(spec)
+        match, defects = dense_report(train, walk.step_operator(spec), half_width)
+        factors = tuple(map(compiler.FactorCheck, train.provenance, defects))
+        report = compiler.VerificationReport(*match, compiler.TOL, factors, train.notes)
+        expect = json.dumps(cli.parts_list_document(spec, train, report), indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == expect, (kind, half_width)
+
+
+class TestCompileBytes:
+    """The band-folded certificate writes the bytes of the dense one."""
+
+    @pytest.mark.parametrize("half_width", [40, 64, 100])
+    def test_verify_writes_the_dense_reports_bytes(self, tmp_path, half_width):
+        check_compile_bytes(half_width, tmp_path)
+
+    def test_verify_writes_the_dense_reports_bytes_on_one_thread(self, tmp_path):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        here = Path(__file__).resolve().parent
+        env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+        code = f"import pathlib, test_cli\ntest_cli.check_compile_bytes(64, pathlib.Path({str(tmp_path)!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOneDefinitionPerKind:

@@ -1,5 +1,6 @@
 """Tests for the optical compiler: decompositions, recipes, verification."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -418,53 +419,76 @@ def lift_methods():
     return [optics.JPlate, optics.HalfWavePlate, optics.VariableWavePlate, PdcBlock]
 
 
-#: Elements each train lifts, by position: the first, and the ssqw half-waveplate, whose
-#: product adds two nonzero terms; the CLI's other factors are applied by their bands.
-LIFTED = {"ssqw": [0, 3], "gamma2": [0, 3]}
+def lifted_at(name, half_width):
+    """Positions of the elements the fold lifts in a train of :func:`verify_cases`: none but the ssqw
+    half-waveplate, whose product adds two nonzero terms, and that one only at operator width
+    ``optics._DENSE_UP_TO`` or less.  No first element is lifted: the fold starts from its bands."""
+    return [3] if name in ("ssqw", "gamma2") and 2 * (2 * half_width + 1) <= optics._DENSE_UP_TO else []
 
 
-#: Lattices of the fold-step check: fewer sites than a block of ``optics._BLOCK`` columns, one more
-#: and one fewer, one past a multiple of it; the widths at which a threaded OpenBLAS splits K
-#: differently (L = 32..63); the first blocked width (L = 64); a block holding one site of the
-#: second polarization (L = 71); and the benchmark's (L = 256).
-FOLD_HALF_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 48, 56, 64, 71, 129, 256]
+@contextlib.contextmanager
+def counted_lifts():
+    """Record ``id(element)`` of each element lift made inside the block."""
+    lifted, originals = [], {cls: cls.lift for cls in lift_methods()}
+
+    def counting(self, hw, **kwargs):
+        lifted.append(id(self))
+        return originals[type(self)](self, hw, **kwargs)
+
+    for cls in originals:
+        cls.lift = counting
+    try:
+        yield lifted
+    finally:
+        for cls, original in originals.items():
+            cls.lift = original
+
+
+#: Lattices of the fold-step check: the smallest (L = 1, whose band rows are wider than the operator);
+#: widths at which splitting a two-term step would miss the dense bits (L <= 31 on 2 threads, <= 63 on
+#: 1); the first split width (L = 64); L = 71, 100 and 129; the benchmark's L = 256 and one past it.
+FOLD_HALF_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 48, 56, 64, 71, 100, 129, 256, 257]
 
 
 def fold_trains(rng, half_width):
-    """(name, train, lifted): ssqw and its gamma2 variant, and a generalized step followed by two lifted elements.
+    """(name, train, lifted): ssqw and its gamma2 variant, and a generalized step followed by two more elements.
 
-    The last two are a rotated half-waveplate, whose product adds the terms of both polarizations,
-    and a rotated J-plate with two shifts, whose product adds terms of neighbouring sites.  The
-    generalized walk needs three sites of margin, so it is left out below L = 3.  ``lifted`` holds
-    the positions of the elements the fold lifts.
+    The last three are a rotated half-waveplate, whose product adds the terms of both polarizations,
+    a PDC block, whose complex coins then add them too, and a rotated J-plate with two shifts, whose
+    product adds terms of neighbouring sites.  The generalized walk needs three sites of margin, so
+    it is left out below L = 3.  ``lifted`` holds the positions of the elements the fold lifts: those
+    adding two terms up to width ``optics._DENSE_UP_TO``, and beyond it only the two-shift J-plate.
     """
     c1, c2 = random_u2(rng), random_u2(rng)
-    trains = [(name, compile_ssqw(c1, c2, first_plate=plate).elements, LIFTED[name])
+    trains = [(name, compile_ssqw(c1, c2, first_plate=plate).elements, lifted_at(name, half_width))
               for name, plate in [("ssqw", "gamma1"), ("gamma2", "gamma2")]]
     if half_width >= 3:
-        generalized = compile_generalized(four_angle_spec(rng, half_width)).elements
-        train = generalized + (HalfWavePlate(0.37), JPlate(-1, 0.2, 1, -0.4, 0.7))
-        trains.append(("generalized + hwp + jplate", train, [0, len(train) - 2, len(train) - 1]))
+        spec = four_angle_spec(rng, half_width)
+        train = compile_generalized(spec).elements + (HalfWavePlate(0.37), compile_pdc(spec.table2),
+                                                      JPlate(-1, 0.2, 1, -0.4, 0.7))
+        dense = 2 * (2 * half_width + 1) <= optics._DENSE_UP_TO
+        trains.append(("generalized + hwp + pdc + jplate", train,
+                       [len(train) - 3, len(train) - 2] * dense + [len(train) - 1]))
     return trains
 
 
 def check_fold_steps(half_width, seed=20240917):
-    """Each fold step after the first writes ``lift(element) @ op`` bit for bit; the expected elements are lifted."""
-    dim = 2 * (2 * half_width + 1)
+    """Each fold step's bands, placed, are ``lift(element) @ placed`` bit for bit; the expected elements are lifted."""
     for name, train, lifted in fold_trains(np.random.default_rng(seed), half_width):
-        op, out, scratch = (np.empty((dim, dim), dtype=complex) for _ in range(3))
-        reach = optics._fold_step(train[0], half_width, None, None, out=op, scratch=scratch)
-        for i, el in enumerate(train[1:], start=1):
-            reach = optics._fold_step(el, half_width, op, reach, out=out, scratch=scratch)
-            expect = el.lift(half_width) @ op
-            assert np.array_equal(out.view(np.float64), expect.view(np.float64)), (name, i, half_width)
-            if i in lifted:
-                assert np.array_equal(scratch, el.lift(half_width)), (name, i, half_width)
-            op, out = out, op
+        bands = reach = None
+        for i, el in enumerate(train):
+            expect = el.lift(half_width)
+            if reach is not None:
+                expect = expect @ optics._place_bands(bands.items(), half_width)
+            with counted_lifts() as lifts:
+                bands, reach = optics._fold_step(el, half_width, bands, reach)
+            got = optics._place_bands(bands.items(), half_width)
+            assert np.array_equal(got.view(np.float64), expect.view(np.float64)), (name, i, half_width)
+            assert lifts == [id(el)] * (i in lifted), (name, i, half_width)
 
 
 class TestFoldStep:
-    """A fold step, by bands or by blocks of a lift, writes the dense product's bits."""
+    """A fold step, by bands or by a lift, gives the dense product's bits."""
 
     @pytest.mark.parametrize("half_width", FOLD_HALF_WIDTHS)
     def test_step_is_the_dense_product(self, half_width):
@@ -480,23 +504,25 @@ class TestFoldStep:
 
 
 class TestVerifyFold:
-    """verify lifts each element at most once and reports what compose-then-relift reported."""
+    """verify lifts no element beyond the ssqw half-waveplate at small widths, and reports what
+    compose-then-relift reported."""
 
-    @pytest.mark.parametrize("half_width", [5, 40])
-    def test_each_element_lifted_at_most_once(self, rng, monkeypatch, half_width):
-        lifted = []
-        for cls in lift_methods():
-            original = cls.lift
-
-            def counting(self, hw, _original=original, **kwargs):
-                lifted.append(id(self))
-                return _original(self, hw, **kwargs)
-
-            monkeypatch.setattr(cls, "lift", counting)
+    @pytest.mark.parametrize("half_width", [5, 40, 256])
+    def test_each_element_lifted_at_most_once(self, rng, half_width):
         for name, cs, ref in verify_cases(rng, half_width):
-            lifted.clear()
-            verify(cs, ref)
-            assert lifted == [id(cs.elements[i]) for i in LIFTED.get(name, [0])], name
+            with counted_lifts() as lifted:
+                verify(cs, ref)
+            assert lifted == [id(cs.elements[i]) for i in lifted_at(name, half_width)], name
+
+    @pytest.mark.parametrize("kind", ["ssqw", "generalized"])
+    def test_compose_holds_one_dense_matrix(self, rng, kind):
+        """The fold keeps bands and places them once."""
+        L = 128
+        dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
+        _, cs, ref = next(case for case in verify_cases(rng, L) if case[0] == kind)
+        op, peak = traced_peak(compose, cs.elements, L)
+        assert equal_up_to_phase(op, ref).match
+        assert peak <= 1.25 * dense_bytes
 
     @pytest.mark.parametrize("half_width", [3, 5, 17, 31, 32, 40, 48, 56, 64, 129])
     def test_report_equals_compose_then_relift(self, rng, half_width):
@@ -576,7 +602,7 @@ class TestVerifyFold:
 
     @pytest.mark.parametrize("kind", WalkSpec.KINDS)
     def test_spec_reference_holds_three_dense_matrices(self, rng, kind):
-        """The reference is built into the fold's buffers, so it adds no fourth dense operator."""
+        """The reference is built after the band fold, so it adds no fourth dense operator."""
         L = 64
         dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
         spec = next(s for s in four_kinds(rng, steps=1, half_width=L) if s.walk_kind == kind)
