@@ -31,8 +31,8 @@ at neighbouring sites (no CLI train has those).  It goes dense only for the
 comparison: the folded bands are placed once, and
 :func:`oamwalk.optics.equal_up_to_phase` compares them with the walk's dense
 step operator (:func:`oamwalk.walk.step_operator`: comb probes of the step
-kernel that evolves the walk, placed as lifts are), three dense operators in
-all, the residual included.
+kernel that evolves the walk, placed as lifts are), two dense operators in
+all; the residual is taken in row blocks.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ class PdcBlock:
             raise ValueError(optics._LATTICE_MISMATCH)
         return [(0, self._field)]
 
-    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Dense operator of the per-site coins, written into ``out`` if given (see :mod:`oamwalk.optics`)."""
-        return optics._place_bands(self.bands(), half_width, out=out)
+    def lift(self, half_width: int) -> np.ndarray:
+        """Dense operator of the per-site coins."""
+        return optics._place_bands(self.bands(), half_width)
 
 
 def compile_pdc(table: walk.CoinTable) -> PdcBlock:
@@ -346,7 +346,7 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
     defect comes from its bands.  The train is folded in bands as
     :func:`oamwalk.optics.compose` folds it, with the dense product's bits, and
     placed once; a spec's operator is built after that, and the comparison
-    forms its residual in a third dense operator.
+    takes its residual in row blocks, so no third dense operator is allocated.
     """
     if isinstance(reference, walk.WalkSpec):
         reference.validate()

@@ -27,9 +27,6 @@ two polarizations is applied as two single-column products summed above
 operator width 256; up to that width, or where terms of neighbouring sites
 meet, it is lifted.  :func:`unitarity_defect` reads an element's column norms
 from its bands.
-Every element's ``lift(half_width, out=None)`` takes an optional ``out``: a
-C-contiguous complex128 array of the operator's shape, overwritten with it and
-returned in place of a new array (``ValueError`` for any other buffer).
 OAM-shift rows that leave the lattice are dropped, so lifted operators are
 unitary on states that keep clear of the boundary (as validated walks and
 guarded steps do) but not on the edge columns themselves.
@@ -91,24 +88,13 @@ def varwave_pointwise(retardance: float) -> np.ndarray:
     return np.diag([np.exp(0.5j * retardance), np.exp(-0.5j * retardance)])
 
 
-def _dense_out(out, shape: tuple, *operands) -> np.ndarray:
-    """``out`` checked as a buffer numpy can write a ``shape`` complex128 result into.
-
-    It must be C-contiguous, so that a reshape of it is a view, not a silent
-    copy that would take the result, and must not overlap ``operands``.
-    """
-    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.complex128
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError(f"out must be a writeable C-contiguous complex128 array of shape {shape}")
-    if any(np.may_share_memory(out, op) for op in operands):
-        raise ValueError("out must not overlap the operands")
-    return out
-
-
 #: Operator widths up to which a step adding the terms of both polarizations is one dense zgemm: its
 #: two-product split missed the dense bits at L <= 31 on 2 threads and L <= 63 on 1, where OpenBLAS
 #: adds a term pair inside one K block, and kept them at every L tested from 64 to 512.
 _DENSE_UP_TO = 256
+
+#: Rows of the phase-aligned residual that :func:`equal_up_to_phase` forms at a time (128 KiB at L = 256).
+_RESIDUAL_ROWS = 8
 
 #: Raised when a per-site field does not cover the lattice it is placed on.
 _LATTICE_MISMATCH = "block lattice does not match the requested half-width"
@@ -129,24 +115,19 @@ def _sources(m: int, n: int) -> slice:
     return slice(min(n, max(0, -m)), max(0, min(n, n - m)))
 
 
-def _place_bands(bands, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
+def _place_bands(bands, half_width: int) -> np.ndarray:
     """Dense matrix of ``(m, coefficient)`` bands, fields indexed by source site; off-lattice rows dropped.
 
     Each offset's summed coefficient is added into zeros, so an entry one band alone reaches holds its
-    coefficient exactly.  ``out``, a C-contiguous complex128 ``(2n, 2n)`` array, is zeroed and receives
-    the matrix in place of a new one; it is returned.
+    coefficient exactly.
     """
     n = 2 * half_width + 1
     fields = _by_offset(bands, n)
-    if out is None:
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    else:
-        _dense_out(out, (2 * n, 2 * n)).fill(0)
-    dense = out.reshape(2, n, 2, n)
+    out = np.zeros((2, n, 2, n), dtype=np.complex128)
     for m, coef in fields.items():
         src = np.arange(n)[_sources(m, n)]
-        dense[:, src + m, :, src] += coef[src] if np.ndim(coef) == 3 else coef
-    return out
+        out[:, src + m, :, src] += coef[src] if np.ndim(coef) == 3 else coef
+    return out.reshape(2 * n, 2 * n)
 
 
 def _tail(n: int) -> list:
@@ -270,8 +251,8 @@ class JPlate:
         return [(m, np.array([[rot_back[a, c] * phases[c] * rot[c, b] for b in range(2)] for a in range(2)]))
                 for c, m in enumerate((self.m_x, self.m_y))]
 
-    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
-        return _place_bands(self.bands(), half_width, out=out)
+    def lift(self, half_width: int) -> np.ndarray:
+        return _place_bands(self.bands(), half_width)
 
 
 @dataclass(frozen=True)
@@ -284,8 +265,8 @@ class HalfWavePlate:
     def bands(self) -> list:
         return [(0, self.jones())]
 
-    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
-        return _place_bands(self.bands(), half_width, out=out)
+    def lift(self, half_width: int) -> np.ndarray:
+        return _place_bands(self.bands(), half_width)
 
 
 @dataclass(frozen=True)
@@ -298,8 +279,8 @@ class VariableWavePlate:
     def bands(self) -> list:
         return [(0, self.jones())]
 
-    def lift(self, half_width: int, out: np.ndarray | None = None) -> np.ndarray:
-        return _place_bands(self.bands(), half_width, out=out)
+    def lift(self, half_width: int) -> np.ndarray:
+        return _place_bands(self.bands(), half_width)
 
 
 def lift(element, half_width: int) -> np.ndarray:
@@ -322,7 +303,7 @@ class PhaseMatch(NamedTuple):
     phase: float
 
 
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> PhaseMatch:
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> PhaseMatch:
     """Compare operators up to a global phase.
 
     Returns the normalized overlap |tr(a†b)| / (‖a‖_F ‖b‖_F), the phase
@@ -331,10 +312,10 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     :data:`TOL`.  The overlap equals 1 exactly when a and b agree up to a unit
     scalar, and reduces to |tr(a†b)|/dim for unitary inputs.
 
-    The residual's operand is formed in ``out`` when given: a C-contiguous
-    complex128 array of the operators' shape that overlaps neither, which is
-    overwritten (``ValueError`` for any other buffer).  Without it, one
-    temporary of that shape is allocated.
+    The overlap and both norms are each one reduction over the whole
+    operators.  The residual decides only ``match``: it is formed
+    :data:`_RESIDUAL_ROWS` rows at a time in one small buffer, and the blocks'
+    squared norms are added, so no third operator is allocated.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -348,10 +329,15 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     # The optimal alignment phase is -arg tr(a†b); forming the difference
     # explicitly avoids the cancellation that the norm-expansion formula
     # na^2 + nb^2 - 2|overlap| suffers near equality.
-    diff = np.empty(a.shape, dtype=np.complex128) if out is None else _dense_out(out, a.shape, a, b)
-    np.multiply(np.exp(-1j * phase), b, out=diff)
-    residual = np.linalg.norm(np.subtract(a, diff, out=diff))
-    return PhaseMatch(bool(residual / na <= TOL), fidelity, phase)
+    rotation = np.exp(-1j * phase)
+    buffer = np.empty((min(_RESIDUAL_ROWS, len(a)), len(a)), dtype=np.complex128)
+    squares = np.float64(0.0)
+    for start in range(0, len(a), _RESIDUAL_ROWS):
+        rows = slice(start, start + _RESIDUAL_ROWS)
+        diff = np.multiply(rotation, b[rows], out=buffer[:len(b[rows])])
+        np.subtract(a[rows], diff, out=diff)
+        squares += np.vdot(diff, diff).real
+    return PhaseMatch(bool(np.sqrt(squares) / na <= TOL), fidelity, phase)
 
 
 def unitarity_defect(bands, half_width: int) -> float:

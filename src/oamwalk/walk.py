@@ -633,14 +633,13 @@ def spread(p: Mapping[int, float]) -> float:
 # Matrices on the basis |coin> ⊗ |x>, index coin * n_sites + (x - lattice_min).
 
 
-def _probed(spec: WalkSpec, coins: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+def _probed(spec: WalkSpec, coins: Sequence[np.ndarray]) -> np.ndarray:
     """Matrix of one unguarded step of ``spec`` with ``coins``, read from comb probes.
 
     A step moves each mover at most w = max(:data:`_REACH`) sites, so probe
     (r, c), coin c on the sites x ≡ r (mod 2w+1), reaches each site from one
     x at most, by the operations a basis state at x takes: its image at
-    x + m is band m at x.  The matrix is placed into ``out`` when given
-    (as :func:`step_operator`).
+    x + m is band m at x.
     """
     n, reach = 2 * spec.half_width + 1, max(_REACH[spec.walk_kind])
     spacing, sites = 2 * reach + 1, np.arange(n)
@@ -649,7 +648,7 @@ def _probed(spec: WalkSpec, coins: Sequence[np.ndarray], out: np.ndarray | None 
     images = _stepper(spec, -spec.half_width, n, coins, guard=False)(probes)  # [r, c, a, y]
     # targets off the lattice are clipped here and dropped by the placement
     return _place_bands([(m, images[sites % spacing, :, :, np.clip(sites + m, 0, n - 1)].swapaxes(1, 2))
-                         for m in range(-reach, reach + 1)], spec.half_width, out=out)
+                         for m in range(-reach, reach + 1)], spec.half_width)
 
 
 def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
@@ -667,14 +666,8 @@ def split_step_operator(coin1, coin2, half_width: int) -> np.ndarray:
     return _probed(WalkSpec("ssqw", 1, half_width), coins)
 
 
-def step_operator(spec: WalkSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense one-step operator of the walk described by ``spec``.
-
-    ``out``, a C-contiguous complex128 array of shape ``(2n, 2n)`` for the
-    n = 2L+1 sites, is overwritten with the operator and returned, so
-    building it allocates only O(n) probes; any other buffer raises
-    ``ValueError``.
-    """
+def step_operator(spec: WalkSpec) -> np.ndarray:
+    """Dense one-step operator of the walk described by ``spec``."""
     spec = spec.resolved()
     L = spec.half_width
-    return _probed(spec, _coins([spec], -L, 2 * L + 1), out=out)
+    return _probed(spec, _coins([spec], -L, 2 * L + 1))

@@ -103,6 +103,16 @@ def random_u2(rng: np.random.Generator) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * random_su2(rng)
 
 
+def full_residual_match(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float, float]:
+    """``(match, fidelity, phase)`` of two operators from one overlap, two whole-operator norms and the
+    whole phase-aligned residual ``a - e^{-i*phase} b``, formed as one dense array."""
+    overlap = np.vdot(a, b)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    phase = float(np.angle(overlap))
+    residual = np.linalg.norm(a - np.exp(-1j * phase) * b)
+    return bool(residual / na <= tol), float(abs(overlap) / (na * nb)), phase
+
+
 def state_vector(state) -> np.ndarray:
     """Flatten a WalkerState into the coin-major dense basis."""
     return np.asarray(state.amps).reshape(-1)

@@ -25,8 +25,10 @@ from conftest import (
     dense_shift_full,
     dense_shift_minus,
     dense_shift_plus,
+    full_residual_match,
     random_su2,
     random_u2,
+    traced_peak,
 )
 
 
@@ -257,7 +259,73 @@ class TestCompose:
         assert np.max(np.abs(a - b)) > 0.5
 
 
+def phase_perturbed(rng, width: int, eps: float, rows=slice(None)):
+    """``(a, b)``, ``b = e^{0.9i} (a + d)`` with ``d`` on ``rows`` only, orthogonal to ``a`` there, and
+    ``‖d‖_F = eps * TOL * ‖a‖_F``: the phase-aligned relative residual is ``eps * TOL`` up to rounding."""
+    a = rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width))
+    d = np.zeros_like(a)
+    d[rows] = rng.normal(size=a[rows].shape) + 1j * rng.normal(size=a[rows].shape)
+    d[rows] -= np.vdot(a[rows], d[rows]) / np.vdot(a[rows], a[rows]) * a[rows]
+    d *= eps * optics.TOL * np.linalg.norm(a) / np.linalg.norm(d)
+    return a, np.exp(0.9j) * (a + d)
+
+
 class TestEqualUpToPhase:
+    @pytest.mark.parametrize("rows", [slice(None), slice(-1, None)], ids=["spread", "last-row"])
+    @pytest.mark.parametrize("eps", [0.5, 0.9, 1.1, 2.0])
+    @pytest.mark.parametrize("width", [6, 22, 130, 1026])
+    def test_blocked_residual_decides_as_the_full_residual(self, rng, width, eps, rows):
+        """Widths below and between multiples of the residual's row block; fidelity and phase keep the
+        bits of one overlap and two whole-operator norms."""
+        a, b = phase_perturbed(rng, width, eps, rows)
+        match, fidelity, phase = full_residual_match(a, b, optics.TOL)
+        got = equal_up_to_phase(a, b)
+        assert got.match is match is (eps < 1)
+        assert (got.fidelity, got.phase) == (fidelity, phase)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (-1, -1)], ids=["first", "last"])
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_nan_entry_is_no_match(self, rng, operand, entry):
+        pair = list(phase_perturbed(rng, 22, 0.5))
+        pair[operand][entry] = math.nan
+        assert not equal_up_to_phase(*pair).match
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((4, 6), (4, 6)), ((6,), (6,)), ((2, 3, 3), (2, 3, 3)), ((4, 4), (4, 5))],
+        ids=["non-square", "1-d", "3-d", "mismatch"],
+    )
+    def test_non_operator_is_refused(self, shapes):
+        with pytest.raises(ValueError, match="square and same shape"):
+            equal_up_to_phase(*(np.ones(shape, complex) for shape in shapes))
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "mixed"])
+    def test_blocked_residual_reads_any_layout(self, rng, layout, eps):
+        """Row blocks of Fortran-ordered and strided operands decide as the full residual, and the
+        written fidelity and phase keep the bits of the whole-operator formula on the same arrays."""
+        a, b = phase_perturbed(rng, 130, eps)
+        if layout == "strided":
+            wide = np.zeros((2, 260, 260), complex)
+            wide[:, ::2, ::2] = a, b
+            a, b = wide[:, ::2, ::2]
+        else:
+            a = np.asfortranarray(a)
+            b = np.asfortranarray(b) if layout == "fortran" else b
+        match, fidelity, phase = full_residual_match(a, b, optics.TOL)
+        got = equal_up_to_phase(a, b)
+        assert got.match is match is (eps < 1)
+        assert (got.fidelity, got.phase) == (fidelity, phase)
+
+    @pytest.mark.parametrize("width", [130, 258, 514, 1026])
+    def test_residual_allocates_no_operand_sized_temporary(self, rng, width):
+        """The residual is formed a few rows at a time, so the call's traced peak stays far below one
+        operand's bytes."""
+        a, b = phase_perturbed(rng, width, 0.5)
+        got, peak = traced_peak(equal_up_to_phase, a, b)
+        assert got.match
+        assert peak < 0.25 * a.nbytes
+
     def test_identical_unitaries(self, rng):
         u = np.kron(random_su2(rng), np.eye(5))
         m = equal_up_to_phase(u, u)
@@ -311,77 +379,6 @@ class TestLiftAgainstWalkMatrices:
         # the walk's own step with identity coins is the same full shift
         identity_dtqw = walk.WalkSpec("dtqw", 1, L, theta1=0.0)
         assert np.array_equal(lift(JPlate(-1, 0, 1, 0, 0), L), walk.step_operator(identity_dtqw))
-
-
-OUT_HALF_WIDTH = 5
-OUT_DIM = 2 * (2 * OUT_HALF_WIDTH + 1)
-
-
-def out_calls(rng):
-    """name -> (call, inputs): ``call(out)`` writes into ``out`` what ``call(None)`` allocates; ``inputs`` stay."""
-    L, n = OUT_HALF_WIDTH, 2 * OUT_HALF_WIDTH + 1
-    block = random_pdc_block(rng, L)
-    field = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    bands = [(-1, random_u2(rng)), (0, field), (2, random_u2(rng))]
-    t1, t2 = (walk.CoinTable(-L, *rng.uniform(-3, 3, size=(4, n))) for _ in range(2))
-    spec = walk.WalkSpec("generalized", 1, L, table1=t1, table2=t2, phi_e=0.5)
-    a = compose([block, JPlate(-1, 0.7, 1, -1.3, 2.5)], L)
-    b = np.exp(0.4j) * a + 1e-9 * rng.normal(size=a.shape)
-    elements = [JPlate(-1, 0.7, 1, -1.3, 2.5), HalfWavePlate(0.4), VariableWavePlate(1.2), block]
-    return {
-        "place_bands": (lambda out: optics._place_bands(bands, L, out=out), [c for _, c in bands]),
-        **{f"{type(el).__name__}.lift": (lambda out, el=el: el.lift(L, out=out), []) for el in elements},
-        "step_operator": (lambda out: walk.step_operator(spec, out=out),
-                          [getattr(t, f) for t in (t1, t2) for f in ("chi", "xi", "eta", "theta")]),
-        "equal_up_to_phase": (lambda out: equal_up_to_phase(a, b, out=out), [a, b]),
-    }
-
-
-OUT_CALLS = ["place_bands", "JPlate.lift", "HalfWavePlate.lift", "VariableWavePlate.lift", "PdcBlock.lift",
-             "step_operator", "equal_up_to_phase"]
-
-
-class TestOutBuffers:
-    """Every ``out=`` keyword writes the allocating call's bytes into a caller's buffer, or refuses it."""
-
-    def test_every_out_call_is_listed(self, rng):
-        assert list(out_calls(rng)) == OUT_CALLS
-
-    @pytest.mark.parametrize("name", OUT_CALLS)
-    def test_nan_filled_out_receives_the_allocating_result(self, rng, name):
-        call, inputs = out_calls(rng)[name]
-        before = [x.tobytes() for x in inputs]
-        want = call(None)
-        out = np.full((OUT_DIM, OUT_DIM), complex(math.nan, math.nan))
-        got = call(out)
-        if isinstance(want, np.ndarray):
-            assert got is out
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        assert [x.tobytes() for x in inputs] == before
-
-    @pytest.mark.parametrize("name", OUT_CALLS)
-    @pytest.mark.parametrize("bad", [
-        np.zeros((OUT_DIM, OUT_DIM + 1), dtype=complex),
-        np.zeros((OUT_DIM, OUT_DIM), dtype=np.complex64),
-        np.zeros((OUT_DIM, OUT_DIM)),
-        np.zeros((OUT_DIM, 2 * OUT_DIM), dtype=complex)[:, ::2],
-        np.zeros((OUT_DIM, OUT_DIM), dtype=complex, order="F"),
-    ], ids=["shape", "complex64", "float64", "strided", "fortran"])
-    def test_unusable_out_is_refused(self, rng, name, bad):
-        call, inputs = out_calls(rng)[name]
-        before = [x.tobytes() for x in inputs]
-        with pytest.raises(ValueError, match="out must be"):
-            call(bad)
-        assert [x.tobytes() for x in inputs] == before
-
-    def test_out_overlapping_an_operand_is_refused(self, rng):
-        a = lift(JPlate(-1, 0.7, 1, -1.3, 2.5), OUT_HALF_WIDTH)
-        b = 1j * a
-        for call in (lambda: equal_up_to_phase(a, b, out=a), lambda: equal_up_to_phase(a, b, out=b)):
-            before = a.tobytes(), b.tobytes()
-            with pytest.raises(ValueError, match="overlap"):
-                call()
-            assert (a.tobytes(), b.tobytes()) == before
 
 
 def random_bands(rng, half_width, offsets):

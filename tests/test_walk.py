@@ -675,16 +675,6 @@ class TestProbedOperators:
         _, peak = traced_peak(walk.step_operator, spec)
         assert peak <= 1.5 * dense_bytes
 
-    @pytest.mark.parametrize("kind", WalkSpec.KINDS)
-    def test_into_a_buffer_allocates_no_dense_matrix(self, rng, kind):
-        L = 64
-        dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
-        spec = next(s for s in four_kinds(rng, steps=1, half_width=L) if s.walk_kind == kind)
-        out = np.empty((2 * (2 * L + 1),) * 2, dtype=complex)
-        got, peak = traced_peak(walk.step_operator, spec, out=out)
-        assert got is out
-        assert peak < 0.5 * dense_bytes
-
 
 class TestNonFinite:
     @pytest.mark.parametrize("field", ["theta1", "theta2", "phi_e"])
