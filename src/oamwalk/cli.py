@@ -317,12 +317,25 @@ def element_to_record(element, order: int, provenance: str) -> dict:
     return {"order": order, "element_type": kind, "parameters": params, "provenance": provenance}
 
 
+def _entry(mapping, key: str, what: str, kind=object):
+    """``mapping[key]`` of a parts-list JSON object, or :class:`ConfigError` naming what is missing or malformed."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ConfigError(f"{what} must be a JSON object with key {key!r}")
+    if not isinstance(mapping[key], kind):
+        raise ConfigError(f"{what} key {key!r} must be a {kind.__name__}, got {type(mapping[key]).__name__}")
+    return mapping[key]
+
+
 def element_from_record(record: dict):
-    kind = record["element_type"]
+    kind = _entry(record, "element_type", "parts-list element", str)
     if kind not in _ELEMENT_TYPES:
         raise ConfigError(f"unknown element_type {kind!r} in parts list")
     constants = _CONSTANT_PARAMETERS.get(kind, {})
-    return _ELEMENT_TYPES[kind](**{k: v for k, v in record["parameters"].items() if k not in constants})
+    params = {k: v for k, v in _entry(record, "parameters", f"{kind} element", dict).items() if k not in constants}
+    try:
+        return _ELEMENT_TYPES[kind](**params)
+    except (TypeError, ValueError) as err:  # an unknown or missing parameter, or one the element refuses
+        raise ConfigError(f"cannot build {kind} from its parameters: {err}") from err
 
 
 def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: VerificationReport | None) -> dict:
@@ -349,14 +362,16 @@ def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: Verifica
 
 def parse_parts_list(document: dict) -> list[CompiledStep]:
     """Rebuild compiled steps from an emitted parts list."""
-    if document.get("schema_version") != PARTS_LIST_VERSION:
+    if _entry(document, "schema_version", "parts list") != PARTS_LIST_VERSION:
         raise ConfigError("parts list has an unsupported schema_version")
     steps = []
-    for block in document["step_blocks"]:
-        records = sorted(block["elements"], key=lambda r: r["order"])
+    for block in _entry(document, "step_blocks", "parts list", list):
+        records = sorted(_entry(block, "elements", "step block", list),
+                         key=lambda r: _entry(r, "order", "parts-list element"))
         elements = tuple(element_from_record(r) for r in records)
-        provenance = tuple(r["provenance"] for r in records)
-        steps.append(CompiledStep(elements, provenance, block["phase"], tuple(block["notes"])))
+        provenance = tuple(_entry(r, "provenance", "parts-list element") for r in records)
+        notes = tuple(_entry(block, "notes", "step block", list))
+        steps.append(CompiledStep(elements, provenance, _entry(block, "phase", "step block"), notes))
     return steps
 
 

@@ -23,16 +23,11 @@ the failure of that variant stays demonstrable.
 Any walk kind: each move of its step (:data:`oamwalk.walk.STEP_MOVES`)
 becomes a PDC block and a J-plate, and an electric site phase one more PDC.
 
-Verification records each element's unitarity defect from its bands and
-folds the train in bands (:func:`oamwalk.optics.compose`'s fold), each entry
-with the bits of the dense product: per site, in the dense zgemm's column
-tiles, and lifted only where two terms meet at operator width 256 or less, or
-at neighbouring sites (no CLI train has those).  It goes dense only for the
-comparison: the folded bands are placed once, and
-:func:`oamwalk.optics.equal_up_to_phase` compares them with the walk's dense
-step operator (:func:`oamwalk.walk.step_operator`: comb probes of the step
-kernel that evolves the walk, placed as lifts are), two dense operators in
-all; the residual is taken in row blocks.
+Verification records each element's unitarity defect from its bands, and
+:func:`oamwalk.optics.equal_up_to_phase` compares the train's operator
+(:func:`oamwalk.optics.compose`, a band fold placed once) with the walk's
+dense step operator (:func:`oamwalk.walk.step_operator`: comb probes of the
+step kernel that evolves the walk), two dense operators in all.
 """
 
 from __future__ import annotations
@@ -211,9 +206,7 @@ class PdcBlock:
             raise ValueError(optics._LATTICE_MISMATCH)
         return [(0, self._field)]
 
-    def lift(self, half_width: int) -> np.ndarray:
-        """Dense operator of the per-site coins."""
-        return optics._place_bands(self.bands(), half_width)
+    lift = optics.lift
 
 
 def compile_pdc(table: walk.CoinTable) -> PdcBlock:
@@ -339,14 +332,12 @@ class VerificationReport:
 
 
 def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> VerificationReport:
-    """Fold a compiled train, checking each factor, and compare it with a reference step operator.
+    """Compose a compiled train, checking each factor, and compare it with a reference step operator.
 
-    ``reference`` is the dense operator or the :class:`oamwalk.walk.WalkSpec`
-    whose :func:`oamwalk.walk.step_operator` it is.  Each factor's unitarity
-    defect comes from its bands.  The train is folded in bands as
-    :func:`oamwalk.optics.compose` folds it, with the dense product's bits, and
-    placed once; a spec's operator is built after that, and the comparison
-    takes its residual in row blocks, so no third dense operator is allocated.
+    ``reference`` is the dense operator or the :class:`oamwalk.walk.WalkSpec` whose
+    :func:`oamwalk.walk.step_operator` it is.  Each factor's unitarity defect comes from its bands.
+    The train's operator is ``cs.lift`` (:func:`oamwalk.optics.compose`); a spec's operator is built
+    after it, so the two are the only dense operators.
     """
     if isinstance(reference, walk.WalkSpec):
         reference.validate()
@@ -359,7 +350,7 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
     half_width = (dim // 2 - 1) // 2
     factors = tuple(FactorCheck(desc, optics.unitarity_defect(el.bands(), half_width))
                     for el, desc in zip(cs.elements, cs.provenance, strict=True))
-    compiled = optics._place_bands(optics._fold(cs.elements, half_width).items(), half_width)
+    compiled = cs.lift(half_width)
     if isinstance(reference, walk.WalkSpec):
         reference = walk.step_operator(reference)
     match = optics.equal_up_to_phase(compiled, reference)

@@ -15,18 +15,17 @@ Three element kinds are modeled:
 
 Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 ``|b> ⊗ |l>`` to ``coefficient[a, b] |a> ⊗ |l+m>`` with one (2, 2) Jones matrix
-or an (n_sites, 2, 2) field of them, indexed by the sites -L..L.  A lift places
-its bands in a dense matrix on ``|polarization> ⊗ |l>``.  :func:`compose` folds
-a train in bands, the running product's ``{offset: (n_sites, 2, 2) field}`` by
-source site, and places the result once.  Each element applies per site with
-the dense product's bits: a per-site K=2 OpenBLAS zgemm gives an entry those
-bits only in the same kind of column tile as the dense zgemm, a full 4-column
-tile or the 2-column tail that width 4L+2 leaves, so the rows it multiplies are
-laid out in those tiles.  An element whose entries add the terms of a site's
-two polarizations is applied as two single-column products summed above
-operator width 256; up to that width, or where terms of neighbouring sites
-meet, it is lifted.  :func:`unitarity_defect` reads an element's column norms
-from its bands.
+or an (n_sites, 2, 2) field of them, indexed by the sites -L..L, and read here
+as fields, a constant broadcast to every site.  :func:`lift`, every element's
+``lift``, places bands in a dense matrix on ``|polarization> ⊗ |l>``.
+:func:`compose` folds a train in bands from the identity's, per site with the
+dense product's bits, and places the result once.  A per-site K=2 OpenBLAS
+zgemm gives an entry those bits only in the same kind of column tile as the
+dense zgemm, so the rows it multiplies are laid out in those tiles.  An element
+whose entries add the terms of a site's two polarizations is applied above
+operator width 256 as two K=2 products, each with the other coefficient column
+zeroed, summed by ``np.add``; up to that width, or where terms of neighbouring
+sites meet, it is lifted.  :func:`unitarity_defect` reads column norms from bands.
 OAM-shift rows that leave the lattice are dropped, so lifted operators are
 unitary on states that keep clear of the boundary (as validated walks and
 guarded steps do) but not on the edge columns themselves.
@@ -101,11 +100,13 @@ _LATTICE_MISMATCH = "block lattice does not match the requested half-width"
 
 
 def _by_offset(bands, n: int) -> dict:
-    """``{m: coefficient}`` of ``bands`` on ``n`` sites, offsets ascending, equal offsets summed in band order."""
+    """``{m: (n, 2, 2) field}`` of ``bands`` on ``n`` sites, a ``(2, 2)`` constant broadcast without a copy;
+    offsets ascending, equal offsets summed in band order."""
     merged = {}
     for m, coef in bands:
         if np.ndim(coef) == 3 and len(coef) != n:
             raise ValueError(_LATTICE_MISMATCH)
+        coef = np.broadcast_to(coef, (n, 2, 2))
         merged[m] = merged[m] + coef if m in merged else coef
     return dict(sorted(merged.items()))
 
@@ -122,11 +123,10 @@ def _place_bands(bands, half_width: int) -> np.ndarray:
     coefficient exactly.
     """
     n = 2 * half_width + 1
-    fields = _by_offset(bands, n)
     out = np.zeros((2, n, 2, n), dtype=np.complex128)
-    for m, coef in fields.items():
+    for m, coef in _by_offset(bands, n).items():
         src = np.arange(n)[_sources(m, n)]
-        out[:, src + m, :, src] += coef[src] if np.ndim(coef) == 3 else coef
+        out[:, src + m, :, src] += coef[src]
     return out.reshape(2 * n, 2 * n)
 
 
@@ -152,8 +152,8 @@ def _rows(bands: dict, n: int) -> np.ndarray:
     return rows
 
 
-def _fold_step(element, half_width: int, bands: dict | None, reach: set | None) -> tuple[dict, set]:
-    """Bands and reach of ``lift(element) @ P`` for P's ``bands`` and ``reach``, or of the element alone.
+def _fold_step(element, half_width: int, bands: dict, reach: set) -> tuple[dict, set]:
+    """Bands and reach of ``lift(element) @ P`` for P's ``bands`` and ``reach``.
 
     Bands are ``{k: (n, 2, 2) field}`` by source site, ascending in k, with entry ``[a, c]`` at site l
     the operator's ``[(a, l+k), (c, l)]`` and off-lattice targets zeroed.  A reach is the set of
@@ -165,24 +165,17 @@ def _fold_step(element, half_width: int, bands: dict | None, reach: set | None) 
     are the dense matrix's 2-column tail: a per-site K=2 OpenBLAS zgemm gives an entry of one
     nonzero term the dense product's bits only in the same kind of tile.  So an entry in one of the
     dense tail columns is taken from the tail.  Where entries add two terms of one site's two
-    polarizations (the split-step half-waveplate), each coefficient column multiplies the rows with
-    the other zeroed and ``np.add`` sums the two products, as the dense zgemm sums across its K
-    blocks above width :data:`_DENSE_UP_TO` (numpy's own loop for a one-column product would miss
-    the tail's bits for complex coefficients).  Up to that width, or where terms of neighbouring
-    sites meet, the bands are placed, the lifted element multiplies them in one zgemm, and the
-    product's bands are read back.
+    polarizations (the split-step half-waveplate), the coefficients multiply the rows in two K=2
+    products, each with the other coefficient column zeroed, and ``np.add`` sums them, as the dense
+    zgemm sums across its K blocks above width :data:`_DENSE_UP_TO` (numpy's own loop for a
+    one-column product would miss the tail's bits for complex coefficients).  Up to that width, or
+    where terms of neighbouring sites meet, the bands are placed, the lifted element multiplies them
+    in one zgemm, and the product's bands are read back.
     """
     n = 2 * half_width + 1
     fields = _by_offset(element.bands(), n)
     own = {(a, b, m) for m, coef in fields.items() for a in range(2) for b in range(2)
            if np.any(coef[..., a, b] != 0)}
-    if reach is None:
-        first = {}
-        for m, coef in fields.items():
-            src = _sources(m, n)
-            first[m] = np.zeros((n, 2, 2), dtype=np.complex128)
-            first[m][src] = coef[src] if np.ndim(coef) == 3 else coef
-        return first, own
     meetings = {}  # (a, c, offset) -> the (m, k) of each of its terms
     for a, b, m in own:
         for b_run, c, k in reach:
@@ -200,7 +193,7 @@ def _fold_step(element, half_width: int, bands: dict | None, reach: set | None) 
     rows = _rows(bands, n)
     for m, coef in fields.items():
         src = _sources(m, n)
-        field = coef[src] if np.ndim(coef) == 3 else coef
+        field = coef[src]
         if two_terms:
             rows_m = np.add(*(np.where(column, field, 0) @ rows[src] for column in ([True, False], [False, True])))
         else:
@@ -217,15 +210,21 @@ def _fold_step(element, half_width: int, bands: dict | None, reach: set | None) 
 
 
 def _fold(elements: Sequence, half_width: int) -> dict:
-    """Bands of a train given in application order; an empty train's are the identity's."""
-    bands = reach = None
+    """Bands of a train given in application order, every element folded onto the identity's bands."""
+    bands, reach = _by_offset([(0, np.eye(2, dtype=np.complex128))], 2 * half_width + 1), {(0, 0, 0), (1, 1, 0)}
     for element in elements:
         bands, reach = _fold_step(element, half_width, bands, reach)
-    return {0: np.eye(2, dtype=np.complex128)} if bands is None else bands
+    return bands
+
+
+def lift(element, half_width: int) -> np.ndarray:
+    """Dense operator of one element's bands on the coin ⊗ lattice basis; every element's ``lift``."""
+    return _place_bands(element.bands(), half_width)
 
 
 def _as_multiplier(value) -> int:
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral)
+                                        or (isinstance(value, float) and value.is_integer())):
         return int(value)
     raise ValueError(f"OAM multiplier must be an integer, got {value!r}")
 
@@ -251,8 +250,7 @@ class JPlate:
         return [(m, np.array([[rot_back[a, c] * phases[c] * rot[c, b] for b in range(2)] for a in range(2)]))
                 for c, m in enumerate((self.m_x, self.m_y))]
 
-    def lift(self, half_width: int) -> np.ndarray:
-        return _place_bands(self.bands(), half_width)
+    lift = lift
 
 
 @dataclass(frozen=True)
@@ -265,8 +263,7 @@ class HalfWavePlate:
     def bands(self) -> list:
         return [(0, self.jones())]
 
-    def lift(self, half_width: int) -> np.ndarray:
-        return _place_bands(self.bands(), half_width)
+    lift = lift
 
 
 @dataclass(frozen=True)
@@ -279,20 +276,14 @@ class VariableWavePlate:
     def bands(self) -> list:
         return [(0, self.jones())]
 
-    def lift(self, half_width: int) -> np.ndarray:
-        return _place_bands(self.bands(), half_width)
-
-
-def lift(element, half_width: int) -> np.ndarray:
-    """Dense operator of one element on the coin ⊗ lattice basis."""
-    return element.lift(half_width)
+    lift = lift
 
 
 def compose(elements: Sequence, half_width: int) -> np.ndarray:
     """Operator of an element train given in application order (first applied first).
 
-    The train is folded in bands by :func:`_fold_step`, as :func:`oamwalk.compiler.verify` folds
-    it, and placed once, so the fold holds one dense operator; an empty train is the identity.
+    The train is folded in bands by :func:`_fold`, from the identity's, and placed once, so the fold
+    holds one dense operator; :func:`oamwalk.compiler.verify` certifies a train by this operator.
     """
     return _place_bands(_fold(elements, half_width).items(), half_width)
 
@@ -315,15 +306,17 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> PhaseMatch:
     The overlap and both norms are each one reduction over the whole
     operators.  The residual decides only ``match``: it is formed
     :data:`_RESIDUAL_ROWS` rows at a time in one small buffer, and the blocks'
-    squared norms are added, so no third operator is allocated.
+    squared norms are added, so no third operator is allocated.  A zero operand is refused.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"operators must be square and same shape, got {a.shape} vs {b.shape}")
-    overlap = np.vdot(a, b)  # tr(a† b)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
+    if na == 0 or nb == 0:  # a NaN operand passes, with a NaN fidelity
+        raise ValueError("operators must be nonzero: a zero operator has no phase or fidelity")
+    overlap = np.vdot(a, b)  # tr(a† b)
     fidelity = float(abs(overlap) / (na * nb))
     phase = float(np.angle(overlap))
     # The optimal alignment phase is -arg tr(a†b); forming the difference
@@ -360,7 +353,7 @@ def unitarity_defect(bands, half_width: int) -> float:
     for a in range(2):
         for m, coef in fields.items():
             src = _sources(m, n)
-            entry = coef[src, a] if np.ndim(coef) == 3 else coef[a][np.newaxis]  # [l, b]
+            entry = coef[src, a]  # [l, b]
             sums[:, src] += np.multiply(np.conjugate(entry), entry).real.T
     norms = np.sqrt(sums)[:, margin:n - margin]
     return float(np.max(np.abs(norms - 1.0)))

@@ -640,7 +640,30 @@ class TestCompile:
          "unknown element_type 'mirror'"),
         (lambda: cli.parse_parts_list({"schema_version": 2, "step_blocks": []}), cli.ConfigError,
          "unsupported schema_version"),
-    ], ids=["unknown-element", "unknown-element-type", "parts-list-version"])
+        (lambda: cli.parse_parts_list({"schema_version": 1}), cli.ConfigError,
+         "parts list must be a JSON object with key 'step_blocks'"),
+        (lambda: cli.parse_parts_list([1, 2]), cli.ConfigError, "parts list must be a JSON object with key 'schema_version'"),
+        (lambda: cli.parse_parts_list({"schema_version": 1, "step_blocks": [{"phase": 0.0, "notes": []}]}),
+         cli.ConfigError, "step block must be a JSON object with key 'elements'"),
+        (lambda: cli.parse_parts_list({"schema_version": 1, "step_blocks": 3}), cli.ConfigError,
+         "parts list key 'step_blocks' must be a list, got int"),
+        (lambda: cli.element_from_record({"element_type": "half_waveplate", "parameters": {"angle": 0.1, "tilt": 1}}),
+         cli.ConfigError, "cannot build half_waveplate from its parameters: .*unexpected keyword argument 'tilt'"),
+        (lambda: cli.element_from_record({"element_type": "variable_waveplate", "parameters": {}}), cli.ConfigError,
+         "cannot build variable_waveplate from its parameters: .*retardance"),
+        (lambda: cli.element_from_record({"element_type": "pdc_block", "parameters": {
+            "lattice_min": 0, "q2": [[0.0, 0.0]], "q1": [[0.0, 0.0]]}}), cli.ConfigError,
+         r"cannot build pdc_block from its parameters: plate parameter arrays must both have shape \(n_sites, 3\)"),
+        (lambda: cli.element_from_record({"element_type": "jplate", "parameters": {"m_x": True}}), cli.ConfigError,
+         "cannot build jplate from its parameters: OAM multiplier must be an integer, got True"),
+        (lambda: cli.element_from_record({"element_type": "jplate"}), cli.ConfigError,
+         "jplate element must be a JSON object with key 'parameters'"),
+        (lambda: cli.element_from_record({"element_type": ["jplate"], "parameters": {}}), cli.ConfigError,
+         "parts-list element key 'element_type' must be a str, got list"),
+    ], ids=["unknown-element", "unknown-element-type", "parts-list-version", "missing-step-blocks",
+            "non-object-document", "missing-elements", "step-blocks-not-a-list", "unknown-parameter",
+            "missing-parameter", "bad-plate-shape", "boolean-multiplier", "missing-parameters",
+            "element-type-not-a-string"])
     def test_parts_list_records_reject_what_they_cannot_read(self, call, error, message):
         with pytest.raises(error, match=message):
             call()

@@ -424,7 +424,8 @@ def lift_methods():
 def lifted_at(name, half_width):
     """Positions of the elements the fold lifts in a train of :func:`verify_cases`: none but the ssqw
     half-waveplate, whose product adds two nonzero terms, and that one only at operator width
-    ``optics._DENSE_UP_TO`` or less.  No first element is lifted: the fold starts from its bands."""
+    ``optics._DENSE_UP_TO`` or less.  No first element is lifted: each entry of its product with the
+    identity's bands, where the fold starts, is one term."""
     return [3] if name in ("ssqw", "gamma2") and 2 * (2 * half_width + 1) <= optics._DENSE_UP_TO else []
 
 
@@ -475,13 +476,12 @@ def fold_trains(rng, half_width):
 
 
 def check_fold_steps(half_width, seed=20240917):
-    """Each fold step's bands, placed, are ``lift(element) @ placed`` bit for bit; the expected elements are lifted."""
+    """Each fold step from the identity's bands, the first included, placed, is ``lift(element) @ placed``
+    bit for bit; the expected elements are lifted."""
     for name, train, lifted in fold_trains(np.random.default_rng(seed), half_width):
-        bands = reach = None
+        bands, reach = optics._fold((), half_width), {(0, 0, 0), (1, 1, 0)}
         for i, el in enumerate(train):
-            expect = el.lift(half_width)
-            if reach is not None:
-                expect = expect @ optics._place_bands(bands.items(), half_width)
+            expect = el.lift(half_width) @ optics._place_bands(bands.items(), half_width)
             with counted_lifts() as lifts:
                 bands, reach = optics._fold_step(el, half_width, bands, reach)
             got = optics._place_bands(bands.items(), half_width)
@@ -572,6 +572,12 @@ class TestVerifyFold:
         L = 3
         rep = verify(CompiledStep((), (), 0.0), np.eye(2 * (2 * L + 1)))
         assert rep.passed and rep.fidelity == 1.0 and rep.factors == ()
+
+    def test_zero_reference_is_refused(self):
+        L = 3
+        cs = compile_ssqw(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="nonzero"):
+            verify(cs, np.zeros((2 * (2 * L + 1),) * 2))
 
     def test_unnamed_element_is_rejected(self):
         cs = compile_ssqw(np.eye(2), np.eye(2))

@@ -238,6 +238,17 @@ class TestCompose:
     def test_empty_train_is_identity(self):
         assert np.array_equal(compose([], 3), np.eye(14))
 
+    @pytest.mark.parametrize("half_width", [1, 5, 64, 256])
+    def test_one_element_train_is_its_lift(self, rng, half_width):
+        """The fold starts from the identity's bands, so a first element of each type keeps its lift's bits:
+        a half-waveplate and a rotated two-shift J-plate, which no fold test starts with, included."""
+        elements = [JPlate(-1, 0.7, 1, -1.3, 2.5), JPlate(-1, 0.0, 0, 0.0, COMPILER_ALPHA), HalfWavePlate(0.4),
+                    VariableWavePlate(1.2), random_pdc_block(rng, half_width)]
+        assert {type(el) for el in elements} == set(cli._ELEMENT_TYPES.values())
+        for el in elements:
+            got = compose([el], half_width)
+            assert np.array_equal(got.view(np.float64), lift(el, half_width).view(np.float64)), el
+
     def test_half_shift_train_is_full_shift(self):
         got = compose([JPlate(-1, 0, 0, 0, 0), JPlate(0, 0, +1, 0, 0)], 6)
         assert np.allclose(got, dense_shift_full(6), atol=1e-14)
@@ -291,13 +302,21 @@ class TestEqualUpToPhase:
         assert not equal_up_to_phase(*pair).match
 
     @pytest.mark.parametrize(
-        "shapes",
-        [((4, 6), (4, 6)), ((6,), (6,)), ((2, 3, 3), (2, 3, 3)), ((4, 4), (4, 5))],
-        ids=["non-square", "1-d", "3-d", "mismatch"],
+        "a, b, message",
+        [(np.ones((4, 6)), np.ones((4, 6)), "square and same shape"),
+         (np.ones(6), np.ones(6), "square and same shape"),
+         (np.ones((2, 3, 3)), np.ones((2, 3, 3)), "square and same shape"),
+         (np.ones((4, 4)), np.ones((4, 5)), "square and same shape"),
+         (np.ones((4, 4)), np.zeros((4, 4)), "nonzero"),
+         (np.zeros((4, 4)), np.ones((4, 4)), "nonzero"),
+         (np.zeros((4, 4)), np.zeros((4, 4)), "nonzero"),
+         (np.ones((0, 0)), np.ones((0, 0)), "nonzero")],
+        ids=["non-square", "1-d", "3-d", "mismatch", "zero-second", "zero-first", "both-zero", "empty"],
     )
-    def test_non_operator_is_refused(self, shapes):
-        with pytest.raises(ValueError, match="square and same shape"):
-            equal_up_to_phase(*(np.ones(shape, complex) for shape in shapes))
+    def test_non_operator_is_refused(self, a, b, message):
+        """Operands that are not one square shape, or have no phase because one is zero (or empty)."""
+        with pytest.raises(ValueError, match=message):
+            equal_up_to_phase(a.astype(complex), b.astype(complex))
 
     @pytest.mark.parametrize("eps", [0.5, 2.0])
     @pytest.mark.parametrize("layout", ["fortran", "strided", "mixed"])
