@@ -40,7 +40,7 @@ def main():
     report = verify(train, reference)
     print(f"\nverification: passed={report.passed}, fidelity={report.fidelity:.15f}, "
           f"measured phase={report.phase:+.6f} rad")
-    for note in report.notes:
+    for note in train.notes:
         print(f"  note: {note}")
 
     wrong = compile_ssqw(c1, c2, first_plate="gamma2")

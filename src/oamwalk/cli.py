@@ -300,9 +300,9 @@ def _write_json(path, document: dict) -> None:
 # --- compile / verify ------------------------------------------------------
 
 
-#: Parts-list element types.  A record's parameters are its element's
-#: dataclass fields, plus the constants below, which document the train and
-#: are dropped again on reading (a PDC block's half-waveplate is fixed at 0).
+#: Parts-list element types.  A record's parameters are its element's dataclass
+#: fields, plus the constants below, which document the train, must hold their
+#: value, and are dropped again on reading (a PDC block's half-waveplate is at 0).
 _ELEMENT_TYPES = {"jplate": JPlate, "half_waveplate": HalfWavePlate,
                   "variable_waveplate": VariableWavePlate, "pdc_block": PdcBlock}
 _CONSTANT_PARAMETERS = {"pdc_block": {"hwp_angle": 0.0}}
@@ -321,17 +321,29 @@ def _entry(mapping, key: str, what: str, kind=object):
     """``mapping[key]`` of a parts-list JSON object, or :class:`ConfigError` naming what is missing or malformed."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise ConfigError(f"{what} must be a JSON object with key {key!r}")
-    if not isinstance(mapping[key], kind):
+    if not isinstance(mapping[key], kind) or (kind is int and isinstance(mapping[key], bool)):  # true is no int
         raise ConfigError(f"{what} key {key!r} must be a {kind.__name__}, got {type(mapping[key]).__name__}")
     return mapping[key]
 
 
 def element_from_record(record: dict):
+    """The element of a parts-list record, its parameters type-checked and passed on unchanged."""
     kind = _entry(record, "element_type", "parts-list element", str)
     if kind not in _ELEMENT_TYPES:
         raise ConfigError(f"unknown element_type {kind!r} in parts list")
-    constants = _CONSTANT_PARAMETERS.get(kind, {})
-    params = {k: v for k, v in _entry(record, "parameters", f"{kind} element", dict).items() if k not in constants}
+    params, what = dict(_entry(record, "parameters", f"{kind} element", dict)), f"{kind} parameters"
+    for key, value in _CONSTANT_PARAMETERS.get(kind, {}).items():
+        if key in params and _number(params.pop(key), f"{what} key {key!r}") != value:
+            raise ConfigError(f"{what} key {key!r} must be {value!r}, the value the element fixes")
+    for key, value in params.items():
+        if key in ("q2", "q1"):  # rows of numbers; a row that is a number fails the block's shape check
+            for i, row in enumerate(_entry(params, key, what, list)):
+                for j, entry in enumerate(row if isinstance(row, list) else [row]):
+                    _number(entry, f"{what} key {key!r} row {i} entry {j}")
+        elif key == "lattice_min":
+            _entry(params, key, what, int)
+        elif key not in ("m_x", "m_y"):  # JPlate checks its OAM multipliers
+            _number(value, f"{what} key {key!r}")
     try:
         return _ELEMENT_TYPES[kind](**params)
     except (TypeError, ValueError) as err:  # an unknown or missing parameter, or one the element refuses
@@ -349,7 +361,7 @@ def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: Verifica
         ],
     }
     if report is not None:
-        block["verification"] = {k: v for k, v in dataclasses.asdict(report).items() if k != "notes"}
+        block["verification"] = dataclasses.asdict(report)
     return {
         "schema_version": PARTS_LIST_VERSION,
         "walk": spec.walk_kind,
@@ -362,16 +374,19 @@ def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: Verifica
 
 def parse_parts_list(document: dict) -> list[CompiledStep]:
     """Rebuild compiled steps from an emitted parts list."""
-    if _entry(document, "schema_version", "parts list") != PARTS_LIST_VERSION:
+    if _entry(document, "schema_version", "parts list", int) != PARTS_LIST_VERSION:
         raise ConfigError("parts list has an unsupported schema_version")
     steps = []
     for block in _entry(document, "step_blocks", "parts list", list):
         records = sorted(_entry(block, "elements", "step block", list),
-                         key=lambda r: _entry(r, "order", "parts-list element"))
+                         key=lambda r: _entry(r, "order", "parts-list element", int))
         elements = tuple(element_from_record(r) for r in records)
-        provenance = tuple(_entry(r, "provenance", "parts-list element") for r in records)
+        provenance = tuple(_entry(r, "provenance", "parts-list element", str) for r in records)
         notes = tuple(_entry(block, "notes", "step block", list))
-        steps.append(CompiledStep(elements, provenance, _entry(block, "phase", "step block"), notes))
+        if not all(isinstance(note, str) for note in notes):
+            raise ConfigError("step block key 'notes' must list strings")
+        _number(_entry(block, "phase", "step block"), "step block key 'phase'")
+        steps.append(CompiledStep(elements, provenance, block["phase"], notes))
     return steps
 
 

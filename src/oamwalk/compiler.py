@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics, walk
-from .optics import TOL, HalfWavePlate, JPlate, VariableWavePlate
+from .optics import TOL, HalfWavePlate, JPlate, VariableWavePlate, halfwave_pointwise
 
 __all__ = [
     "EulerAngles",
@@ -61,8 +61,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-SIGMA3 = np.diag([1.0, -1.0]).astype(np.complex128)
 
 #: Convention note attached to every split-step compilation.
 GAMMA_NOTE = (
@@ -130,13 +128,10 @@ def euler_decompose(u: np.ndarray) -> EulerAngles:
 
 
 def euler_recompose(angles: EulerAngles) -> np.ndarray:
-    """Multiply the three exponential factors back together."""
-    half1, half2, half3 = angles.gamma1 / 2, angles.gamma2 / 2, angles.gamma3 / 2
-    z1 = np.diag([np.exp(1j * half1), np.exp(-1j * half1)])
-    z3 = np.diag([np.exp(1j * half3), np.exp(-1j * half3)])
-    c, s = math.cos(half2), math.sin(half2)
+    """Multiply the three exponential factors back together; the z factors are variable waveplates."""
+    c, s = math.cos(angles.gamma2 / 2), math.sin(angles.gamma2 / 2)
     y = np.array([[c, s], [-s, c]], dtype=np.complex128)
-    return z1 @ y @ z3
+    return optics.varwave_pointwise(angles.gamma1) @ y @ optics.varwave_pointwise(angles.gamma3)
 
 
 def column_params(c1: np.ndarray) -> ColumnParams:
@@ -192,7 +187,7 @@ class PdcBlock:
 
     @functools.cached_property
     def _field(self) -> np.ndarray:  # (n_sites, 2, 2)
-        field = optics.jplate_pointwise(*self.q2.T) @ optics.jplate_pointwise(*self.q1.T) @ SIGMA3
+        field = optics.jplate_pointwise(*self.q2.T) @ optics.jplate_pointwise(*self.q1.T) @ halfwave_pointwise(0.0)
         field.setflags(write=False)
         return field
 
@@ -235,9 +230,6 @@ class CompiledStep:
     provenance: tuple[str, ...]
     phase: float
     notes: tuple[str, ...] = ()
-
-    def lift(self, half_width: int) -> np.ndarray:
-        return optics.compose(self.elements, half_width)
 
 
 def _wrap_angle(angle: float) -> float:
@@ -328,7 +320,6 @@ class VerificationReport:
     phase: float
     tol: float
     factors: tuple[FactorCheck, ...]
-    notes: tuple[str, ...] = ()
 
 
 def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> VerificationReport:
@@ -336,8 +327,8 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
 
     ``reference`` is the dense operator or the :class:`oamwalk.walk.WalkSpec` whose
     :func:`oamwalk.walk.step_operator` it is.  Each factor's unitarity defect comes from its bands.
-    The train's operator is ``cs.lift`` (:func:`oamwalk.optics.compose`); a spec's operator is built
-    after it, so the two are the only dense operators.
+    The train's operator is :func:`oamwalk.optics.compose` of ``cs.elements``; a spec's operator is
+    built after it, so the two are the only dense operators.
     """
     if isinstance(reference, walk.WalkSpec):
         reference.validate()
@@ -350,8 +341,7 @@ def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> Verificat
     half_width = (dim // 2 - 1) // 2
     factors = tuple(FactorCheck(desc, optics.unitarity_defect(el.bands(), half_width))
                     for el, desc in zip(cs.elements, cs.provenance, strict=True))
-    compiled = cs.lift(half_width)
+    compiled = optics.compose(cs.elements, half_width)
     if isinstance(reference, walk.WalkSpec):
         reference = walk.step_operator(reference)
-    match = optics.equal_up_to_phase(compiled, reference)
-    return VerificationReport(match.match, match.fidelity, match.phase, TOL, factors, cs.notes)
+    return VerificationReport(*optics.equal_up_to_phase(compiled, reference), TOL, factors)

@@ -18,7 +18,7 @@ Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 or an (n_sites, 2, 2) field of them, indexed by the sites -L..L, and read here
 as fields, a constant broadcast to every site.  :func:`lift`, every element's
 ``lift``, places bands in a dense matrix on ``|polarization> ⊗ |l>``.
-:func:`compose` folds a train in bands from the identity's, per site with the
+:func:`compose` folds a train in bands alone from the identity's, per site with the
 dense product's bits, and places the result once.  A per-site K=2 OpenBLAS
 zgemm gives an entry those bits only in the same kind of column tile as the
 dense zgemm, so the rows it multiplies are laid out in those tiles.  An element
@@ -152,13 +152,13 @@ def _rows(bands: dict, n: int) -> np.ndarray:
     return rows
 
 
-def _fold_step(element, half_width: int, bands: dict, reach: set) -> tuple[dict, set]:
-    """Bands and reach of ``lift(element) @ P`` for P's ``bands`` and ``reach``.
+def _fold_step(element, half_width: int, bands: dict) -> dict:
+    """Bands of ``lift(element) @ P`` for P's ``bands``.
 
     Bands are ``{k: (n, 2, 2) field}`` by source site, ascending in k, with entry ``[a, c]`` at site l
-    the operator's ``[(a, l+k), (c, l)]`` and off-lattice targets zeroed.  A reach is the set of
-    ``(a, c, k)`` that can be nonzero.  Every entry keeps the bits of the dense product
-    ``lift(element) @ _place_bands(bands)``; only an exact zero may differ from it in sign.
+    the operator's ``[(a, l+k), (c, l)]`` and off-lattice targets zeroed.  Terms meet where both bands
+    hold a nonzero, so an exact zero takes no further part.  Every entry keeps the bits of the dense
+    product ``lift(element) @ _place_bands(bands)``; only an exact zero may differ from it in sign.
 
     Each element offset m takes one ``np.matmul`` of its ``(n, 2, 2)`` coefficients with P's rows
     from :func:`_rows`, whose band columns sit in full 4-column tiles and whose last two columns
@@ -174,11 +174,11 @@ def _fold_step(element, half_width: int, bands: dict, reach: set) -> tuple[dict,
     """
     n = 2 * half_width + 1
     fields = _by_offset(element.bands(), n)
-    own = {(a, b, m) for m, coef in fields.items() for a in range(2) for b in range(2)
-           if np.any(coef[..., a, b] != 0)}
+    own, support = ({(a, b, m) for m, coef in f.items() for a in range(2) for b in range(2)
+                     if np.any(coef[:, a, b] != 0)} for f in (fields, bands))
     meetings = {}  # (a, c, offset) -> the (m, k) of each of its terms
     for a, b, m in own:
-        for b_run, c, k in reach:
+        for b_run, c, k in support:
             if b == b_run:
                 meetings.setdefault((a, c, m + k), []).append((m, k))
     pairs = {pair for meeting in meetings.values() for pair in meeting}
@@ -189,7 +189,7 @@ def _fold_step(element, half_width: int, bands: dict, reach: set) -> tuple[dict,
         for k, field in product.items():
             src = np.arange(n)[_sources(k, n)]
             field[src] = dense[:, src + k, :, src]
-        return product, set(meetings)
+        return product
     rows = _rows(bands, n)
     for m, coef in fields.items():
         src = _sources(m, n)
@@ -206,14 +206,14 @@ def _fold_step(element, half_width: int, bands: dict, reach: set) -> tuple[dict,
                     rows_m[s + k - src.start, :, 2 * i + c] = rows_m[s + k - src.start, :, t - 2]
             lo, hi = max(src.start, k), min(src.stop, n + k)  # targets of P whose source is on the lattice
             product[m + k][lo - k:hi - k] += rows_m[lo - src.start:hi - src.start, :, 2 * i:2 * i + 2]
-    return product, set(meetings)
+    return product
 
 
 def _fold(elements: Sequence, half_width: int) -> dict:
-    """Bands of a train given in application order, every element folded onto the identity's bands."""
-    bands, reach = _by_offset([(0, np.eye(2, dtype=np.complex128))], 2 * half_width + 1), {(0, 0, 0), (1, 1, 0)}
+    """Bands of a train given in application order, every element folded onto the identity's bands alone."""
+    bands = _by_offset([(0, np.eye(2, dtype=np.complex128))], 2 * half_width + 1)
     for element in elements:
-        bands, reach = _fold_step(element, half_width, bands, reach)
+        bands = _fold_step(element, half_width, bands)
     return bands
 
 
@@ -257,11 +257,8 @@ class JPlate:
 class HalfWavePlate:
     angle: float = 0.0
 
-    def jones(self) -> np.ndarray:
-        return halfwave_pointwise(self.angle)
-
     def bands(self) -> list:
-        return [(0, self.jones())]
+        return [(0, halfwave_pointwise(self.angle))]
 
     lift = lift
 
@@ -270,11 +267,8 @@ class HalfWavePlate:
 class VariableWavePlate:
     retardance: float
 
-    def jones(self) -> np.ndarray:
-        return varwave_pointwise(self.retardance)
-
     def bands(self) -> list:
-        return [(0, self.jones())]
+        return [(0, varwave_pointwise(self.retardance))]
 
     lift = lift
 

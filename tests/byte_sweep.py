@@ -1,26 +1,34 @@
 """Write the sha256 of CLI outputs over a fixed grid of configs, as JSON.
 
-The grid is ``compile --verify`` for every walk kind (two split-step coin
-pairs, dtqw, electric-dtqw, generalized walks with random and with explicit
-four-angle tables) at half-widths 3 to 256, plus a few ``run`` and
-``localize`` configs.  Each output file's digest is keyed by its command and
-config, with the command's exit code.
+The grid is ``compile --verify`` and plain ``compile`` for every walk kind
+(two split-step coin pairs, dtqw, electric-dtqw, generalized walks with
+random and with explicit four-angle tables) at half-widths 3 to 256, and for
+degenerate coins whose products hold exact zeros (split-step angle pairs
+from 0, pi/2 and pi; dtqw and electric-dtqw at those angles with phi_e = pi;
+tables with theta = 0 and xi = pi/2) at half-widths 3 to 256, plus a few
+``run`` and ``localize`` configs.  Each output file's digest is keyed by its
+command and config, with the command's exit code.  It exits 1, naming the
+jobs, when any command exited other than 0, so a config a checkout cannot
+read does not pass as a byte match.
 
-Run it on two checkouts and diff the two files, once with the default BLAS
-threads and once with ``OPENBLAS_NUM_THREADS=1`` (compile bytes depend on
-the thread count from L=40 on); identical files mean every byte on the grid
-is kept::
+Run one copy of this script against two checkouts, with ``PYTHONPATH`` naming
+each checkout's ``src`` in turn, and diff the two files, once with the default
+BLAS threads and once with ``OPENBLAS_NUM_THREADS=1`` (compile bytes depend on
+the thread count from L=40 on); identical files mean every byte on the grid is
+kept.  The grid belongs to the script, not to the checkout it measures::
 
-    PYTHONPATH=src python tests/byte_sweep.py sweep.json
+    PYTHONPATH=/path/to/checkout/src python tests/byte_sweep.py sweep.json
 
 It uses the standard library and ``oamwalk.cli`` only; pytest does not
-collect it.
+collect it (``tests/test_cli.py`` checks that every config builds).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import random
 import sys
 import tempfile
@@ -29,6 +37,9 @@ from pathlib import Path
 from oamwalk import cli
 
 HALF_WIDTHS = (3, 5, 17, 31, 32, 40, 63, 64, 100, 129, 256)
+DEGENERATE_HALF_WIDTHS = (3, 17, 40, 64, 100, 256)
+#: Angles whose coins hold exact zeros or exact +-1 entries.
+DEGENERATE_ANGLES = {"0": 0.0, "pi/2": math.pi / 2, "pi": math.pi}
 
 
 def _four_angle_table(rng: random.Random, half_width: int) -> dict:
@@ -51,6 +62,28 @@ def _compile_configs():
                                            "table2": _four_angle_table(rng, L)}
 
 
+def _degenerate_configs():
+    for L in DEGENERATE_HALF_WIDTHS:
+        base = {"schema_version": 1, "steps": 1, "half_width": L}
+        for (n1, t1), (n2, t2) in itertools.product(DEGENERATE_ANGLES.items(), repeat=2):
+            yield f"ssqw-{n1}-{n2}-L{L}", {**base, "walk": "ssqw", "theta1": t1, "theta2": t2}
+        for name, theta in DEGENERATE_ANGLES.items():
+            yield f"dtqw-{name}-L{L}", {**base, "walk": "dtqw", "theta": theta}
+            yield f"electric-dtqw-{name}-L{L}", {**base, "walk": "electric-dtqw", "theta": theta,
+                                                 "phi_e": math.pi}
+        table = {"theta": 0.0, "xi": math.pi / 2}
+        yield f"generalized-theta0-xi-pi/2-L{L}", {**base, "walk": "generalized", "table1": table,
+                                                   "table2": table}
+
+
+def configs():
+    """Every ``(name, config)`` of the grid, the ``compile`` ones first."""
+    yield from _compile_configs()
+    yield from _degenerate_configs()
+    yield from _run_configs()
+    yield from _localize_configs()
+
+
 def _run_configs():
     base = {"schema_version": 1, "steps": 30, "half_width": 40}
     yield "ssqw", {**base, "walk": "ssqw", "theta1": 0.3, "theta2": 1.1, "emit_all_sites": True}
@@ -65,8 +98,9 @@ def _localize_configs():
 
 
 def _jobs():
-    for name, cfg in _compile_configs():
+    for name, cfg in itertools.chain(_compile_configs(), _degenerate_configs()):
         yield f"compile --verify {name}", cfg, ["compile", "--verify"]
+        yield f"compile {name}", cfg, ["compile"]
     for name, cfg in _run_configs():
         yield f"run {name}", cfg, ["run"]
     for name, cfg in _localize_configs():
@@ -96,8 +130,12 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print("usage: byte_sweep.py OUT.json", file=sys.stderr)
         return 2
-    Path(argv[0]).write_text(json.dumps(sweep(), indent=1, sort_keys=True) + "\n")
-    return 0
+    digests = sweep()
+    Path(argv[0]).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    failed = [job for job, entry in digests.items() if entry["exit"] != 0]
+    for job in failed:
+        print(f"exit {digests[job]['exit']}: {job}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ import pytest
 
 from oamwalk import cli, compiler, walk
 from oamwalk.cli import main
-from oamwalk.optics import HalfWavePlate, equal_up_to_phase
+from oamwalk.optics import HalfWavePlate, compose, equal_up_to_phase
 
+import byte_sweep
 from conftest import dense_shift_full, traced_peak
 from test_compiler import dense_report
 from test_walk import reference_step
@@ -554,6 +555,19 @@ def ssqw_config(tmp_path, **overrides):
     return path
 
 
+def pdc_record(**changes) -> dict:
+    """A one-site ``pdc_block`` record, with ``changes`` made to its parameters."""
+    params = {"lattice_min": 0, "hwp_angle": 0.0, "q2": [[0.0, 0.0, 0.0]], "q1": [[0.0, math.pi, 0.0]], **changes}
+    return {"order": 0, "element_type": "pdc_block", "parameters": params, "provenance": "p"}
+
+
+def parts_list(order=0, provenance="p", phase=0.0, notes=()) -> dict:
+    """A one-step parts list of two half-waveplates, the first with the given ``order`` and ``provenance``."""
+    records = [{"order": order, "element_type": "half_waveplate", "parameters": {"angle": 0.1}, "provenance": provenance},
+               {"order": 1, "element_type": "half_waveplate", "parameters": {"angle": 0.2}, "provenance": "q"}]
+    return {"schema_version": 1, "step_blocks": [{"phase": phase, "notes": list(notes), "elements": records}]}
+
+
 class TestCompile:
     def test_parts_list_shape(self, tmp_path):
         cfg = ssqw_config(tmp_path)
@@ -621,7 +635,7 @@ class TestCompile:
         out = tmp_path / "parts.json"
         main(["compile", "--config", str(cfg), "--out", str(out)])
         steps = cli.parse_parts_list(json.loads(out.read_text()))
-        m = equal_up_to_phase(steps[0].lift(6), dense_shift_full(6))
+        m = equal_up_to_phase(compose(steps[0].elements, 6), dense_shift_full(6))
         assert m.match
 
     def test_round_trip_reproduces_fidelity(self, tmp_path):
@@ -660,13 +674,57 @@ class TestCompile:
          "jplate element must be a JSON object with key 'parameters'"),
         (lambda: cli.element_from_record({"element_type": ["jplate"], "parameters": {}}), cli.ConfigError,
          "parts-list element key 'element_type' must be a str, got list"),
+        (lambda: cli.element_from_record({"element_type": "jplate", "parameters": {"m_x": 1, "c_x": "a"}}),
+         cli.ConfigError, "jplate parameters key 'c_x' must be a number, got 'a'"),
+        (lambda: cli.element_from_record({"element_type": "half_waveplate", "parameters": {"angle": None}}),
+         cli.ConfigError, "half_waveplate parameters key 'angle' must be a number, got None"),
+        (lambda: cli.element_from_record({"element_type": "variable_waveplate", "parameters": {"retardance": [1, 2]}}),
+         cli.ConfigError, r"variable_waveplate parameters key 'retardance' must be a number, got \[1, 2\]"),
+        (lambda: cli.element_from_record(pdc_record(q2=[[0.0, None, 0.0]])), cli.ConfigError,
+         "pdc_block parameters key 'q2' row 0 entry 1 must be a number, got None"),
+        (lambda: cli.element_from_record(pdc_record(q1=[["0", 0.0, 0.0]])), cli.ConfigError,
+         "pdc_block parameters key 'q1' row 0 entry 0 must be a number, got '0'"),
+        (lambda: cli.element_from_record(pdc_record(q1={"0": [0.0, 0.0, 0.0]})), cli.ConfigError,
+         "pdc_block parameters key 'q1' must be a list, got dict"),
+        (lambda: cli.element_from_record(pdc_record(lattice_min="x")), cli.ConfigError,
+         "pdc_block parameters key 'lattice_min' must be a int, got str"),
+        (lambda: cli.element_from_record(pdc_record(lattice_min=False)), cli.ConfigError,
+         "pdc_block parameters key 'lattice_min' must be a int, got bool"),
+        (lambda: cli.element_from_record(pdc_record(hwp_angle=0.5)), cli.ConfigError,
+         "pdc_block parameters key 'hwp_angle' must be 0.0, the value the element fixes"),
+        (lambda: cli.element_from_record(pdc_record(hwp_angle=False)), cli.ConfigError,
+         "pdc_block parameters key 'hwp_angle' must be a number, got False"),
+        (lambda: cli.parse_parts_list(parts_list(order="1")), cli.ConfigError,
+         "parts-list element key 'order' must be a int, got str"),
+        (lambda: cli.parse_parts_list(parts_list(order=None)), cli.ConfigError,
+         "parts-list element key 'order' must be a int, got NoneType"),
+        (lambda: cli.parse_parts_list(parts_list(phase="x")), cli.ConfigError,
+         "step block key 'phase' must be a number, got 'x'"),
+        (lambda: cli.parse_parts_list(parts_list(provenance=3)), cli.ConfigError,
+         "parts-list element key 'provenance' must be a str, got int"),
+        (lambda: cli.parse_parts_list(parts_list(notes=["ok", None])), cli.ConfigError,
+         "step block key 'notes' must list strings"),
+        (lambda: cli.parse_parts_list({**parts_list(), "schema_version": True}), cli.ConfigError,
+         "parts list key 'schema_version' must be a int, got bool"),
     ], ids=["unknown-element", "unknown-element-type", "parts-list-version", "missing-step-blocks",
             "non-object-document", "missing-elements", "step-blocks-not-a-list", "unknown-parameter",
             "missing-parameter", "bad-plate-shape", "boolean-multiplier", "missing-parameters",
-            "element-type-not-a-string"])
+            "element-type-not-a-string", "string-jplate-constant", "null-angle", "list-retardance",
+            "null-plate-entry", "string-plate-entry", "plate-rows-not-a-list", "string-lattice-min",
+            "boolean-lattice-min", "changed-hwp-angle", "boolean-hwp-angle", "string-order", "null-order",
+            "string-phase", "non-string-provenance", "non-string-note", "boolean-schema-version"])
     def test_parts_list_records_reject_what_they_cannot_read(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    def test_parts_list_records_read_their_values_unchanged(self):
+        """The records the rejection cases change are read, each value as it was written."""
+        block = cli.element_from_record(pdc_record(lattice_min=0, hwp_angle=0))
+        assert block.lattice_min == 0 and block.q1.tolist() == [[0.0, math.pi, 0.0]]
+        [step] = cli.parse_parts_list(parts_list(order=2, phase=1, notes=["n"]))
+        assert [el.angle for el in step.elements] == [0.2, 0.1]
+        assert (step.provenance, step.phase, step.notes) == (("q", "p"), 1, ("n",))
+        assert type(step.phase) is int
 
     def test_generalized_blocks_match_homogeneous_compilation(self, tmp_path):
         L = 5
@@ -688,7 +746,7 @@ class TestCompile:
         hom = compiler.compile_ssqw(
             walk.u2_matrix(walk.CoinParams(theta=0.7)), walk.u2_matrix(walk.CoinParams(theta=-0.3))
         )
-        m = equal_up_to_phase(gen_steps[0].lift(L), hom.lift(L))
+        m = equal_up_to_phase(compose(gen_steps[0].elements, L), compose(hom.elements, L))
         assert m.match
 
     @pytest.mark.parametrize("half_width", [3, 16, 40])
@@ -791,7 +849,7 @@ class TestCompile:
         from oamwalk.compiler import VerificationReport
 
         def fake_verify(cs, reference):
-            return VerificationReport(False, 0.5, 0.0, 1e-10, (), ())
+            return VerificationReport(False, 0.5, 0.0, 1e-10, ())
 
         monkeypatch.setattr(compiler, "verify", fake_verify)
         cfg = ssqw_config(tmp_path)
@@ -826,13 +884,19 @@ def check_compile_bytes(half_width, directory):
             train = compiler.compile_generalized(spec)
         match, defects = dense_report(train, walk.step_operator(spec), half_width)
         factors = tuple(map(compiler.FactorCheck, train.provenance, defects))
-        report = compiler.VerificationReport(*match, compiler.TOL, factors, train.notes)
+        report = compiler.VerificationReport(*match, compiler.TOL, factors)
         expect = json.dumps(cli.parts_list_document(spec, train, report), indent=2, sort_keys=True) + "\n"
         assert out.read_text() == expect, (kind, half_width)
 
 
 class TestCompileBytes:
     """The band-folded certificate writes the bytes of the dense one."""
+
+    def test_byte_sweep_configs_build(self):
+        """Every config of ``tests/byte_sweep.py`` builds a spec, so its digests compare outputs, not
+        the exit codes of configs the CLI refuses.  No walk runs."""
+        for name, cfg in byte_sweep.configs():
+            assert isinstance(cli.build_spec(cfg), walk.WalkSpec), name
 
     @pytest.mark.parametrize("half_width", [40, 64, 100])
     def test_verify_writes_the_dense_reports_bytes(self, tmp_path, half_width):

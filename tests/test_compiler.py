@@ -212,7 +212,7 @@ class TestCompileSsqw:
     def test_identity_coins_give_full_shift(self):
         cs = compile_ssqw(np.eye(2), np.eye(2))
         ref = dense_shift_full(5)
-        m = equal_up_to_phase(cs.lift(5), ref)
+        m = equal_up_to_phase(compose(cs.elements, 5), ref)
         assert m.match and m.fidelity >= 1 - 1e-12
 
     def test_five_elements_in_order(self):
@@ -286,7 +286,7 @@ class TestCompileGeneralized:
         L = 4
         t = CoinTable.homogeneous(CoinParams(), L)
         cs = compile_generalized(WalkSpec("generalized", 1, L, table1=t, table2=t))
-        m = equal_up_to_phase(cs.lift(L), dense_shift_full(L))
+        m = equal_up_to_phase(compose(cs.elements, L), dense_shift_full(L))
         assert m.match
 
     def test_homogeneous_tables_match_ssqw_compilation(self, rng):
@@ -298,7 +298,7 @@ class TestCompileGeneralized:
         t2 = CoinTable.homogeneous(CoinParams(0.0, 0.3, -0.7, 0.4), L)
         gen = compile_generalized(WalkSpec("generalized", 1, L, table1=t1, table2=t2))
         hom = compile_ssqw(u2_matrix(t1[0]), u2_matrix(t2[0]))
-        m = equal_up_to_phase(gen.lift(L), hom.lift(L))
+        m = equal_up_to_phase(compose(gen.elements, L), compose(hom.elements, L))
         assert m.match and m.fidelity >= 1 - 1e-10
 
     def test_random_tables_verify(self, rng):
@@ -343,7 +343,7 @@ class TestCompileGeneralized:
 class TestVerify:
     def test_train_against_its_own_lift(self):
         cs = compile_ssqw(coin_matrix(0.4), coin_matrix(-0.2))
-        rep = verify(cs, cs.lift(5))
+        rep = verify(cs, compose(cs.elements, 5))
         assert rep.passed and rep.fidelity == pytest.approx(1.0, abs=1e-15)
 
     def test_perturbed_retardance_fails(self, rng):
@@ -364,7 +364,7 @@ class TestVerify:
         assert len(rep.factors) == 5
         assert all(f.unitarity_defect < 1e-12 for f in rep.factors)
         assert rep.tol == 1e-10
-        assert any("gamma1" in note for note in rep.notes)
+        assert any("gamma1" in note for note in cs.notes)
 
     def test_dimension_validation(self):
         cs = compile_ssqw(np.eye(2), np.eye(2))
@@ -454,13 +454,20 @@ FOLD_HALF_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 48, 56, 64, 71, 100,
 
 
 def fold_trains(rng, half_width):
-    """(name, train, lifted): ssqw and its gamma2 variant, and a generalized step followed by two more elements.
+    """(name, train, lifted): ssqw and its gamma2 variant, a generalized step followed by three more
+    elements, and a train whose product cancels exactly.
 
-    The last three are a rotated half-waveplate, whose product adds the terms of both polarizations,
+    The three are a rotated half-waveplate, whose product adds the terms of both polarizations,
     a PDC block, whose complex coins then add them too, and a rotated J-plate with two shifts, whose
     product adds terms of neighbouring sites.  The generalized walk needs three sites of margin, so
     it is left out below L = 3.  ``lifted`` holds the positions of the elements the fold lifts: those
     adding two terms up to width ``optics._DENSE_UP_TO``, and beyond it only the two-shift J-plate.
+
+    The last train starts with two equal half-waveplates, the identity, whose off-diagonals the fold
+    may leave exact zeros (on the band path, and on the lift where the zgemm does), so the PDC block
+    over four-angle tables, the rotated one-shift J-plate and the last half-waveplate meet fewer
+    terms than they could.  Where that happens depends on the BLAS thread count, and so does which of
+    its elements are lifted: its ``lifted`` is None, and only its bits are checked.
     """
     c1, c2 = random_u2(rng), random_u2(rng)
     trains = [(name, compile_ssqw(c1, c2, first_plate=plate).elements, lifted_at(name, half_width))
@@ -472,21 +479,24 @@ def fold_trains(rng, half_width):
         dense = 2 * (2 * half_width + 1) <= optics._DENSE_UP_TO
         trains.append(("generalized + hwp + pdc + jplate", train,
                        [len(train) - 3, len(train) - 2] * dense + [len(train) - 1]))
+    table = CoinTable(-half_width, *rng.uniform(-math.pi, math.pi, size=(4, 2 * half_width + 1)))
+    trains.append(("hwp + hwp + pdc + jplate + hwp", (HalfWavePlate(0.3), HalfWavePlate(0.3), compile_pdc(table),
+                                                      JPlate(-1, 0.2, 0, -0.4, 0.7), HalfWavePlate(0.1)), None))
     return trains
 
 
 def check_fold_steps(half_width, seed=20240917):
     """Each fold step from the identity's bands, the first included, placed, is ``lift(element) @ placed``
-    bit for bit; the expected elements are lifted."""
+    bit for bit; the expected elements are lifted, in each train that names them."""
     for name, train, lifted in fold_trains(np.random.default_rng(seed), half_width):
-        bands, reach = optics._fold((), half_width), {(0, 0, 0), (1, 1, 0)}
+        bands = optics._fold((), half_width)
         for i, el in enumerate(train):
             expect = el.lift(half_width) @ optics._place_bands(bands.items(), half_width)
             with counted_lifts() as lifts:
-                bands, reach = optics._fold_step(el, half_width, bands, reach)
+                bands = optics._fold_step(el, half_width, bands)
             got = optics._place_bands(bands.items(), half_width)
             assert np.array_equal(got.view(np.float64), expect.view(np.float64)), (name, i, half_width)
-            assert lifts == [id(el)] * (i in lifted), (name, i, half_width)
+            assert lifted is None or lifts == [id(el)] * (i in lifted), (name, i, half_width)
 
 
 class TestFoldStep:
@@ -604,8 +614,8 @@ class TestVerifyFold:
                 trains += [(compile_ssqw(c1, c2), True), (compile_ssqw(c1, c2, first_plate="gamma2"), False)]
             for cs, passes in trains:
                 got, want = verify(cs, spec), verify(cs, walk.step_operator(spec))
-                fields = (got.passed, got.fidelity, got.phase, got.factors, got.tol, got.notes)
-                assert fields == (want.passed, want.fidelity, want.phase, want.factors, want.tol, want.notes)
+                fields = (got.passed, got.fidelity, got.phase, got.factors, got.tol)
+                assert fields == (want.passed, want.fidelity, want.phase, want.factors, want.tol)
                 assert got.passed is passes, spec.walk_kind
 
     @pytest.mark.parametrize("kind", WalkSpec.KINDS)

@@ -201,8 +201,8 @@ class TestBandLifts:
                                          VariableWavePlate(1.2), VariableWavePlate(-0.35)])
     def test_waveplate_lift_is_the_kron(self, element, half_width):
         got = element.lift(half_width)
-        assert np.array_equal(got, np.kron(element.jones(), np.eye(2 * half_width + 1)))
-        assert np.array_equal(got, dense_coin(element.jones(), half_width))
+        assert np.array_equal(got, np.kron(element.bands()[0][1], np.eye(2 * half_width + 1)))
+        assert np.array_equal(got, dense_coin(element.bands()[0][1], half_width))
 
     @pytest.mark.parametrize("half_width", LIFT_HALF_WIDTHS)
     def test_pdc_lift_is_the_per_site_coin(self, rng, half_width):
