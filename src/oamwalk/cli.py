@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compiler, walk
+from . import compiler, optics, walk
 from .compiler import CompiledStep, PdcBlock, VerificationError, VerificationReport
 from .optics import HalfWavePlate, JPlate, VariableWavePlate
 
@@ -104,10 +104,6 @@ _TABLE_KEYS = {"chi", "xi", "eta", "theta"}
 _FLAG_KEYS = ("emit_trajectory", "emit_all_sites", "verify")
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite number {name} is not allowed")
-
-
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -116,9 +112,7 @@ def load_config(path) -> dict:
     except UnicodeDecodeError as err:
         raise ConfigError(f"config {path} is not UTF-8 text: {err}") from err
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
-    except ConfigError:
-        raise
+        cfg = json.loads(text)
     except ValueError as err:  # malformed JSON, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     except RecursionError as err:
@@ -128,12 +122,13 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, kinds, what: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}")
-    value = cfg[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"key {key!r} must be {what}, got {value!r}")
+def _key(mapping, key: str, kind=object, where: str = "config"):
+    """``mapping[key]`` of a JSON object, of JSON type ``kind`` (a boolean is no int), or ConfigError."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ConfigError(f"{where} must be a JSON object with key {key!r}")
+    value = mapping[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{where} key {key!r} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
@@ -151,14 +146,11 @@ def _parse_coin_state(raw) -> tuple[complex, complex]:
     try:
         (re0, im0), (re1, im1) = raw
         re0, im0, re1, im1 = (_number(v, "coin_state entry") for v in (re0, im0, re1, im1))
-        coin = (complex(re0, im0), complex(re1, im1))
+        return complex(re0, im0), complex(re1, im1)
     except (TypeError, ValueError) as err:
         raise ConfigError(
             "coin_state must be [[re, im], [re, im]] pairs of numbers"
         ) from err
-    if not abs(math.hypot(abs(coin[0]), abs(coin[1])) - 1.0) <= 1e-12:  # also rejects NaN and inf
-        raise ConfigError("coin_state must be normalized to 1 within 1e-12")
-    return coin
 
 
 def _angle_column(raw, n: int, key: str, name: str) -> np.ndarray:
@@ -183,42 +175,31 @@ def _parse_table(raw, half_width: int, name: str) -> walk.CoinTable | None:
 
 
 def build_spec(cfg: dict) -> walk.WalkSpec:
-    """Validate a config mapping and turn it into a WalkSpec."""
-    version = _require(cfg, "schema_version", int, "an integer")
+    """Read a config mapping into a WalkSpec, which checks its own fields."""
+    version = _key(cfg, "schema_version", int)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported schema_version {version}; this tool reads {CONFIG_VERSION}")
-    kind = _require(cfg, "walk", str, "a string")
+    kind = _key(cfg, "walk", str)
     if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown walk {kind!r}; expected one of {sorted(_KIND_KEYS)}")
-    allowed = _COMMON_KEYS.union(_KIND_KEYS[kind])
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - _COMMON_KEYS.union(_KIND_KEYS[kind])
     if unknown:
         raise ConfigError(f"unknown keys for walk {kind!r}: {sorted(unknown)}")
-
-    steps = _require(cfg, "steps", int, "a non-negative integer")
-    half_width = _require(cfg, "half_width", int, "a positive integer")
-    if steps < 0 or half_width < 1:
-        raise ConfigError("steps must be >= 0 and half_width >= 1")
-    start = cfg.get("start", 0)
-    if not isinstance(start, int) or isinstance(start, bool):
-        raise ConfigError("start must be an integer site")
-    coin = _parse_coin_state(cfg["coin_state"]) if "coin_state" in cfg else walk.SYMMETRIC_COIN
-    seed = cfg.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ConfigError("seed must be an integer")
     for flag in _FLAG_KEYS:
         if not isinstance(cfg.get(flag, False), bool):
             raise ConfigError(f"{flag} must be true or false, got {cfg[flag]!r}")
+    coin = _parse_coin_state(cfg["coin_state"]) if "coin_state" in cfg else walk.SYMMETRIC_COIN
 
-    kwargs = dict(coin_state=coin, start=start, seed=seed)
     try:
+        spec = walk.WalkSpec(kind, _key(cfg, "steps"), _key(cfg, "half_width"), coin_state=coin,
+                             start=cfg.get("start", 0), seed=cfg.get("seed"))
+        fields = {}
         for key, field in _KIND_KEYS[kind].items():
-            if key in cfg:
-                kwargs[field] = (_parse_table(cfg[key], half_width, key) if field in ("table1", "table2")
-                                 else _number(cfg[key], f"key {key!r}"))
-            elif key not in _OPTIONAL_KEYS:
-                raise ConfigError(f"missing required key {key!r}")
-        spec = walk.WalkSpec(kind, steps, half_width, **kwargs)
+            if key in cfg or key not in _OPTIONAL_KEYS:
+                raw = _key(cfg, key)
+                fields[field] = (_parse_table(raw, spec.half_width, key) if field in ("table1", "table2")
+                                 else _number(raw, f"key {key!r}"))
+        spec = dataclasses.replace(spec, **fields)
         spec.validate()  # LatticeGuardError, a RuntimeError, propagates to exit code 3
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -317,33 +298,17 @@ def element_to_record(element, order: int, provenance: str) -> dict:
     return {"order": order, "element_type": kind, "parameters": params, "provenance": provenance}
 
 
-def _entry(mapping, key: str, what: str, kind=object):
-    """``mapping[key]`` of a parts-list JSON object, or :class:`ConfigError` naming what is missing or malformed."""
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{what} must be a JSON object with key {key!r}")
-    if not isinstance(mapping[key], kind) or (kind is int and isinstance(mapping[key], bool)):  # true is no int
-        raise ConfigError(f"{what} key {key!r} must be a {kind.__name__}, got {type(mapping[key]).__name__}")
-    return mapping[key]
-
-
 def element_from_record(record: dict):
-    """The element of a parts-list record, its parameters type-checked and passed on unchanged."""
-    kind = _entry(record, "element_type", "parts-list element", str)
+    """The element of a parts-list record, built from its parameters, which the element checks itself."""
+    kind = _key(record, "element_type", str, "parts-list element")
     if kind not in _ELEMENT_TYPES:
         raise ConfigError(f"unknown element_type {kind!r} in parts list")
-    params, what = dict(_entry(record, "parameters", f"{kind} element", dict)), f"{kind} parameters"
-    for key, value in _CONSTANT_PARAMETERS.get(kind, {}).items():
-        if key in params and _number(params.pop(key), f"{what} key {key!r}") != value:
-            raise ConfigError(f"{what} key {key!r} must be {value!r}, the value the element fixes")
-    for key, value in params.items():
-        if key in ("q2", "q1"):  # rows of numbers; a row that is a number fails the block's shape check
-            for i, row in enumerate(_entry(params, key, what, list)):
-                for j, entry in enumerate(row if isinstance(row, list) else [row]):
-                    _number(entry, f"{what} key {key!r} row {i} entry {j}")
-        elif key == "lattice_min":
-            _entry(params, key, what, int)
-        elif key not in ("m_x", "m_y"):  # JPlate checks its OAM multipliers
-            _number(value, f"{what} key {key!r}")
+    params = dict(_key(record, "parameters", dict, f"{kind} element"))
+    for key, fixed in _CONSTANT_PARAMETERS.get(kind, {}).items():
+        value = params.pop(key, fixed)
+        if value != fixed or isinstance(value, bool):
+            raise ConfigError(f"{kind} parameters key {key!r} must be {fixed!r}, the value the element fixes, "
+                              f"got {value!r}")
     try:
         return _ELEMENT_TYPES[kind](**params)
     except (TypeError, ValueError) as err:  # an unknown or missing parameter, or one the element refuses
@@ -374,19 +339,25 @@ def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: Verifica
 
 def parse_parts_list(document: dict) -> list[CompiledStep]:
     """Rebuild compiled steps from an emitted parts list."""
-    if _entry(document, "schema_version", "parts list", int) != PARTS_LIST_VERSION:
+    if _key(document, "schema_version", int, "parts list") != PARTS_LIST_VERSION:
         raise ConfigError("parts list has an unsupported schema_version")
     steps = []
-    for block in _entry(document, "step_blocks", "parts list", list):
-        records = sorted(_entry(block, "elements", "step block", list),
-                         key=lambda r: _entry(r, "order", "parts-list element", int))
+    for block in _key(document, "step_blocks", list, "parts list"):
+        records = sorted(_key(block, "elements", list, "step block"),
+                         key=lambda r: _key(r, "order", int, "parts-list element"))
+        orders = [r["order"] for r in records]
+        if orders != list(range(len(records))):
+            raise ConfigError(f"step block key 'order' must run 0..{len(records) - 1} once each, got {orders}")
         elements = tuple(element_from_record(r) for r in records)
-        provenance = tuple(_entry(r, "provenance", "parts-list element", str) for r in records)
-        notes = tuple(_entry(block, "notes", "step block", list))
+        provenance = tuple(_key(r, "provenance", str, "parts-list element") for r in records)
+        notes = tuple(_key(block, "notes", list, "step block"))
         if not all(isinstance(note, str) for note in notes):
             raise ConfigError("step block key 'notes' must list strings")
-        _number(_entry(block, "phase", "step block"), "step block key 'phase'")
-        steps.append(CompiledStep(elements, provenance, block["phase"], notes))
+        try:
+            phase = optics._as_real("step block key 'phase'", _key(block, "phase", where="step block"))
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        steps.append(CompiledStep(elements, provenance, phase, notes))
     return steps
 
 

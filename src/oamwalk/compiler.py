@@ -22,6 +22,8 @@ the failure of that variant stays demonstrable.
 
 Any walk kind: each move of its step (:data:`oamwalk.walk.STEP_MOVES`)
 becomes a PDC block and a J-plate, and an electric site phase one more PDC.
+A :class:`PdcBlock`, like the :mod:`oamwalk.optics` elements, checks its own
+fields when built.
 
 Verification records each element's unitarity defect from its bands, and
 :func:`oamwalk.optics.equal_up_to_phase` compares the train's operator
@@ -160,7 +162,8 @@ class PdcBlock:
 
     ``q2`` and ``q1`` hold one (delta_x, delta_y, angle) row per site,
     ascending from ``lattice_min``; each site's coin is the pointwise product
-    J(q2) @ J(q1) @ s3 (the half-waveplate sits at fast-axis angle 0).
+    J(q2) @ J(q1) @ s3 (the half-waveplate sits at fast-axis angle 0).  Each
+    plate entry must be a finite real number and ``lattice_min`` an integer.
     """
 
     lattice_min: int
@@ -168,12 +171,16 @@ class PdcBlock:
     q1: np.ndarray
 
     def __post_init__(self):
-        q2, q1 = (np.array(q, dtype=np.float64) for q in (self.q2, self.q1))
-        if q2.shape != q1.shape or q2.ndim != 2 or q2.shape[1] != 3:
-            raise ValueError("plate parameter arrays must both have shape (n_sites, 3)")
-        for name, q in (("q2", q2), ("q1", q1)):
+        object.__setattr__(self, "lattice_min", optics._as_integer("lattice_min", self.lattice_min))
+        for name in ("q2", "q1"):
+            entries = np.array(getattr(self, name), dtype=object)
+            for entry in entries.flat:
+                optics._as_real(f"{name} entry", entry)
+            q = entries.astype(np.float64)
             q.setflags(write=False)
             object.__setattr__(self, name, q)
+        if self.q2.shape != self.q1.shape or self.q2.ndim != 2 or self.q2.shape[1] != 3:
+            raise ValueError("plate parameter arrays must both have shape (n_sites, 3)")
 
     @property
     def n_sites(self) -> int:

@@ -13,6 +13,9 @@ Three element kinds are modeled:
 ``VariableWavePlate``
     tunable retardance ``z`` between H and V, ``diag(e^{iz/2}, e^{-iz/2})``.
 
+Each element refuses, when built, an angle, constant or retardance that is not
+a finite real number and an OAM multiplier that is not an integer.
+
 Each element gives its action as bands, ``(m, coefficient)`` pairs taking
 ``|b> ⊗ |l>`` to ``coefficient[a, b] |a> ⊗ |l+m>`` with one (2, 2) Jones matrix
 or an (n_sites, 2, 2) field of them, indexed by the sites -L..L, and read here
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -222,11 +226,21 @@ def lift(element, half_width: int) -> np.ndarray:
     return _place_bands(element.bands(), half_width)
 
 
-def _as_multiplier(value) -> int:
-    if not isinstance(value, bool) and (isinstance(value, numbers.Integral)
-                                        or (isinstance(value, float) and value.is_integer())):
-        return int(value)
-    raise ValueError(f"OAM multiplier must be an integer, got {value!r}")
+def _as_integer(name: str, value, least=-math.inf) -> int:
+    """``value`` (an integer, or a float with an integer value; not a boolean) as an int of at least ``least``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _as_real(name: str, value):
+    """``value``, unchanged, if it is a real number (not a boolean) that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -240,8 +254,10 @@ class JPlate:
     angle: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "m_x", _as_multiplier(self.m_x))
-        object.__setattr__(self, "m_y", _as_multiplier(self.m_y))
+        for name in ("m_x", "m_y"):
+            object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
+        for name in ("c_x", "c_y", "angle"):
+            _as_real(name, getattr(self, name))
 
     def bands(self) -> list:
         """Bands m_x, m_y: R(-angle)[a, c] e^{i c_c} R(angle)[c, b], multiplied in that order."""
@@ -257,6 +273,9 @@ class JPlate:
 class HalfWavePlate:
     angle: float = 0.0
 
+    def __post_init__(self):
+        _as_real("angle", self.angle)
+
     def bands(self) -> list:
         return [(0, halfwave_pointwise(self.angle))]
 
@@ -266,6 +285,9 @@ class HalfWavePlate:
 @dataclass(frozen=True)
 class VariableWavePlate:
     retardance: float
+
+    def __post_init__(self):
+        _as_real("retardance", self.retardance)
 
     def bands(self) -> list:
         return [(0, varwave_pointwise(self.retardance))]

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .optics import _place_bands
+from .optics import _as_integer, _as_real, _place_bands
 
 __all__ = [
     "GUARD",
@@ -164,9 +164,7 @@ class CoinParams:
 
     def __post_init__(self):
         for name in ("chi", "xi", "eta", "theta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"coin angle {name} must be finite, got {v}")
+            _as_real(f"coin angle {name}", getattr(self, name))
 
 
 def coin_matrix(theta: float) -> np.ndarray:
@@ -272,20 +270,21 @@ class CoinTable:
         return m
 
 
-def make_state(coin: Iterable[complex], x0: int, half_width: int) -> WalkerState:
-    """Delta state at site ``x0`` with the given normalized coin vector."""
+def _unit_coin(name: str, coin: Iterable[complex]) -> tuple[complex, complex]:
+    """The two amplitudes of ``coin``, or ``ValueError`` unless their norm is 1 within 1e-12."""
     a, b = (complex(c) for c in coin)
     nrm = math.hypot(abs(a), abs(b))
     if not abs(nrm - 1.0) <= 1e-12:  # also rejects NaN and inf entries
-        raise ValueError(f"coin vector must be normalized, |coin| = {nrm!r}")
-    if half_width < 1:
-        raise ValueError("half_width must be at least 1")
+        raise ValueError(f"{name} must be normalized to 1 within 1e-12, |{name}| = {nrm!r}")
+    return a, b
+
+
+def make_state(coin: Iterable[complex], x0: int, half_width: int) -> WalkerState:
+    """Delta state at site ``x0`` with the given normalized coin vector."""
     if abs(x0) >= half_width:
         raise ValueError(f"start site {x0} must satisfy |x0| < half_width = {half_width}")
-    n = 2 * half_width + 1
-    amps = np.zeros((2, n), dtype=np.complex128)
-    amps[0, x0 + half_width] = a
-    amps[1, x0 + half_width] = b
+    amps = np.zeros((2, 2 * half_width + 1), dtype=np.complex128)
+    amps[:, x0 + half_width] = _unit_coin("coin vector", coin)
     return WalkerState(-half_width, amps)
 
 
@@ -371,6 +370,7 @@ class WalkSpec:
     first coin of the split-step walk; ``theta2`` the second split-step coin.
     The generalized walk takes two coin tables instead; leave them ``None``
     with a non-negative ``seed`` set to draw disordered tables reproducibly.
+    Fields are checked when the spec is built; :meth:`validate` checks them together.
     """
 
     walk_kind: str
@@ -390,20 +390,19 @@ class WalkSpec:
     def __post_init__(self):
         if self.walk_kind not in self.KINDS:
             raise ValueError(f"unknown walk kind {self.walk_kind!r}; expected one of {self.KINDS}")
+        for name, least in (("steps", 0), ("half_width", 1), ("start", -math.inf), ("seed", 0)):
+            if name != "seed" or self.seed is not None:
+                object.__setattr__(self, name, _as_integer(name, getattr(self, name), least))
+        for name in ("theta1", "theta2", "phi_e"):
+            _as_real(name, getattr(self, name))
+        _unit_coin("coin_state", self.coin_state)
 
     def required_half_width(self) -> int:
         lefts, rights = _REACH[self.walk_kind]  # the last light cone stays 2 sites clear of each edge
         return max(self.steps * lefts - self.start, self.steps * rights + self.start) + 2
 
     def validate(self) -> None:
-        if self.steps < 0:
-            raise ValueError("step count must be non-negative")
-        for name in ("theta1", "theta2", "phi_e"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        """Check the fields against each other: tables or a seed, the lattice size, the tables' cover."""
         if self.walk_kind == "generalized" and (self.table1 is None or self.table2 is None) and self.seed is None:
             raise ValueError("generalized walk needs explicit coin tables or a seed to draw them")
         need = self.required_half_width()

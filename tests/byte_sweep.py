@@ -7,9 +7,12 @@ degenerate coins whose products hold exact zeros (split-step angle pairs
 from 0, pi/2 and pi; dtqw and electric-dtqw at those angles with phi_e = pi;
 tables with theta = 0 and xi = pi/2) at half-widths 3 to 256, plus a few
 ``run`` and ``localize`` configs.  Each output file's digest is keyed by its
-command and config, with the command's exit code.  It exits 1, naming the
-jobs, when any command exited other than 0, so a config a checkout cannot
-read does not pass as a byte match.
+command and config, with the command's exit code.  Every parts list written is
+also read back with ``cli.parse_parts_list`` and written again record by record
+with ``cli.element_to_record``, which must give its element records unchanged.
+It exits 1, naming the jobs, when any command exited other than 0, so a config
+a checkout cannot read does not pass as a byte match, or when a parts list does
+not round-trip.
 
 Run one copy of this script against two checkouts, with ``PYTHONPATH`` naming
 each checkout's ``src`` in turn, and diff the two files, once with the default
@@ -107,9 +110,25 @@ def _jobs():
         yield f"localize --seeds 4 {name}", cfg, ["localize", "--seeds", "4"]
 
 
-def sweep() -> dict:
-    """``{job: {"exit": code, file name: sha256}}`` over the whole grid."""
-    digests = {}
+def _round_trips(path: Path) -> bool:
+    """Whether the parts list at ``path`` reads back into elements whose records are the ones written."""
+    document = json.loads(path.read_text())
+    try:
+        steps = cli.parse_parts_list(document)
+    except cli.ConfigError:
+        return False
+    for block, cs in zip(document["step_blocks"], steps, strict=True):
+        records = [cli.element_to_record(el, order, prov)
+                   for order, (el, prov) in enumerate(zip(cs.elements, cs.provenance, strict=True))]
+        if records != block["elements"]:
+            return False
+    return True
+
+
+def sweep() -> tuple[dict, list]:
+    """``{job: {"exit": code, file name: sha256}}`` over the whole grid, and the compile jobs whose parts
+    list does not round-trip."""
+    digests, unread = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         for i, (job, cfg, command) in enumerate(_jobs()):
             work = Path(tmp) / str(i)
@@ -122,7 +141,9 @@ def sweep() -> dict:
                 if path != config:
                     entry[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             digests[job] = entry
-    return digests
+            if command[0] == "compile" and code == 0 and not _round_trips(out):
+                unread.append(job)
+    return digests, unread
 
 
 def main(argv=None) -> int:
@@ -130,12 +151,14 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print("usage: byte_sweep.py OUT.json", file=sys.stderr)
         return 2
-    digests = sweep()
+    digests, unread = sweep()
     Path(argv[0]).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     failed = [job for job, entry in digests.items() if entry["exit"] != 0]
     for job in failed:
         print(f"exit {digests[job]['exit']}: {job}", file=sys.stderr)
-    return 1 if failed else 0
+    for job in unread:
+        print(f"parts list does not round-trip: {job}", file=sys.stderr)
+    return 1 if failed or unread else 0
 
 
 if __name__ == "__main__":

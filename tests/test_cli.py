@@ -332,7 +332,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_coin_state_is_a_config_error(self, entry):
-        # a JSON file cannot carry these (load_config refuses them); a mapping can
+        # the reader passes them on as numbers, and the spec refuses the coin_state they make
         raw = {"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7,
                "coin_state": [[1.0, 0.0], [0.0, entry]]}
         with pytest.raises(cli.ConfigError, match="normalized"):
@@ -423,7 +423,7 @@ class TestConfigValidation:
         out = tmp_path / "x.out"
         assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "seed must be non-negative" in err
+        assert "config error" in err and "seed must be at least 0, got -1" in err
         assert not out.exists()
 
     def test_integer_beyond_conversion_limit_is_a_config_error(self, tmp_path, capsys):
@@ -502,13 +502,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, raw, message", [
         (["run"], None, "cannot read config"),
         (["run"], [], "config root must be a JSON object"),
-        (["run"], {"walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7}, "missing required key 'schema_version'"),
-        (["run"], {**DTQW, "schema_version": "1"}, "'schema_version' must be an integer"),
+        (["run"], {"walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7},
+         "config must be a JSON object with key 'schema_version'"),
+        (["run"], {**DTQW, "schema_version": "1"}, "config key 'schema_version' must be of type int, got '1'"),
         (["run"], {**DTQW, "walk": "foo"}, "unknown walk 'foo'"),
-        (["run"], {**DTQW, "start": 1.5}, "start must be an integer site"),
+        (["run"], {**DTQW, "start": 1.5}, "start must be an integer, got 1.5"),
         (["run"], {**DTQW, "seed": "x"}, "seed must be an integer"),
-        (["run"], {**DTQW, "steps": -1}, "steps must be >= 0 and half_width >= 1"),
-        (["run"], {**DTQW, "half_width": 0}, "steps must be >= 0 and half_width >= 1"),
+        (["run"], {**DTQW, "steps": -1}, "steps must be at least 0, got -1"),
+        (["run"], {**DTQW, "half_width": 0}, "half_width must be at least 1, got 0"),
         (["run"], {**GENERALIZED, "table1": [0.1]}, 'table1 must be "random" or an object'),
         (["run"], {**GENERALIZED, "table1": {"foo": 0.1}}, "unknown keys in table1"),
         (["localize", "--seeds", "0"], GENERALIZED, "ensemble size must be >= 1"),
@@ -660,7 +661,7 @@ class TestCompile:
         (lambda: cli.parse_parts_list({"schema_version": 1, "step_blocks": [{"phase": 0.0, "notes": []}]}),
          cli.ConfigError, "step block must be a JSON object with key 'elements'"),
         (lambda: cli.parse_parts_list({"schema_version": 1, "step_blocks": 3}), cli.ConfigError,
-         "parts list key 'step_blocks' must be a list, got int"),
+         "parts list key 'step_blocks' must be of type list, got 3"),
         (lambda: cli.element_from_record({"element_type": "half_waveplate", "parameters": {"angle": 0.1, "tilt": 1}}),
          cli.ConfigError, "cannot build half_waveplate from its parameters: .*unexpected keyword argument 'tilt'"),
         (lambda: cli.element_from_record({"element_type": "variable_waveplate", "parameters": {}}), cli.ConfigError,
@@ -669,50 +670,67 @@ class TestCompile:
             "lattice_min": 0, "q2": [[0.0, 0.0]], "q1": [[0.0, 0.0]]}}), cli.ConfigError,
          r"cannot build pdc_block from its parameters: plate parameter arrays must both have shape \(n_sites, 3\)"),
         (lambda: cli.element_from_record({"element_type": "jplate", "parameters": {"m_x": True}}), cli.ConfigError,
-         "cannot build jplate from its parameters: OAM multiplier must be an integer, got True"),
+         "cannot build jplate from its parameters: m_x must be an integer, got True"),
         (lambda: cli.element_from_record({"element_type": "jplate"}), cli.ConfigError,
          "jplate element must be a JSON object with key 'parameters'"),
         (lambda: cli.element_from_record({"element_type": ["jplate"], "parameters": {}}), cli.ConfigError,
-         "parts-list element key 'element_type' must be a str, got list"),
+         r"parts-list element key 'element_type' must be of type str, got \['jplate'\]"),
         (lambda: cli.element_from_record({"element_type": "jplate", "parameters": {"m_x": 1, "c_x": "a"}}),
-         cli.ConfigError, "jplate parameters key 'c_x' must be a number, got 'a'"),
+         cli.ConfigError, "cannot build jplate from its parameters: c_x must be a finite real number, got 'a'"),
         (lambda: cli.element_from_record({"element_type": "half_waveplate", "parameters": {"angle": None}}),
-         cli.ConfigError, "half_waveplate parameters key 'angle' must be a number, got None"),
+         cli.ConfigError, "cannot build half_waveplate from its parameters: angle must be a finite real number, got None"),
         (lambda: cli.element_from_record({"element_type": "variable_waveplate", "parameters": {"retardance": [1, 2]}}),
-         cli.ConfigError, r"variable_waveplate parameters key 'retardance' must be a number, got \[1, 2\]"),
+         cli.ConfigError,
+         r"cannot build variable_waveplate from its parameters: retardance must be a finite real number, got \[1, 2\]"),
         (lambda: cli.element_from_record(pdc_record(q2=[[0.0, None, 0.0]])), cli.ConfigError,
-         "pdc_block parameters key 'q2' row 0 entry 1 must be a number, got None"),
+         "cannot build pdc_block from its parameters: q2 entry must be a finite real number, got None"),
         (lambda: cli.element_from_record(pdc_record(q1=[["0", 0.0, 0.0]])), cli.ConfigError,
-         "pdc_block parameters key 'q1' row 0 entry 0 must be a number, got '0'"),
+         "cannot build pdc_block from its parameters: q1 entry must be a finite real number, got '0'"),
         (lambda: cli.element_from_record(pdc_record(q1={"0": [0.0, 0.0, 0.0]})), cli.ConfigError,
-         "pdc_block parameters key 'q1' must be a list, got dict"),
+         "cannot build pdc_block from its parameters: q1 entry must be a finite real number, got {'0': "),
         (lambda: cli.element_from_record(pdc_record(lattice_min="x")), cli.ConfigError,
-         "pdc_block parameters key 'lattice_min' must be a int, got str"),
+         "cannot build pdc_block from its parameters: lattice_min must be an integer, got 'x'"),
         (lambda: cli.element_from_record(pdc_record(lattice_min=False)), cli.ConfigError,
-         "pdc_block parameters key 'lattice_min' must be a int, got bool"),
+         "cannot build pdc_block from its parameters: lattice_min must be an integer, got False"),
         (lambda: cli.element_from_record(pdc_record(hwp_angle=0.5)), cli.ConfigError,
          "pdc_block parameters key 'hwp_angle' must be 0.0, the value the element fixes"),
         (lambda: cli.element_from_record(pdc_record(hwp_angle=False)), cli.ConfigError,
-         "pdc_block parameters key 'hwp_angle' must be a number, got False"),
+         "pdc_block parameters key 'hwp_angle' must be 0.0, the value the element fixes, got False"),
         (lambda: cli.parse_parts_list(parts_list(order="1")), cli.ConfigError,
-         "parts-list element key 'order' must be a int, got str"),
+         "parts-list element key 'order' must be of type int, got '1'"),
         (lambda: cli.parse_parts_list(parts_list(order=None)), cli.ConfigError,
-         "parts-list element key 'order' must be a int, got NoneType"),
+         "parts-list element key 'order' must be of type int, got None"),
         (lambda: cli.parse_parts_list(parts_list(phase="x")), cli.ConfigError,
-         "step block key 'phase' must be a number, got 'x'"),
+         "step block key 'phase' must be a finite real number, got 'x'"),
         (lambda: cli.parse_parts_list(parts_list(provenance=3)), cli.ConfigError,
-         "parts-list element key 'provenance' must be a str, got int"),
+         "parts-list element key 'provenance' must be of type str, got 3"),
         (lambda: cli.parse_parts_list(parts_list(notes=["ok", None])), cli.ConfigError,
          "step block key 'notes' must list strings"),
         (lambda: cli.parse_parts_list({**parts_list(), "schema_version": True}), cli.ConfigError,
-         "parts list key 'schema_version' must be a int, got bool"),
+         "parts list key 'schema_version' must be of type int, got True"),
+        (lambda: cli.parse_parts_list(parts_list(order=1)), cli.ConfigError,
+         r"step block key 'order' must run 0\.\.1 once each, got \[1, 1\]"),
+        (lambda: cli.parse_parts_list(parts_list(order=2)), cli.ConfigError,
+         r"step block key 'order' must run 0\.\.1 once each, got \[1, 2\]"),
+        (lambda: cli.parse_parts_list(parts_list(order=-1)), cli.ConfigError,
+         r"step block key 'order' must run 0\.\.1 once each, got \[-1, 1\]"),
+        (lambda: cli.element_from_record(json.loads('{"element_type": "half_waveplate", "parameters": {"angle": NaN}}')),
+         cli.ConfigError, "cannot build half_waveplate from its parameters: angle must be a finite real number, got nan"),
+        (lambda: cli.element_from_record(json.loads(
+            '{"element_type": "jplate", "parameters": {"m_x": 1, "c_x": -Infinity}}')), cli.ConfigError,
+         "cannot build jplate from its parameters: c_x must be a finite real number, got -inf"),
+        (lambda: cli.element_from_record(pdc_record(q2=[[0.0, math.nan, 0.0]])), cli.ConfigError,
+         "cannot build pdc_block from its parameters: q2 entry must be a finite real number, got nan"),
+        (lambda: cli.parse_parts_list(parts_list(phase=math.nan)), cli.ConfigError,
+         "step block key 'phase' must be a finite real number, got nan"),
     ], ids=["unknown-element", "unknown-element-type", "parts-list-version", "missing-step-blocks",
             "non-object-document", "missing-elements", "step-blocks-not-a-list", "unknown-parameter",
             "missing-parameter", "bad-plate-shape", "boolean-multiplier", "missing-parameters",
             "element-type-not-a-string", "string-jplate-constant", "null-angle", "list-retardance",
             "null-plate-entry", "string-plate-entry", "plate-rows-not-a-list", "string-lattice-min",
             "boolean-lattice-min", "changed-hwp-angle", "boolean-hwp-angle", "string-order", "null-order",
-            "string-phase", "non-string-provenance", "non-string-note", "boolean-schema-version"])
+            "string-phase", "non-string-provenance", "non-string-note", "boolean-schema-version", "duplicate-order",
+            "order-gap", "negative-order", "nan-angle", "infinite-jplate-constant", "nan-plate-entry", "nan-phase"])
     def test_parts_list_records_reject_what_they_cannot_read(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
@@ -721,7 +739,9 @@ class TestCompile:
         """The records the rejection cases change are read, each value as it was written."""
         block = cli.element_from_record(pdc_record(lattice_min=0, hwp_angle=0))
         assert block.lattice_min == 0 and block.q1.tolist() == [[0.0, math.pi, 0.0]]
-        [step] = cli.parse_parts_list(parts_list(order=2, phase=1, notes=["n"]))
+        document = parts_list(order=1, phase=1, notes=["n"])
+        document["step_blocks"][0]["elements"][1]["order"] = 0
+        [step] = cli.parse_parts_list(document)
         assert [el.angle for el in step.elements] == [0.2, 0.1]
         assert (step.provenance, step.phase, step.notes) == (("q", "p"), 1, ("n",))
         assert type(step.phase) is int

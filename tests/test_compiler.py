@@ -551,10 +551,12 @@ class TestVerifyFold:
         L = 5
         spec = four_angle_spec(rng, L)
         cs = compile_generalized(spec)
-        q2 = cs.elements[position].q2.copy()
+        block = cs.elements[position]
+        q2 = block.q2.copy()
         q2[L, 0] = math.nan
         elements = list(cs.elements)
-        elements[position] = PdcBlock(-L, q2, cs.elements[position].q1)
+        elements[position] = PdcBlock(-L, block.q2, block.q1)
+        object.__setattr__(elements[position], "q2", q2)  # past the constructor, which refuses a NaN entry
         train = CompiledStep(tuple(elements), cs.provenance, cs.phase)
         ref = walk.step_operator(spec)
         (expect_match, expect_fidelity, _), defects = dense_report(train, ref, L)

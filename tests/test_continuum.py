@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamwalk import walk
 from oamwalk.continuum import (
@@ -16,6 +18,7 @@ from oamwalk.continuum import (
 )
 
 from conftest import SIGMA3
+from symbol_oracle import symbol
 
 
 class TestMatrices:
@@ -25,6 +28,21 @@ class TestMatrices:
 
     def test_transport_at_zero_angle_is_sigma3(self):
         assert np.array_equal(transport_matrix(0.0), SIGMA3)
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta1=angles, theta2=angles)
+def test_continuum_matrices_are_the_first_order_expansion_of_the_symbol(theta1, theta2):
+    """U(0) - 1 is the mass matrix and dU/dk(0) is i cos(theta2) times the transport matrix.
+
+    The symbol comes from ``symbol_oracle``, which imports nothing from ``oamwalk``.
+    """
+    u, du = symbol("ssqw", theta1, theta2, np.array([0.0]))
+    assert np.max(np.abs(u[0] - np.eye(2) - mass_matrix(theta1, theta2))) <= 1e-15
+    assert np.max(np.abs(du[0] - 1j * math.cos(theta2) * transport_matrix(theta1))) <= 1e-15
 
 
 class TestGaussianState:

@@ -85,6 +85,53 @@ def test_element_record_round_trips_through_json(element):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
 
 
+#: Each element type's fields, each with a value the element holds.
+ELEMENT_FIELDS = {
+    JPlate: {"m_x": -1, "c_x": 0.5, "m_y": 2, "c_y": -0.25, "angle": 1.0},
+    HalfWavePlate: {"angle": 0.3},
+    VariableWavePlate: {"retardance": 0.75},
+    PdcBlock: {"lattice_min": -1, "q2": [[0.1, 0.2, 0.3]] * 3, "q1": [[0.0, math.pi, 1.5]] * 3},
+}
+INTEGER_FIELDS = {"m_x", "m_y", "lattice_min"}
+#: Values no field holds; the integer fields also refuse a fraction.
+NOT_NUMBERS = [True, False, "a", "0.5", None, math.nan, math.inf, -math.inf]
+BAD_FIELDS = [(cls, name, bad) for cls, fields in ELEMENT_FIELDS.items() for name in fields
+              for bad in NOT_NUMBERS + [2.5] * (name in INTEGER_FIELDS)]
+BAD_FIELDS += [(PdcBlock, name, [[0.1, 0.2, 0.3], [0.1, bad, 0.3], [0.1, 0.2, 0.3]])
+               for name in ("q2", "q1") for bad in NOT_NUMBERS]
+
+
+@pytest.mark.parametrize("cls, name, bad", BAD_FIELDS,
+                         ids=[f"{cls.__name__}-{name}-{bad!r}" for cls, name, bad in BAD_FIELDS])
+def test_elements_refuse_a_field_they_cannot_hold(cls, name, bad):
+    with pytest.raises((TypeError, ValueError), match=name):
+        cls(**{**ELEMENT_FIELDS[cls], name: bad})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), field=st.sampled_from([(cls, name) for cls, fields in ELEMENT_FIELDS.items()
+                                              for name in fields if name not in ("q2", "q1")]))
+def test_elements_keep_a_field_they_hold_with_its_type(data, field):
+    cls, name = field
+    value = data.draw(st.integers(-10**6, 10**6) if name in INTEGER_FIELDS
+                      else st.one_of(st.integers(-10**6, 10**6), finite))
+    got = getattr(cls(**{**ELEMENT_FIELDS[cls], name: value}), name)
+    assert type(got) is type(value) and got == value
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3"], ids=repr)
+@pytest.mark.parametrize("name", ["steps", "half_width", "start", "seed"])
+def test_walk_spec_refuses_a_count_that_is_no_integer(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+        walk.WalkSpec("dtqw", **{"steps": 3, "half_width": 8, "start": 0, "seed": 1, name: bad})
+
+
+def test_walk_spec_reads_an_integral_float_as_that_integer():
+    spec = walk.WalkSpec("dtqw", 3.0, 8.0, start=-1.0, seed=2.0)
+    assert [(type(v), v) for v in (spec.steps, spec.half_width, spec.start, spec.seed)] == [(int, 3), (int, 8),
+                                                                                            (int, -1), (int, 2)]
+
+
 # --- the compiler over U(2) --------------------------------------------------
 
 seeds = st.integers(0, 2**32 - 1)

@@ -525,8 +525,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("kind", ["generalized", "dtqw"])
     def test_negative_seed_rejected(self, kind):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
-            WalkSpec(kind, 1, 8, seed=-1).validate()
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            WalkSpec(kind, 1, 8, seed=-1)
 
     def test_kinds_are_the_step_definitions(self):
         assert WalkSpec.KINDS == ("dtqw", "ssqw", "generalized", "electric-dtqw")
@@ -538,8 +538,8 @@ class TestSpecValidation:
         (lambda: CoinTable(0, [0, 0], [0], [0, 0], [0, 0]), ValueError, "columns must have equal length"),
         (lambda: CoinTable(0, [], [], [], []), ValueError, "must cover at least one site"),
         (lambda: CoinTable(0, [0], [0], [0], [0])[1], KeyError, r"site 1 outside table range \[0, 0\]"),
-        (lambda: make_state(SYMMETRIC_COIN, 0, 0), ValueError, "half_width must be at least 1"),
-        (lambda: WalkSpec("dtqw", -1, 8).validate(), ValueError, "step count must be non-negative"),
+        (lambda: make_state(SYMMETRIC_COIN, 0, 0), ValueError, r"start site 0 must satisfy \|x0\| < half_width = 0"),
+        (lambda: WalkSpec("dtqw", -1, 8), ValueError, "steps must be at least 0, got -1"),
         (lambda: next(walk.iterate_ensemble([])), ValueError, "an ensemble needs at least one walk"),
         (lambda: next(walk.distribution_blocks([])), ValueError, "an ensemble needs at least one walk"),
         (lambda: walk.split_step_operator(np.tile(np.eye(2), (3, 1, 1)), np.eye(2), 4), ValueError,
@@ -680,9 +680,8 @@ class TestNonFinite:
     @pytest.mark.parametrize("field", ["theta1", "theta2", "phi_e"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_spec_angles_must_be_finite(self, field, value):
-        spec = WalkSpec("electric-dtqw", 1, 8, **{field: value})
-        with pytest.raises(ValueError, match=field):
-            spec.validate()
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            WalkSpec("electric-dtqw", 1, 8, **{field: value})
 
     def test_table_columns_must_be_finite(self):
         theta = np.zeros(5)
