@@ -378,7 +378,7 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
         one = compiler.compile_ssqw(walk.coin_matrix(spec.theta1), walk.coin_matrix(spec.theta2))
     else:
         one = compiler.compile_generalized(spec)
-    report = compiler.verify(one, spec) if verify_flag else None
+    report = compiler.verify(one, walk.step_operator(spec)) if verify_flag else None
 
     _write_json(out_path, parts_list_document(spec, one, report))
     if report is not None and not report.passed:

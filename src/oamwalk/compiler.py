@@ -27,9 +27,10 @@ fields when built.
 
 Verification records each element's unitarity defect from its bands, and
 :func:`oamwalk.optics.equal_up_to_phase` compares the train's operator
-(:func:`oamwalk.optics.compose`, a band fold placed once) with the walk's
-dense step operator (:func:`oamwalk.walk.step_operator`: comb probes of the
-step kernel that evolves the walk), two dense operators in all.
+(:func:`oamwalk.optics.compose`, a band fold placed once) with the one
+reference form :func:`verify` takes, a dense step operator, such as the walk's
+(:func:`oamwalk.walk.step_operator`: comb probes of the step kernel that
+evolves the walk); two dense operators in all.
 """
 
 from __future__ import annotations
@@ -173,12 +174,7 @@ class PdcBlock:
     def __post_init__(self):
         object.__setattr__(self, "lattice_min", optics._as_integer("lattice_min", self.lattice_min))
         for name in ("q2", "q1"):
-            entries = np.array(getattr(self, name), dtype=object)
-            for entry in entries.flat:
-                optics._as_real(f"{name} entry", entry)
-            q = entries.astype(np.float64)
-            q.setflags(write=False)
-            object.__setattr__(self, name, q)
+            object.__setattr__(self, name, optics._as_reals(f"{name} entry", getattr(self, name)))
         if self.q2.shape != self.q1.shape or self.q2.ndim != 2 or self.q2.shape[1] != 3:
             raise ValueError("plate parameter arrays must both have shape (n_sites, 3)")
 
@@ -329,26 +325,17 @@ class VerificationReport:
     factors: tuple[FactorCheck, ...]
 
 
-def verify(cs: CompiledStep, reference: np.ndarray | walk.WalkSpec) -> VerificationReport:
-    """Compose a compiled train, checking each factor, and compare it with a reference step operator.
+def verify(cs: CompiledStep, reference: np.ndarray) -> VerificationReport:
+    """Compose a compiled train, checking each factor, and compare it with the dense reference step operator.
 
-    ``reference`` is the dense operator or the :class:`oamwalk.walk.WalkSpec` whose
-    :func:`oamwalk.walk.step_operator` it is.  Each factor's unitarity defect comes from its bands.
-    The train's operator is :func:`oamwalk.optics.compose` of ``cs.elements``; a spec's operator is
-    built after it, so the two are the only dense operators.
+    Each factor's unitarity defect comes from its bands.  The train's operator is
+    :func:`oamwalk.optics.compose` of ``cs.elements``, so it and ``reference`` are the only dense operators.
     """
-    if isinstance(reference, walk.WalkSpec):
-        reference.validate()
-        dim = 2 * (2 * reference.half_width + 1)
-    else:
-        reference = np.asarray(reference)
-        dim = reference.shape[0]
-        if reference.ndim != 2 or reference.shape[1] != dim or dim % 2 or (dim // 2) % 2 == 0:
-            raise ValueError(f"reference must be square of dimension 2*(2L+1), got {reference.shape}")
-    half_width = (dim // 2 - 1) // 2
+    reference = np.asarray(reference)
+    if reference.ndim != 2 or reference.shape[0] != reference.shape[1] or reference.shape[0] % 4 != 2:
+        raise ValueError(f"reference must be square of dimension 2*(2L+1), got {reference.shape}")
+    half_width = (reference.shape[0] // 2 - 1) // 2
     factors = tuple(FactorCheck(desc, optics.unitarity_defect(el.bands(), half_width))
                     for el, desc in zip(cs.elements, cs.provenance, strict=True))
     compiled = optics.compose(cs.elements, half_width)
-    if isinstance(reference, walk.WalkSpec):
-        reference = walk.step_operator(reference)
     return VerificationReport(*optics.equal_up_to_phase(compiled, reference), TOL, factors)

@@ -243,6 +243,22 @@ def _as_real(name: str, value):
     return value
 
 
+def _as_reals(name: str, values) -> np.ndarray:
+    """``values`` as a read-only float64 array whose entries pass :func:`_as_real`; a float array in one pass."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        array = values.astype(np.float64)
+        bad = array[~np.isfinite(array)]
+        if bad.size:
+            _as_real(name, bad[0].item())
+    else:
+        entries = np.array(values, dtype=object)
+        for entry in entries.flat:
+            _as_real(name, entry)
+        array = entries.astype(np.float64)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class JPlate:
     """Phase profiles m_x*phi + c_x and m_y*phi + c_y on axes rotated by ``angle``."""

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .optics import _as_integer, _as_real, _place_bands
+from .optics import _as_integer, _as_real, _as_reals, _place_bands
 
 __all__ = [
     "GUARD",
@@ -118,12 +118,13 @@ class LatticeGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class WalkerState:
-    """Immutable coin ⊗ position wavefunction on a truncated lattice."""
+    """Immutable coin ⊗ position wavefunction on a truncated lattice starting at the integer ``lattice_min``."""
 
     lattice_min: int
     amps: np.ndarray  # (2, n_sites) complex128, read-only
 
     def __post_init__(self):
+        object.__setattr__(self, "lattice_min", _as_integer("lattice_min", self.lattice_min))
         # copy so freezing never flips a caller's buffer to read-only
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[0] != 2 or amps.shape[1] < 1:
@@ -188,7 +189,8 @@ class CoinTable:
     """Per-site coin angles covering a whole lattice.
 
     Stores one angle array per parameter, ordered by ascending site index
-    starting at ``lattice_min``.
+    starting at ``lattice_min``.  Each angle must be a finite real number and
+    ``lattice_min`` an integer.
     """
 
     lattice_min: int
@@ -198,24 +200,16 @@ class CoinTable:
     theta: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        n = None
+        object.__setattr__(self, "lattice_min", _as_integer("lattice_min", self.lattice_min))
         for name in ("chi", "xi", "eta", "theta"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            if a.ndim != 1:
+            column = _as_reals(f"coin table column {name} entry", getattr(self, name))
+            if column.ndim != 1:
                 raise ValueError(f"coin table column {name} must be 1-D")
-            if n is None:
-                n = a.size
-            elif a.size != n:
+            object.__setattr__(self, name, column)
+            if column.size != self.chi.size:
                 raise ValueError("coin table columns must have equal length")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"coin table column {name} must be finite")
-            a.setflags(write=False)
-            arrays[name] = a
-        if not n:
+        if not self.n_sites:
             raise ValueError("coin table must cover at least one site")
-        for name, a in arrays.items():
-            object.__setattr__(self, name, a)
 
     @classmethod
     def homogeneous(cls, params: CoinParams, half_width: int) -> "CoinTable":

@@ -6,19 +6,26 @@ random and with explicit four-angle tables) at half-widths 3 to 256, and for
 degenerate coins whose products hold exact zeros (split-step angle pairs
 from 0, pi/2 and pi; dtqw and electric-dtqw at those angles with phi_e = pi;
 tables with theta = 0 and xi = pi/2) at half-widths 3 to 256, plus a few
-``run`` and ``localize`` configs.  Each output file's digest is keyed by its
-command and config, with the command's exit code.  Every parts list written is
-also read back with ``cli.parse_parts_list`` and written again record by record
-with ``cli.element_to_record``, which must give its element records unchanged.
-It exits 1, naming the jobs, when any command exited other than 0, so a config
-a checkout cannot read does not pass as a byte match, or when a parts list does
+``run`` and ``localize`` configs.  One ``run`` and one ``localize`` are at
+half-width 6000 and 200 steps, so their lattice rows outgrow the 10000
+elements below which the OpenBLAS dot product runs on one thread.  Each
+output file's digest is keyed by its command and config, with the command's
+exit code.  Every parts list written is also read back with
+``cli.parse_parts_list`` and written again record by record with
+``cli.element_to_record``, which must give its element records unchanged.  It
+exits 1, naming the jobs, when any command exited other than 0, so a config a
+checkout cannot read does not pass as a byte match, or when a parts list does
 not round-trip.
 
 Run one copy of this script against two checkouts, with ``PYTHONPATH`` naming
 each checkout's ``src`` in turn, and diff the two files, once with the default
-BLAS threads and once with ``OPENBLAS_NUM_THREADS=1`` (compile bytes depend on
-the thread count from L=40 on); identical files mean every byte on the grid is
-kept.  The grid belongs to the script, not to the checkout it measures::
+BLAS threads and once with ``OPENBLAS_NUM_THREADS=1``; identical files mean
+every byte on the grid is kept.  The two thread settings write different bytes
+for ``compile --verify`` from L=40 on and for the half-width 6000 ``run``
+summary and ``localize`` JSON until band certificates (ROADMAP item 3) and
+thread-independent reductions (item 4) land, so compare only files written on
+the same setting.  The grid belongs to the script, not to the checkout it
+measures::
 
     PYTHONPATH=/path/to/checkout/src python tests/byte_sweep.py sweep.json
 
@@ -84,7 +91,7 @@ def configs():
     yield from _compile_configs()
     yield from _degenerate_configs()
     yield from _run_configs()
-    yield from _localize_configs()
+    yield from ((name, cfg) for name, cfg, _ in _localize_configs())
 
 
 def _run_configs():
@@ -93,11 +100,16 @@ def _run_configs():
     yield "dtqw", {**base, "walk": "dtqw", "theta": 0.7, "emit_trajectory": True}
     yield "electric-dtqw", {**base, "walk": "electric-dtqw", "theta": 0.6, "phi_e": 0.9}
     yield "generalized", {**base, "walk": "generalized", "seed": 5}
+    yield "ssqw-L6000", {"schema_version": 1, "steps": 200, "half_width": 6000, "walk": "ssqw",
+                         "theta1": 0.7, "theta2": -0.4}
 
 
 def _localize_configs():
+    """``(name, config, seeds)`` of each ``localize`` job."""
     yield "generalized-L40", {"schema_version": 1, "walk": "generalized", "steps": 30, "half_width": 40,
-                              "seed": 11}
+                              "seed": 11}, 4
+    yield "generalized-L6000", {"schema_version": 1, "walk": "generalized", "steps": 200, "half_width": 6000,
+                                "seed": 5}, 2
 
 
 def _jobs():
@@ -106,8 +118,8 @@ def _jobs():
         yield f"compile {name}", cfg, ["compile"]
     for name, cfg in _run_configs():
         yield f"run {name}", cfg, ["run"]
-    for name, cfg in _localize_configs():
-        yield f"localize --seeds 4 {name}", cfg, ["localize", "--seeds", "4"]
+    for name, cfg, seeds in _localize_configs():
+        yield f"localize --seeds {seeds} {name}", cfg, ["localize", "--seeds", str(seeds)]
 
 
 def _round_trips(path: Path) -> bool:

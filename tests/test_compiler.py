@@ -198,6 +198,16 @@ class TestPdcCompilation:
         with pytest.raises(KeyError):
             block.plates(9)
 
+    def test_float_plates_are_read_in_one_pass(self):
+        """A float array names its first non-finite entry and is copied, so the caller's buffer stays writable."""
+        q = np.zeros((3, 3), dtype=np.float32)
+        block = PdcBlock(-1, q, q)
+        assert block.q2.dtype == np.float64 and not block.q2.flags.writeable and q.flags.writeable
+        q2 = np.zeros((3, 3))
+        q2[1, 2], q2[2, 0] = math.nan, math.inf
+        with pytest.raises(ValueError, match=r"^q2 entry must be a finite real number, got nan$"):
+            PdcBlock(-1, q2, q)
+
     @pytest.mark.parametrize("call, message", [
         (lambda: compiler._check_unitary(np.eye(3)), r"expected a 2x2 matrix, got shape \(3, 3\)"),
         (lambda: PdcBlock(-1, np.zeros((3, 2)), np.zeros((3, 2))), r"must both have shape \(n_sites, 3\)"),
@@ -370,6 +380,15 @@ class TestVerify:
         cs = compile_ssqw(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="dimension"):
             verify(cs, np.eye(7))
+
+    @pytest.mark.parametrize("reference, shape", [(5, r"\(\)"), (WalkSpec("ssqw", 1, 3), r"\(\)"),
+                                                  (np.ones(14), r"\(14,\)"), (np.ones((2, 14, 14)), r"\(2, 14, 14\)")],
+                             ids=["scalar", "spec", "vector", "stack"])
+    def test_reference_that_is_not_a_matrix_is_refused(self, reference, shape):
+        """Only a dense operator is a reference; anything else is refused by its shape."""
+        cs = compile_ssqw(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match=rf"dimension 2\*\(2L\+1\), got {shape}$"):
+            verify(cs, reference)
 
 
 def four_angle_spec(rng, half_width):
@@ -576,7 +595,7 @@ class TestVerifyFold:
         elements = list(cs.elements)
         elements[position] = PdcBlock(lattice_min, np.zeros((n_sites, 3)), np.zeros((n_sites, 3)))
         train = CompiledStep(tuple(elements), cs.provenance, cs.phase)
-        for call in (lambda: verify(train, spec), lambda: compose(train.elements, L)):
+        for call in (lambda: verify(train, walk.step_operator(spec)), lambda: compose(train.elements, L)):
             with pytest.raises(ValueError, match="block lattice does not match the requested half-width"):
                 call()
 
@@ -607,7 +626,7 @@ class TestVerifyFold:
         assert peak <= 2.25 * dense_bytes
 
     @pytest.mark.parametrize("half_width", [3, 5, 40])
-    def test_spec_reference_reports_as_its_dense_operator(self, rng, half_width):
+    def test_cli_trains_certify_against_the_step_operator(self, rng, half_width):
         specs = [*four_kinds(rng, steps=1, half_width=half_width), WalkSpec("generalized", 1, half_width, seed=7)]
         for spec in specs:
             trains = [(compile_generalized(spec), True)]
@@ -615,18 +634,16 @@ class TestVerifyFold:
                 c1, c2 = coin_matrix(spec.theta1), coin_matrix(spec.theta2)
                 trains += [(compile_ssqw(c1, c2), True), (compile_ssqw(c1, c2, first_plate="gamma2"), False)]
             for cs, passes in trains:
-                got, want = verify(cs, spec), verify(cs, walk.step_operator(spec))
-                fields = (got.passed, got.fidelity, got.phase, got.factors, got.tol)
-                assert fields == (want.passed, want.fidelity, want.phase, want.factors, want.tol)
-                assert got.passed is passes, spec.walk_kind
+                assert verify(cs, walk.step_operator(spec)).passed is passes, spec.walk_kind
 
     @pytest.mark.parametrize("kind", WalkSpec.KINDS)
-    def test_spec_reference_holds_two_dense_matrices(self, rng, kind):
-        """The reference is built after the band fold and the residual is taken in row blocks, so
-        the placed fold and the reference are the only dense operators."""
+    def test_built_reference_holds_two_dense_matrices(self, rng, kind):
+        """Built inside the traced call, the reference and the placed fold are the only dense operators:
+        the residual is taken in row blocks."""
         L = 64
         dense_bytes = (2 * (2 * L + 1)) ** 2 * 16
         spec = next(s for s in four_kinds(rng, steps=1, half_width=L) if s.walk_kind == kind)
-        rep, peak = traced_peak(verify, compile_generalized(spec), spec)
+        cs = compile_generalized(spec)
+        rep, peak = traced_peak(lambda: verify(cs, walk.step_operator(spec)))
         assert rep.passed
         assert peak <= 2.25 * dense_bytes

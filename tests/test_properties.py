@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oamwalk import cli, walk
+from oamwalk import cli, optics, walk
 from oamwalk.compiler import PdcBlock, compile_ssqw, euler_decompose, euler_recompose, su2_normalize, verify
 from oamwalk.optics import HalfWavePlate, JPlate, VariableWavePlate
 
@@ -130,6 +130,24 @@ def test_walk_spec_reads_an_integral_float_as_that_integer():
     spec = walk.WalkSpec("dtqw", 3.0, 8.0, start=-1.0, seed=2.0)
     assert [(type(v), v) for v in (spec.steps, spec.half_width, spec.start, spec.seed)] == [(int, 3), (int, 8),
                                                                                             (int, -1), (int, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=12))
+def test_float_array_reads_as_its_entries_do(values):
+    """A float array, checked in one pass, is refused with the words, or read as the values, of its entries."""
+    def read(values):
+        try:
+            return optics._as_reals("q2 entry", values)
+        except ValueError as err:
+            return str(err)
+
+    fast, by_entry = read(np.array(values)), read(values)
+    if isinstance(by_entry, str):
+        assert fast == by_entry
+    else:
+        assert fast.dtype == by_entry.dtype == np.float64 and np.array_equal(fast, by_entry)
+        assert not fast.flags.writeable and not by_entry.flags.writeable
 
 
 # --- the compiler over U(2) --------------------------------------------------

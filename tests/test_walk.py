@@ -544,11 +544,28 @@ class TestSpecValidation:
         (lambda: next(walk.distribution_blocks([])), ValueError, "an ensemble needs at least one walk"),
         (lambda: walk.split_step_operator(np.tile(np.eye(2), (3, 1, 1)), np.eye(2), 4), ValueError,
          r"coin must be \(2, 2\) or \(9, 2, 2\), got \(3, 2, 2\)"),
+        (lambda: CoinTable(0.5, [0], [0], [0], [0]), ValueError, "^lattice_min must be an integer, got 0.5$"),
+        (lambda: CoinTable("x", [0], [0], [0], [0]), ValueError, "^lattice_min must be an integer, got 'x'$"),
+        (lambda: CoinTable(0, [True], [0], [0], [0]), ValueError,
+         "^coin table column chi entry must be a finite real number, got True$"),
+        (lambda: CoinTable(0, [0], ["1.5"], [0], [0]), ValueError,
+         "^coin table column xi entry must be a finite real number, got '1.5'$"),
+        (lambda: CoinTable(0, [0], [0], [0], np.array([0.0, math.inf, math.nan])), ValueError,
+         "^coin table column theta entry must be a finite real number, got inf$"),
+        (lambda: walk.WalkerState("x", [[1], [0]]), ValueError, "^lattice_min must be an integer, got 'x'$"),
+        (lambda: walk.WalkerState(True, [[1], [0]]), ValueError, "^lattice_min must be an integer, got True$"),
     ], ids=["state-shape", "table-column-2d", "table-column-lengths", "empty-table", "table-site", "zero-half-width",
-            "negative-steps", "empty-ensemble", "empty-distribution-blocks", "coin-stack-length"])
+            "negative-steps", "empty-ensemble", "empty-distribution-blocks", "coin-stack-length",
+            "table-fractional-lattice-min", "table-string-lattice-min", "table-boolean-angle", "table-string-angle",
+            "table-float-array-angle", "state-string-lattice-min", "state-boolean-lattice-min"])
     def test_malformed_arguments_raise_with_their_message(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    def test_table_and_state_read_an_integral_float_as_that_integer(self):
+        table, state = CoinTable(-1.0, [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]), walk.WalkerState(2.0, [[1], [0]])
+        assert [(type(v), v) for v in (table.lattice_min, state.lattice_min)] == [(int, -1), (int, 2)]
+        assert table.lattice_max == 1 and state.lattice_max == 2
 
 
 def basis_images(advance, n):
