@@ -238,29 +238,47 @@ def run_command(cfg: dict, out_path: str) -> int:
 
     partial_sums = np.empty((walk.BLOCK_ROWS, 2 * spec.half_width + 1))
     lines = ["t,x,P"]
-    moments = []
+    moments = []  # (means, variances, totals) of each block
     for t0, p, means, variances, cone in walk.distribution_blocks([spec]):
         rows = p[:, 0]
         # the total is the sequential sum in site order over the block's cone
         # (np.sum adds pairwise and Python 3.12's sum compensates, so either
         # would change its last digits; the zeros outside add nothing)
         totals = np.add.accumulate(rows[:, cone], axis=-1, out=partial_sums[: len(rows), cone])[:, -1]
-        for t, row, mean, var, total in zip(range(t0, spec.steps + 1), rows, means[:, 0].tolist(),
-                                            variances[:, 0].tolist(), totals.tolist()):
-            moments.append({"t": t, "mean": mean, "variance": var, "sigma": math.sqrt(var), "total": total})
+        moments.append((means[:, 0], variances[:, 0], totals.copy()))
+        for t, row in zip(range(t0, spec.steps + 1), rows):
             if emit_trajectory or t == spec.steps:
                 lines += _distribution_rows(t, spec.half_width, row, emit_all_sites)
     _write_text(out_path, "\n".join(lines) + "\n")
-
-    summary = {
-        "schema_version": SUMMARY_VERSION,
-        "walk": spec.walk_kind,
-        "steps": spec.steps,
-        "half_width": spec.half_width,
-        "moments": moments,
-    }
-    _write_json(_summary_path(out_path), summary)
+    _write_text(_summary_path(out_path), _summary_text(spec, *map(np.concatenate, zip(*moments))))
     return EXIT_OK
+
+
+#: One row of a ``run`` summary's moments and the document around them, as
+#: ``json.dumps(summary, indent=2, sort_keys=True)`` writes them.
+_MOMENT_ROW = ('    {\n      "mean": %s,\n      "sigma": %s,\n      "t": %d,\n      "total": %s,\n'
+               '      "variance": %s\n    }')
+_SUMMARY = ('{\n  "half_width": %d,\n  "moments": [\n%s\n  ],\n  "schema_version": %d,\n  "steps": %d,\n'
+            '  "walk": %s\n}\n')
+#: json's spellings of the floats ``float.__repr__`` writes as nan, inf and -inf.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` as json writes it: ``float.__repr__``, or json's non-finite spelling."""
+    return [_NON_FINITE.get(r, r) for r in map(float.__repr__, values.tolist())]
+
+
+def _summary_text(spec: walk.WalkSpec, means: np.ndarray, variances: np.ndarray, totals: np.ndarray) -> str:
+    """The ``run`` summary of ``spec``'s moments at t = 0..T, written through a fixed template.
+
+    The text is ``json.dumps`` of the summary mapping with ``indent=2`` and
+    ``sort_keys=True``, with sigma the square root of the variance; the
+    template only skips the pure-Python encoder that ``indent`` selects.
+    """
+    columns = map(_json_floats, (means, np.sqrt(variances), totals, variances))
+    rows = ",\n".join(_MOMENT_ROW % (m, s, t, tot, v) for t, (m, s, tot, v) in enumerate(zip(*columns)))
+    return _SUMMARY % (spec.half_width, rows, SUMMARY_VERSION, spec.steps, json.dumps(spec.walk_kind))
 
 
 def _summary_path(out_path: str) -> Path:

@@ -33,22 +33,26 @@ an ensemble of walks that differ only in their coin tables is one
 one-member ensemble, in :func:`step` as everywhere.  :func:`iterate` streams
 a walk state by state, building its coin operators once, so a consumer that
 reduces each state as it arrives holds O(n_sites) memory whatever the step
-count; :func:`evolve` collects the whole trajectory.  Each coin writes a new array, and the kernel
-shifts it and applies the electric phases to it in place, so a step allocates
-one array per coin and never writes into a state it has already yielded.
+count; :func:`evolve` collects the whole trajectory.  There is no separate
+shift: each move's coin product lands already shifted, through a strided
+view (:func:`_landing`) of one of two padded buffers the kernel allocates
+once per walk, and the electric phases apply to it in place.  So a step
+allocates no state, and a state the kernel returns is a view of its
+buffers, valid until the next step; :func:`step` and :func:`iterate` copy
+it into a :class:`WalkerState`.
 
 An evolution starts from a delta state, so after k steps only the light
 cone, the sites within k moves of ``start``, can be nonzero.  Only this
 module knows that window: :func:`iterate_ensemble` hands it to the kernel
 each step, and :func:`distribution_blocks`, the reduction loop of the ``run``
 and ``localize`` commands, writes each state's :func:`site_probabilities` on
-it.  Per-site coins, shifts and probabilities touch only its columns: the
-shift moves a view of them, and the cone of step k holds the image of state
-k-1, so nothing leaves it and every output byte stays.  The rest stays full
-width: a single-matrix coin (BLAS's last bits depend on the column range),
-:func:`step` and the comb probes (their states are not deltas), the phases,
-and every sum and dot product in :func:`site_moments`, so they add the same
-terms.
+it.  Per-site coins and probabilities touch only its columns: a coin lands
+them one column over at most, and the cone of step k holds the image of
+state k-1, so nothing leaves it and every output byte stays.  The rest
+stays full width: a single-matrix coin (BLAS's last bits depend on the
+column range), :func:`step` and the comb probes (their states are not
+deltas), the phases, and every sum and dot product in :func:`site_moments`,
+so they add the same terms.
 
 The reductions :func:`site_probabilities` and :func:`site_moments` act on
 arrays; :func:`probability` and :func:`moments` are their mapping views.
@@ -56,6 +60,7 @@ arrays; :func:`probability` and :func:`moments` are their mapping views.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -125,7 +130,8 @@ class WalkerState:
 
     def __post_init__(self):
         object.__setattr__(self, "lattice_min", _as_integer("lattice_min", self.lattice_min))
-        # copy so freezing never flips a caller's buffer to read-only
+        # copy, so freezing never flips a caller's buffer to read-only and no
+        # state aliases the step kernel's reused buffers
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[0] != 2 or amps.shape[1] < 1:
             raise ValueError(f"amplitudes must have shape (2, n_sites), got {amps.shape}")
@@ -282,26 +288,33 @@ def make_state(coin: Iterable[complex], x0: int, half_width: int) -> WalkerState
     return WalkerState(-half_width, amps)
 
 
-def _coin(amps: np.ndarray, coin: np.ndarray, window: slice = slice(None)) -> np.ndarray:
-    """Apply a coin to amplitudes of shape (..., 2, n), always into a new array.
+def _coin(amps: np.ndarray, coin: np.ndarray, out: np.ndarray, window: slice = slice(None)) -> None:
+    """Write a coin's product with amplitudes (..., 2, n) into the (..., 2, n) view ``out``.
 
-    ``coin`` is a single (2, 2) matrix applied everywhere, or per-site
-    entries of shape (..., 2, 2, n), ``[..., i, j, x] = U_x[i, j]``, as
-    :func:`_coins` builds them.
-    A per-site coin computes only the site columns in ``window`` and leaves
-    the rest of the new array zero, so the caller must know that ``amps``
-    vanishes outside it.  A single matrix ignores the window: its product
-    goes through BLAS, whose last bits depend on the column range.
+    ``coin`` is one (2, 2) matrix, or per-site entries (..., 2, 2, n),
+    ``[..., i, j, x] = U_x[i, j]``, as :func:`_coins` builds them, which
+    write only the columns in ``window``.  A matrix takes the whole lattice:
+    its product goes through BLAS, whose last bits depend on the column
+    range, not on where ``out`` lies.
     """
     if coin.ndim == 2:
-        return coin @ amps
-    new = np.zeros(amps.shape, dtype=np.result_type(coin, amps))
-    # einsum forms each complex product with separately rounded real
-    # multiplies; numpy's vectorized complex multiply may fuse them (FMA) and
-    # move the last bit, which would change every disordered-walk output.
-    # The length-2 reduction from zero adds the same two rounded products.
-    np.einsum("...ijx,...jx->...ix", coin[..., window], amps[..., window], out=new[..., window])
-    return new
+        np.matmul(coin, amps, out=out)
+    else:  # einsum forms each complex product with separately rounded real
+        # multiplies; numpy's vectorized complex multiply may fuse them (FMA) and
+        # move the last bit, which would change every disordered-walk output.
+        # The length-2 reduction from zero adds the same two rounded products.
+        np.einsum("...ijx,...jx->...ix", coin[..., window], amps[..., window], out=out[..., window])
+
+
+def _landing(buffer: np.ndarray, left: bool, right: bool) -> np.ndarray:
+    """The (..., 2, n) view of a buffer (..., 2, n + 2), whose state is columns 1..n, where a move's coin lands.
+
+    Row 0 starts a column left when ``left`` moves the left mover, row 1 a column right when ``right`` moves
+    the right mover, so amplitude that leaves the lattice lands in the padding.
+    """
+    strides = buffer.strides[:-2] + (buffer.strides[-2] + (left + right) * buffer.itemsize, buffer.itemsize)
+    shape = buffer.shape[:-1] + (buffer.shape[-1] - 2,)
+    return np.lib.stride_tricks.as_strided(buffer[..., 0, 1 - left:], shape, strides)
 
 
 def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
@@ -313,23 +326,6 @@ def _guard_check(edge, lattice_min: int, n_sites: int, side: str) -> None:
             f"edge of the lattice [{lattice_min}, {lattice_min + n_sites - 1}]; "
             "enlarge the lattice half-width",
         )
-
-
-def _shift(amps: np.ndarray, left: bool, right: bool) -> np.ndarray:
-    """Move the left mover one column left and/or the right mover one column right, in place.
-
-    This is the walk's only shift: ``left`` alone is the minus half-shift,
-    ``right`` alone the plus half-shift, both the full conditional shift.
-    ``amps`` is the whole lattice or a window view of it; the column each
-    mover vacates is zeroed and amplitude moved past its end is dropped.
-    """
-    if left:
-        amps[..., 0, :-1] = amps[..., 0, 1:]
-        amps[..., 0, -1] = 0.0
-    if right:
-        amps[..., 1, 1:] = amps[..., 1, :-1]
-        amps[..., 1, 0] = 0.0
-    return amps
 
 
 def _site_angles(phi_e: float, lattice_min: int, n_sites: int) -> np.ndarray | None:
@@ -453,32 +449,41 @@ def _stepper(
     """One step of ``spec``'s walk on amplitudes of shape (..., 2, n_sites).
 
     Applies the kind's :data:`STEP_MOVES` with the coins built by
-    :func:`_coins`, then the electric phases, built here once per walk.
-    Every coin returns a new array, which the shift and the phases then
-    change in place, so the input array is never written to.  Only this
-    kernel decides where a step works and whether it guards.  The returned
-    function takes an optional column ``window`` that holds every site the
-    step can touch: per-site coins (:func:`_coin`) work inside it and each
-    shift (:func:`_shift`) moves its view alone; single-matrix coins, guards
-    and phases take the whole lattice.  :func:`iterate_ensemble` passes one
-    with ``guard`` off, as its validated walks never reach the edges.  With
-    ``guard`` on (:func:`step`), each move checks the lattice edges it empties
-    (:func:`_guard_check`) and raises :class:`LatticeGuardError` before
-    anything moves; with it off (the comb probes), amplitude shifted off the
-    lattice is dropped.
+    :func:`_coins`, then the electric phases, built here once per walk.  The
+    shift is where a coin lands: landing j, one move's coin, goes through its
+    :func:`_landing` view to buffer j % 2 of two zeroed (..., 2, n_sites + 2)
+    buffers allocated on the first step.  So a buffer always takes the same
+    shift pattern, and a column it vacates is never written and stays zero.
+    The returned function takes an optional column ``window`` that holds
+    every site the step can touch and returns the last buffer's state view,
+    valid until the next step.  Per-site coins (:func:`_coin`) work inside
+    the window, and windows only grow, so a column written before is always
+    written again; single-matrix coins, guards and phases take the whole
+    lattice.  With ``guard`` on (:func:`step`), each move checks the padding
+    it filled (:func:`_guard_check`) and raises :class:`LatticeGuardError`
+    before returning; with it off (:func:`iterate_ensemble`, whose validated
+    walks never reach the edges, and the comb probes), amplitude moved off
+    the lattice stays in the padding, outside the state.
     """
     moves = STEP_MOVES[spec.walk_kind]
     angles = _site_angles(spec.phi_e, lattice_min, n_sites)
     phases = None if angles is None else np.exp(1j * angles)
+    landings, steps = [], itertools.count()  # landing j's (coin, buffer, view, left, right) at j % 2
 
     def advance(amps, window=slice(None)):
-        for slot, left, right in moves:
-            amps = _coin(amps, coins[slot], window)
+        if not landings:
+            for slot, left, right in (moves * 2)[:2]:
+                buffer = np.zeros((*amps.shape[:-1], n_sites + 2), dtype=np.complex128)
+                landings.append((coins[slot], buffer, _landing(buffer, left, right), left, right))
+        first = next(steps) * len(moves)
+        for j in range(first, first + len(moves)):
+            coin, buffer, out, left, right = landings[j % 2]
+            _coin(amps, coin, out, window)
             if guard and left:
-                _guard_check(amps[..., 0, 0], lattice_min, n_sites, "left")
+                _guard_check(buffer[..., 0, 0], lattice_min, n_sites, "left")
             if guard and right:
-                _guard_check(amps[..., 1, -1], lattice_min, n_sites, "right")
-            _shift(amps[..., window], left, right)
+                _guard_check(buffer[..., 1, -1], lattice_min, n_sites, "right")
+            amps = buffer[..., 1:-1]
         if phases is not None:
             amps *= phases
         return amps
@@ -511,15 +516,14 @@ def _without_tables(spec: WalkSpec) -> WalkSpec:
 def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     """Evolve walks that differ only in their coin tables (or seeds) as one batch.
 
-    Yields read-only amplitude arrays of shape (S, 2, n_sites) for t = 0..T,
-    row s being walk ``specs[s]``; a single walk is the one-member case
-    (:func:`iterate`).  Each spec is resolved on its own, so a seeded member
-    draws exactly the tables it would draw alone.
-
-    Every walk starts as a delta at ``start``, so step k can touch only
-    :func:`_light_cone` ``(spec, k)``, which validation keeps 2 sites clear of
-    each edge.  Per-site coins are computed and the unguarded shifts move
-    columns on that window alone; the rest hold the full-width step's zeros.
+    Yields amplitude arrays of shape (S, 2, n_sites) for t = 0..T, row s
+    being walk ``specs[s]``; a single walk is the one-member case
+    (:func:`iterate`).  Each is a read-only view of the kernel's buffers,
+    valid until the next one is requested: copy it to keep it.  Each spec is
+    resolved on its own, so a seeded member draws exactly the tables it would
+    draw alone.  Every walk starts as a delta at ``start``, so step k can
+    touch only :func:`_light_cone` ``(spec, k)``, the kernel's window, which
+    validation keeps 2 sites clear of each edge.
     """
     specs = [s.resolved() for s in specs]
     if not specs:
@@ -561,7 +565,8 @@ def distribution_blocks(specs: Sequence[WalkSpec]) -> Iterator[tuple]:
     """Yield ``(t0, p, means, variances, cone)`` of an ensemble's steps t0..t0+k-1, one block at a time.
 
     ``p`` (k, S, n) holds the site probabilities of the k states of the S walks of
-    :func:`iterate_ensemble`, in a buffer zeroed once and reused by every block: each state
+    :func:`iterate_ensemble`, each reduced as it arrives, while its view of the kernel's
+    buffers is valid, into a buffer zeroed once and reused by every block: each state
     is written over its light cone only, which holds every earlier one, so ``p`` is zero
     outside ``cone``, the block's last and widest light cone.  Each row's moments, shape
     (k, S), equal a lone distribution's (:func:`site_moments`).

@@ -6,7 +6,10 @@ random and with explicit four-angle tables) at half-widths 3 to 256, and for
 degenerate coins whose products hold exact zeros (split-step angle pairs
 from 0, pi/2 and pi; dtqw and electric-dtqw at those angles with phi_e = pi;
 tables with theta = 0 and xi = pi/2) at half-widths 3 to 256, plus a few
-``run`` and ``localize`` configs.  One ``run`` and one ``localize`` are at
+``run`` and ``localize`` configs.  A ``run`` with explicit four-angle tables
+and a ``localize`` whose first table is one carry complex per-site coins
+(nonzero chi, xi and eta), whose products a fused multiply would round
+differently; ``random`` tables hold real coins only.  One ``run`` and one ``localize`` are at
 half-width 6000 and 200 steps, so their lattice rows outgrow the 10000
 elements below which the OpenBLAS dot product runs on one thread.  Each
 output file's digest is keyed by its command and config, with the command's
@@ -100,6 +103,9 @@ def _run_configs():
     yield "dtqw", {**base, "walk": "dtqw", "theta": 0.7, "emit_trajectory": True}
     yield "electric-dtqw", {**base, "walk": "electric-dtqw", "theta": 0.6, "phi_e": 0.9}
     yield "generalized", {**base, "walk": "generalized", "seed": 5}
+    rng = random.Random(40)
+    yield "generalized-tables", {**base, "walk": "generalized", "table1": _four_angle_table(rng, 40),
+                                 "table2": _four_angle_table(rng, 40)}
     yield "ssqw-L6000", {"schema_version": 1, "steps": 200, "half_width": 6000, "walk": "ssqw",
                          "theta1": 0.7, "theta2": -0.4}
 
@@ -108,6 +114,9 @@ def _localize_configs():
     """``(name, config, seeds)`` of each ``localize`` job."""
     yield "generalized-L40", {"schema_version": 1, "walk": "generalized", "steps": 30, "half_width": 40,
                               "seed": 11}, 4
+    yield "generalized-table1-L40", {"schema_version": 1, "walk": "generalized", "steps": 30, "half_width": 40,
+                                     "seed": 12, "table1": _four_angle_table(random.Random(41), 40),
+                                     "table2": "random"}, 3
     yield "generalized-L6000", {"schema_version": 1, "walk": "generalized", "steps": 200, "half_width": 6000,
                                 "seed": 5}, 2
 

@@ -16,7 +16,7 @@ from oamwalk.compiler import PdcBlock, compile_ssqw, euler_decompose, euler_reco
 from oamwalk.optics import HalfWavePlate, JPlate, VariableWavePlate
 
 from conftest import random_u2
-from test_walk import reference_moments, reference_step, site_coefficients
+from test_walk import coin_product, landed, reference_moments, reference_step, site_coefficients
 
 
 # --- parts-list records ------------------------------------------------------
@@ -344,7 +344,8 @@ def test_batched_site_coin_equals_single_applications(seed, count, half_width, z
     forms, which recorded outputs rest on, are the elementwise ``...ijx``
     products plus an add, and the ``xij,jx->ix`` reduction.  Computed on a
     window outside which the amplitudes vanish, the columns inside are the
-    same and the rest are zero.
+    same and the rest are zero.  Landed through a move's shifted view, the
+    product keeps its bytes, one column over.
     """
     rng = np.random.default_rng(seed)
     n = 2 * half_width + 1
@@ -353,21 +354,53 @@ def test_batched_site_coin_equals_single_applications(seed, count, half_width, z
     amps = (rng.choice([-1, 1], (count, 2, n)) * 10.0 ** rng.uniform(-300, 300, (count, 2, n))
             + 1j * rng.choice([-1, 1], (count, 2, n)) * 10.0 ** rng.uniform(-300, 300, (count, 2, n)))
     amps[rng.random((count, 2, n)) < zero_share] = 0.0
-    got = walk._coin(amps, coin)
+    got = coin_product(amps, coin)
     terms = np.einsum("...ijx,...jx->...ijx", coin, amps)
     assert got.tobytes() == (terms[..., 0, :] + terms[..., 1, :]).tobytes()
     for s, t in enumerate(tables):
-        assert got[s].tobytes() == walk._coin(amps[s], site_coefficients(t)).tobytes()
+        assert got[s].tobytes() == coin_product(amps[s], site_coefficients(t)).tobytes()
         assert got[s].tobytes() == np.einsum("xij,jx->ix", t.matrices(), amps[s]).tobytes()
     lo, hi = sorted(rng.integers(0, n + 1, 2))
     inside = np.zeros_like(amps)
     inside[..., lo:hi] = amps[..., lo:hi]
-    windowed = walk._coin(inside, coin, slice(lo, hi))
+    windowed = coin_product(inside, coin, slice(lo, hi))
     assert windowed[..., lo:hi].tobytes() == got[..., lo:hi].tobytes()
     assert not windowed[..., :lo].any() and not windowed[..., hi:].any()
+    buffer = landed(amps, coin, True, True)
+    assert buffer[..., 0, :n].tobytes() == got[..., 0, :].tobytes()
+    assert buffer[..., 1, 2:].tobytes() == got[..., 1, :].tobytes()
 
 
 # --- run and localize documents against full-width reductions -----------------
+
+
+#: Moments json spells specially or at the ends of the float range, among arbitrary floats.
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+moment_floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+#: Variances ``run`` can take a square root of: none is negative, but -0.0, NaN and inf are possible.
+variance_floats = st.one_of(st.floats(min_value=0.0), st.sampled_from([math.nan, math.inf, -0.0, 5e-324, 1e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(walk.STEP_MOVES)), steps=st.integers(0, 40), half_width=st.integers(1, 10**6),
+       data=st.data())
+def test_summary_template_writes_json_dumps(kind, steps, half_width, data):
+    """``run``'s summary template writes the text ``json.dumps(summary, indent=2, sort_keys=True)`` writes.
+
+    For every walk kind, and moments that hold NaN, +-inf, -0.0, the
+    smallest subnormal and 1e308 among arbitrary floats, so the template
+    keeps json's spelling of each float, ``float.__repr__`` or NaN, Infinity
+    and -Infinity.  Sigma is ``math.sqrt`` of the variance, as the mapping
+    of earlier releases took it.
+    """
+    rows = st.lists(st.tuples(moment_floats, variance_floats, moment_floats), min_size=steps + 1,
+                    max_size=steps + 1)
+    means, variances, totals = (np.array(column, dtype=np.float64) for column in zip(*data.draw(rows)))
+    moments = [{"t": t, "mean": m, "variance": v, "sigma": math.sqrt(v), "total": total}
+               for t, (m, v, total) in enumerate(zip(means.tolist(), variances.tolist(), totals.tolist()))]
+    summary = {"schema_version": 1, "walk": kind, "steps": steps, "half_width": half_width, "moments": moments}
+    text = cli._summary_text(walk.WalkSpec(kind, steps, half_width), means, variances, totals)
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def table_config(table):

@@ -1,5 +1,6 @@
 """Tests for the abstract walk layer: states, the step kernel's coins and shifts, evolutions."""
 
+import itertools
 import math
 import os
 import re
@@ -36,6 +37,7 @@ from conftest import (
     dense_shift_minus,
     dense_shift_plus,
     expm_unitary,
+    random_u2,
     state_vector,
     traced_peak,
 )
@@ -55,14 +57,28 @@ def site_coefficients(table):
     return np.ascontiguousarray(table.matrices().transpose(1, 2, 0))
 
 
+def coin_product(amps, coin, window=slice(None)):
+    """The kernel's coin on ``amps``, landed unshifted in a new zeroed array."""
+    out = np.zeros(amps.shape, dtype=complex)
+    walk._coin(amps, coin, out, window)
+    return out
+
+
 def coined(state, table):
     """The kernel's per-site coin of ``table`` on ``state``'s amplitudes."""
-    return walk._coin(state.amps, site_coefficients(table))
+    return coin_product(state.amps, site_coefficients(table))
+
+
+def landed(amps, coin, left, right, window=slice(None)):
+    """The padded buffer (..., 2, n + 2) into which the kernel lands ``coin`` on ``amps``, shifted by one move."""
+    buffer = np.zeros(amps.shape[:-1] + (amps.shape[-1] + 2,), dtype=complex)
+    walk._coin(amps, coin, walk._landing(buffer, left, right), window)
+    return buffer
 
 
 def shifted(amps, left, right):
-    """The kernel's shift on a copy of ``amps``."""
-    return walk._shift(amps.copy(), left, right)
+    """The kernel's shift alone: the state columns of the identity coin's landing."""
+    return landed(amps, np.eye(2, dtype=complex), left, right)[..., 1:-1]
 
 
 def guarded_step(amps, spec):
@@ -245,17 +261,26 @@ class TestShifts:
             out = shifted(s.amps, left, right)
             assert np.linalg.norm(out) == pytest.approx(s.norm(), abs=1e-15)
 
+    def test_amplitude_leaving_the_lattice_lands_in_the_padding(self, rng):
+        """The padding holds what a move carries off each edge, where the guard reads it; the state drops it."""
+        amps = rng.normal(size=(3, 2, 7)) + 1j * rng.normal(size=(3, 2, 7))
+        for left, right in ((True, False), (False, True), (True, True)):
+            buffer = landed(amps, np.eye(2, dtype=complex), left, right)
+            assert np.array_equal(buffer[..., 0, 0], amps[..., 0, 0] if left else 0 * amps[..., 0, 0])
+            assert np.array_equal(buffer[..., 1, -1], amps[..., 1, -1] if right else 0 * amps[..., 1, -1])
+            assert np.array_equal(buffer[..., 1:-1], shifted(amps, left, right))
+
     @pytest.mark.parametrize("left, right", [(True, False), (False, True), (True, True)],
                              ids=["left", "right", "both"])
     def test_windowed_shift_equals_full_width(self, rng, left, right):
-        """Shifting a window view is the full-width shift of amplitudes that vanish outside it.
+        """A per-site coin landed through a window is the full-width landing of amplitudes that vanish outside it.
 
-        Inside the lattice they must also vanish in the column each mover
-        leaves the window through: the light cone of the next step holds the
-        image of every state, so no step of a validated walk carries amplitude
-        there.  Windows reach either edge or both in three trials of four; at
-        an edge the support may touch it, and both shifts drop that amplitude
-        as a whole-lattice shift does (:meth:`TestDenseBuilders.test_shift_matrices_match_oracle`).
+        The coins are general U(2) tables.  Inside the lattice nothing else
+        needs to vanish: the window's columns land one column out of it as
+        the full width's do, and the column each mover vacates is never
+        written.  Windows reach either edge or both in three trials of four;
+        at an edge the amplitude moved off it lands in the padding for both
+        (:meth:`test_amplitude_leaving_the_lattice_lands_in_the_padding`).
         """
         for trial in range(400):
             n = int(rng.integers(1, 40))
@@ -264,15 +289,35 @@ class TestShifts:
             shape = ((), (3,))[trial % 2] + (2, hi - lo)
             amps = np.zeros(shape[:-1] + (n,), dtype=complex)
             amps[..., lo:hi] = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.7)
-            if left and lo > 0:
-                amps[..., 0, lo] = 0.0
-            if right and hi < n:
-                amps[..., 1, hi - 1] = 0.0
-            full = shifted(amps, left, right)
-            windowed = amps.copy()
-            walk._shift(windowed[..., lo:hi], left, right)
-            assert np.array_equal(windowed, full), (n, lo, hi)
+            coin = np.stack([site_coefficients(CoinTable(0, *rng.uniform(-3, 3, (4, n)))) for _ in range(3)])
+            coin = coin[:amps.shape[0]] if amps.ndim == 3 else coin[0]
+            full = landed(amps, coin, left, right)
+            windowed = landed(amps, coin, left, right, slice(lo, hi))
+            assert windowed.tobytes() == full.tobytes(), (n, lo, hi)
+            windowed = windowed[..., 1:-1]
+            assert not (left and windowed[..., 0, n - 1].any()) and not (right and windowed[..., 1, 0].any())
             assert not (left and windowed[..., 0, hi - 1].any()) and not (right and windowed[..., 1, lo].any())
+
+    @pytest.mark.parametrize("n", [1, 7, 2049, 12001])
+    def test_matrix_coin_lands_with_the_bits_of_its_product(self, rng, n):
+        """A single matrix landed through a shifted view has the bits of ``coin @ amps``, moved one column.
+
+        BLAS's result depends on the column range, not on where the product
+        is written or on the row stride it reads: both amplitudes in their own
+        array and the state view of a padded buffer give the same bytes, at
+        lattice sizes on both sides of OpenBLAS's threading thresholds.
+        """
+        amps = rng.normal(size=(3, 2, n)) + 1j * rng.normal(size=(3, 2, n))
+        padded = np.zeros((3, 2, n + 2), dtype=complex)
+        padded[..., 1:-1] = amps
+        coin = random_u2(rng)
+        product = coin @ amps
+        for left, right in ((True, False), (False, True), (True, True)):
+            expected = np.zeros((3, 2, n + 2), dtype=complex)
+            expected[..., 0, 1 - left:n + 1 - left] = product[..., 0, :]
+            expected[..., 1, 1 + right:n + 1 + right] = product[..., 1, :]
+            for source in (amps, padded[..., 1:-1]):
+                assert landed(source, coin, left, right).tobytes() == expected.tobytes(), (left, right)
 
     def test_guard_violation_raises(self):
         amps = np.zeros((2, 5), dtype=complex)
@@ -351,7 +396,7 @@ class TestElectricPhase:
         t = CoinTable.random_disorder(8, rng)
         phases = site_phases(s, 0.7)
         a = coined(s, t) * phases
-        b = walk._coin(s.amps * phases, site_coefficients(t))
+        b = coin_product(s.amps * phases, site_coefficients(t))
         assert np.allclose(a, b, atol=1e-15)
         electric, plain = electric_and_plain_steps(s, 0.7)
         assert electric.tobytes() == (plain * phases).tobytes()
@@ -591,7 +636,7 @@ class TestDenseBuilders:
                 ((False, True), dense_shift_plus),
                 ((True, True), dense_shift_full),
             ]:
-                got = basis_images(lambda a: walk._shift(a, left, right), n)
+                got = basis_images(lambda a: shifted(a, left, right), n)
                 assert np.array_equal(got, oracle(L))
 
     def test_step_operator_matches_state_path(self, rng):
@@ -613,7 +658,7 @@ class TestDenseBuilders:
         L = 4
         t = CoinTable.random_disorder(L, rng)
         coin = site_coefficients(t)
-        got = basis_images(lambda a: walk._coin(a, coin), 2 * L + 1)
+        got = basis_images(lambda a: coin_product(a, coin), 2 * L + 1)
         assert np.allclose(got, dense_coin(t.matrices(), L), atol=1e-15)
 
     @pytest.mark.parametrize("half_width", [3, 6])
@@ -785,15 +830,31 @@ class TestIterate:
     @pytest.mark.parametrize("kind_keys", [{"walk_kind": "ssqw", "theta2": -0.4},
                                            {"walk_kind": "electric-dtqw", "phi_e": 0.37}], ids=lambda k: k["walk_kind"])
     def test_yielded_states_stay_intact(self, kind_keys):
-        """The kernel shifts and phases new arrays in place; a yielded one is never written again."""
+        """A yielded array is a read-only view of the kernel's buffers, intact until the next one is requested."""
         spec = WalkSpec(steps=20, half_width=24, theta1=0.9, coin_state=(0.6, 0.8j), **kind_keys)
-        kept = list(walk.iterate_ensemble([spec]))
         state = spec.initial_state()
-        for t, amps in enumerate(kept):
+        for t, amps in enumerate(walk.iterate_ensemble([spec])):
             if t:
                 state = step(state, spec)
             assert not amps.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                amps[0, 0, 0] = 1.0
             assert np.array_equal(amps[0], state.amps), t
+        assert t == spec.steps
+
+    @pytest.mark.parametrize("kind", sorted(walk.STEP_MOVES))
+    def test_evolve_returns_distinct_states(self, rng, kind):
+        """``evolve`` keeps T+1 states of their own, each the full-width reference chain's, however the
+        kernel reuses its buffers."""
+        spec = next(s for s in four_kinds(rng, steps=12, half_width=16, start=1) if s.walk_kind == kind)
+        states = evolve(spec)
+        assert len(states) == spec.steps + 1
+        assert not any(np.shares_memory(a.amps, b.amps) for a, b in itertools.combinations(states, 2))
+        amps = spec.initial_state().amps
+        for t, state in enumerate(states):
+            if t:
+                amps = reference_step(amps, spec)
+            assert np.array_equal(state.amps, amps), t
 
     def test_builds_each_coin_table_once(self, monkeypatch):
         calls = []
