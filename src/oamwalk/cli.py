@@ -26,7 +26,12 @@ Subcommands
     whose coins, shifts and probabilities touch the light cone only, reduced
     ``max(1, 16 // N)`` steps at a time by :func:`walk.distribution_blocks`,
     as ``run`` is: per-seed spread histories, their mean, and the ballistic
-    baseline in one JSON file.
+    baseline in one JSON file.  The seeds are split into contiguous chunks,
+    one per usable CPU; every chunk but the last is evolved in a forked
+    child, which sends its spread history back through a pipe, and each
+    member's row is reduced as it would be alone, so the bytes do not depend
+    on the split.  A chunk whose child fails is evolved again in process, so
+    its error exits with its code here.
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
@@ -40,11 +45,15 @@ output path that names an existing directory, is refused before any work),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import signal
 import sys
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -410,9 +419,82 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
 # --- localize ---------------------------------------------------------------
 
 
-def _sigma_history(specs: list[walk.WalkSpec]) -> np.ndarray:
+def _spreads(specs: list[walk.WalkSpec]) -> np.ndarray:
     """Spread of each walk of an ensemble at t = 0..T, shape (T+1, S)."""
     return np.sqrt(np.concatenate([variances for *_, variances, _ in walk.distribution_blocks(specs)]))
+
+
+def _fork_spreads(specs: list[walk.WalkSpec]) -> tuple[int, BinaryIO]:
+    """``(pid, read end of a pipe)`` of a forked child that writes the raw bytes of ``_spreads(specs)``.
+
+    The child's whole body ends in ``os._exit``: it never returns into the
+    caller's stack and never flushes the parent's stdio.  It exits 0 once
+    every byte is written, 1 on any error.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            view = memoryview(_spreads(specs)).cast("B")
+            while view:
+                view = view[os.write(write, view):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _sigma_history(members: list[walk.WalkSpec], baseline: walk.WalkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Spreads of the ensemble ``members`` at t = 0..T, shape (T+1, S), and of the walk ``baseline``, (T+1,).
+
+    The members are split into contiguous chunks in seed order, one per usable
+    CPU, whose sizes differ by at most one.  Each chunk but the last is evolved
+    in a forked child (:func:`_fork_spreads`); this process evolves the last
+    chunk and the baseline, then reads each child's history.  It evolves a
+    chunk itself when its child exits nonzero or delivers the wrong byte count
+    (so an error surfaces here), and the chunks it could not fork.  Each
+    member's row is reduced as it would be alone, so the split moves no byte.
+    Children not collected, when this process raises, are killed and reaped.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, len(members))
+    size, extra = divmod(len(members), count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    chunks = [members[a:b] for a, b in zip(starts, starts[1:])]
+    children = []  # (pid, read end) of each child not yet reaped, in seed order
+    try:
+        for i, chunk in enumerate(chunks[:-1]):
+            try:
+                children.append(_fork_spreads(chunk))
+            except OSError:  # no pipe or process to spare: this process evolves the rest
+                chunks[i:] = [members[starts[i]:]]
+                break
+        last = _spreads(chunks[-1])
+        ballistic = _spreads([baseline])[:, 0]
+        histories = []
+        for chunk, (pid, pipe) in zip(chunks, list(children)):
+            with pipe:
+                raw = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.remove((pid, pipe))
+            whole = status == 0 and len(raw) == (baseline.steps + 1) * len(chunk) * 8
+            histories.append(np.frombuffer(raw).reshape(-1, len(chunk)) if whole else _spreads(chunk))
+        return np.concatenate([*histories, last], axis=1), ballistic
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
@@ -431,12 +513,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
 
     seeds = [spec.seed + i for i in range(n_seeds)]
     members = [dataclasses.replace(spec, seed=s) for s in seeds]
-    per_seed = _sigma_history(members).T.tolist()
-    # averaged over a C-ordered (seeds, steps) array, which fixes the order
-    # in which the seeds are summed and so the digits of the mean
-    mean = np.mean(np.asarray(per_seed), axis=0).tolist()
-
-    baseline_spec = walk.WalkSpec(
+    baseline = walk.WalkSpec(
         "dtqw",
         spec.steps,
         spec.half_width,
@@ -444,7 +521,12 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         start=spec.start,
         theta1=math.pi / 4,
     )
-    ballistic = _sigma_history([baseline_spec])[:, 0].tolist()
+    history, ballistic = _sigma_history(members, baseline)
+    per_seed = history.T.tolist()
+    # averaged over a C-ordered (seeds, steps) array, which fixes the order
+    # in which the seeds are summed and so the digits of the mean
+    mean = np.mean(np.asarray(per_seed), axis=0).tolist()
+    ballistic = ballistic.tolist()
 
     _write_json(
         out_path,

@@ -22,13 +22,17 @@ not round-trip.
 
 Run one copy of this script against two checkouts, with ``PYTHONPATH`` naming
 each checkout's ``src`` in turn, and diff the two files, once with the default
-BLAS threads and once with ``OPENBLAS_NUM_THREADS=1``; identical files mean
-every byte on the grid is kept.  The two thread settings write different bytes
-for ``compile --verify`` from L=40 on and for the half-width 6000 ``run``
-summary and ``localize`` JSON until band certificates (ROADMAP item 3) and
-thread-independent reductions (item 4) land, so compare only files written on
-the same setting.  The grid belongs to the script, not to the checkout it
-measures::
+BLAS threads, once with ``OPENBLAS_NUM_THREADS=1`` and once under
+``taskset -c 0``; identical files mean every byte on the grid is kept.
+``localize`` evolves its seeds in one chunk per usable CPU, so the
+``taskset -c 0`` run is the one-chunk reference, and the ``localize`` jobs at
+3, 5 and 17 seeds put chunk boundaries inside the ensemble on any host with
+two CPUs or more.  The BLAS thread count (one under ``taskset -c 0``) moves
+the bytes of ``compile --verify`` from L=40 on and of the half-width 6000
+``run`` summary and ``localize`` JSON until band certificates (ROADMAP item
+3) and thread-independent reductions (item 4) land, so compare only files
+written on the same setting.  The grid belongs to the script, not to the
+checkout it measures::
 
     PYTHONPATH=/path/to/checkout/src python tests/byte_sweep.py sweep.json
 
@@ -119,6 +123,10 @@ def _localize_configs():
                                      "table2": "random"}, 3
     yield "generalized-L6000", {"schema_version": 1, "walk": "generalized", "steps": 200, "half_width": 6000,
                                 "seed": 5}, 2
+    # seed counts whose chunks, one per usable CPU, do not all have one size
+    for seeds in (3, 5, 17):
+        yield "generalized-seed13-L40", {"schema_version": 1, "walk": "generalized", "steps": 30,
+                                         "half_width": 40, "seed": 13}, seeds
 
 
 def _jobs():

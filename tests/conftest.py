@@ -7,6 +7,7 @@ checked against constructions that do not share their implementation.
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,18 @@ import pytest
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped (a reaped child is gone for good)."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    left = "a child process still running" if pid == 0 else f"child {pid} unreaped (status {status})"
+    pytest.fail(f"the test left {left}")
 
 
 @pytest.fixture

@@ -6,8 +6,10 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1039,6 +1041,89 @@ class TestLocalize:
     def test_rejects_non_generalized(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)
         assert main(["localize", "--config", str(cfg), "--seeds", "2", "--out", str(tmp_path / "x.json")]) == 2
+
+
+class TestLocalizeChunks:
+    """``localize`` evolves its seeds in contiguous chunks, one per usable CPU, all but the last in
+    forked children, and writes the bytes of a one-CPU run whatever the split and whatever fails."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children ``os.fork`` makes from this process, in order."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    def localize(self, tmp_path, monkeypatch, seeds, cpus):
+        """``(exit code, loc.json bytes or None)`` of a ``localize`` run seeing ``cpus`` usable CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = TestLocalize().localize_config(tmp_path, table1=byte_sweep._four_angle_table(random.Random(3), 16))
+        out = tmp_path / f"loc-{seeds}-{cpus}.json"
+        code = main(["localize", "--config", str(cfg), "--seeds", str(seeds), "--out", str(out)])
+        return code, out.read_bytes() if code == 0 else None
+
+    @pytest.mark.parametrize("seeds", [1, 2, 3, 5, 16, 17])
+    def test_document_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, forks, seeds):
+        reference = self.localize(tmp_path, monkeypatch, seeds, 1)
+        assert reference[0] == 0 and forks == []
+        for cpus in (2, 3, 8):
+            assert self.localize(tmp_path, monkeypatch, seeds, cpus) == reference
+            assert len(forks) == min(cpus, seeds) - 1
+            forks.clear()
+
+    def test_a_failing_child_costs_time_not_bytes(self, tmp_path, monkeypatch, forks):
+        reference = self.localize(tmp_path, monkeypatch, 5, 1)
+        test_pid, blocks = os.getpid(), walk.distribution_blocks
+
+        def in_this_process_only(specs):
+            if os.getpid() != test_pid:
+                raise MemoryError("refused in a child")
+            return blocks(specs)
+
+        monkeypatch.setattr(walk, "distribution_blocks", in_this_process_only)
+        assert self.localize(tmp_path, monkeypatch, 5, 3) == reference
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_failed_fork_leaves_its_chunks_to_this_process(self, tmp_path, monkeypatch, forks, failing):
+        reference = self.localize(tmp_path, monkeypatch, 5, 1)
+        fork = os.fork
+
+        def fork_failing_once_at_call_failing():
+            if len(forks) + 1 == failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_failing_once_at_call_failing)
+        assert self.localize(tmp_path, monkeypatch, 5, 3) == reference
+        assert len(forks) == failing - 1
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_a_parent_failing_after_forking_leaves_no_child_and_no_descriptor(self, tmp_path, monkeypatch, capsys,
+                                                                              forks):
+        """The children would take a minute; they are killed as soon as this process raises."""
+        test_pid = os.getpid()
+
+        def refused_here_slow_in_children(specs):
+            if os.getpid() == test_pid:
+                raise MemoryError("refused in this process")
+            time.sleep(60)
+
+        monkeypatch.setattr(walk, "distribution_blocks", refused_here_slow_in_children)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        assert self.localize(tmp_path, monkeypatch, 5, 3) == (2, None)
+        assert time.monotonic() - start < 30
+        assert "too large to allocate: refused in this process" in capsys.readouterr().err
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def load_bench_workloads(monkeypatch):
