@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -141,33 +142,20 @@ def _key(mapping, key: str, kind=object, where: str = "config"):
     return value
 
 
-def _number(value, what: str) -> float:
-    """A JSON number (int or float; not a boolean, string or null) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as err:
-        raise ConfigError(f"{what} is too large for a float") from err
-
-
 def _parse_coin_state(raw) -> tuple[complex, complex]:
-    try:
-        (re0, im0), (re1, im1) = raw
-        re0, im0, re1, im1 = (_number(v, "coin_state entry") for v in (re0, im0, re1, im1))
-        return complex(re0, im0), complex(re1, im1)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(
-            "coin_state must be [[re, im], [re, im]] pairs of numbers"
-        ) from err
+    if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(p, list) and len(p) == 2 for p in raw)):
+        raise ConfigError("coin_state must be [[re, im], [re, im]] pairs of numbers")
+    (re0, im0), (re1, im1) = ([optics._as_real(f"coin_state[{i}][{j}]", v) for j, v in enumerate(pair)]
+                              for i, pair in enumerate(raw))
+    return complex(re0, im0), complex(re1, im1)
 
 
 def _angle_column(raw, n: int, key: str, name: str) -> np.ndarray:
     if isinstance(raw, list):
         if len(raw) != n:
             raise ConfigError(f"{name}.{key} must list {n} angles (one per site), got {len(raw)}")
-        return np.asarray([_number(v, f"{name}.{key}[{i}]") for i, v in enumerate(raw)])
-    return np.full(n, _number(raw, f"{name}.{key}"))
+        return np.asarray([optics._as_real(f"{name}.{key}[{i}]", v) for i, v in enumerate(raw)], dtype=np.float64)
+    return np.full(n, optics._as_real(f"{name}.{key}", raw), dtype=np.float64)
 
 
 def _parse_table(raw, half_width: int, name: str) -> walk.CoinTable | None:
@@ -197,9 +185,9 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
     for flag in _FLAG_KEYS:
         if not isinstance(cfg.get(flag, False), bool):
             raise ConfigError(f"{flag} must be true or false, got {cfg[flag]!r}")
-    coin = _parse_coin_state(cfg["coin_state"]) if "coin_state" in cfg else walk.SYMMETRIC_COIN
 
     try:
+        coin = _parse_coin_state(cfg["coin_state"]) if "coin_state" in cfg else walk.SYMMETRIC_COIN
         spec = walk.WalkSpec(kind, _key(cfg, "steps"), _key(cfg, "half_width"), coin_state=coin,
                              start=cfg.get("start", 0), seed=cfg.get("seed"))
         fields = {}
@@ -207,7 +195,7 @@ def build_spec(cfg: dict) -> walk.WalkSpec:
             if key in cfg or key not in _OPTIONAL_KEYS:
                 raw = _key(cfg, key)
                 fields[field] = (_parse_table(raw, spec.half_width, key) if field in ("table1", "table2")
-                                 else _number(raw, f"key {key!r}"))
+                                 else optics._as_real(f"key {key!r}", raw))
         spec = dataclasses.replace(spec, **fields)
         spec.validate()  # LatticeGuardError, a RuntimeError, propagates to exit code 3
     except ValueError as err:
@@ -549,6 +537,7 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oamwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -199,8 +200,9 @@ class TestRun:
             {"walk": "dtqw", "theta": 0.61, "start": -2},
             {"walk": "ssqw", "theta1": 0.9, "theta2": -0.4},
             {"walk": "electric-dtqw", "theta": 0.5, "phi_e": 0.37, "start": 1},
+            {"walk": "generalized", "seed": 8, "start": 2},
         ],
-        ids=["dtqw", "ssqw", "electric-dtqw"],
+        ids=["dtqw", "ssqw", "electric-dtqw", "generalized"],
     )
     def test_documents_equal_reference_across_block_boundaries(self, tmp_path, kind_keys, emit_trajectory, steps):
         """T + 1 states that fill the 16-row reduction blocks exactly, or leave 1, 2 or 15 rows over."""
@@ -332,12 +334,19 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, coin_state=[[1.0, 0.0], [1.0, 0.0]])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("coin_state", [[[1, 0]], [1, 0, 0, 0], [[1, 0], [0, 0, 0]], [[1, 0], 0], "ab",
+                                            ["ab", "cd"], {"ab": 1, "cd": 2}, [[1, 0], {"a": 0, "b": 0}]])
+    def test_coin_state_must_be_two_pairs(self, coin_state):
+        # strings and objects unpack into pairs too; the reader names the shape, not a character or a key
+        raw = {"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7, "coin_state": coin_state}
+        with pytest.raises(cli.ConfigError, match=r"coin_state must be \[\[re, im\], \[re, im\]\] pairs of numbers"):
+            cli.build_spec(raw)
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_coin_state_is_a_config_error(self, entry):
-        # the reader passes them on as numbers, and the spec refuses the coin_state they make
         raw = {"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7,
                "coin_state": [[1.0, 0.0], [0.0, entry]]}
-        with pytest.raises(cli.ConfigError, match="normalized"):
+        with pytest.raises(cli.ConfigError, match=r"coin_state\[1\]\[1\] must be a finite real number"):
             cli.build_spec(raw)
 
     def test_guard_violation_names_required_half_width(self, tmp_path, capsys):
@@ -402,10 +411,15 @@ class TestConfigValidation:
             ("generalized", {"table2": {"eta": "0.2"}}),
             ("generalized", {"table2": {"xi": None}}),
             ("generalized", {"table1": {"theta": [0, 0, 10**400, 0, 0]}}),
+            ("ssqw", {"theta2": math.nan}),
+            ("electric-dtqw", {"theta": True}),
+            ("electric-dtqw", {"phi_e": -math.inf}),
+            ("generalized", {"table1": {"eta": [0, math.inf, 0, 0, 0]}}),
+            ("generalized", {"table2": {"chi": math.nan}}),
         ],
     )
     def test_numbers_must_be_json_numbers(self, tmp_path, capsys, kind, overrides):
-        """Strings, booleans, null and integers too large for a float are config errors."""
+        """Strings, booleans, null, NaN, infinities and integers past a float are config errors naming the key."""
         base = {"ssqw": {"theta1": 0.7, "theta2": -0.3}, "electric-dtqw": {"theta": 0.5}, "generalized": {"seed": 3}}
         raw = {"schema_version": 1, "walk": kind, "steps": 1, "half_width": 2, **base[kind], **overrides}
         path = tmp_path / "c.json"
@@ -414,7 +428,26 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert "must be a finite real number" in err and next(iter(overrides)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"coin_state": [[1, 0], [None, 0]]}, "coin_state[1][0]"),
+            ({"theta1": "0.7"}, "key 'theta1'"),
+            ({"walk": "generalized", "table1": {"chi": [0, 0, 0, 0, math.inf]}, "table2": {"xi": False}},
+             "table1.chi[4]"),
+            ({"walk": "generalized", "table1": "random", "table2": {"xi": False}}, "table2.xi"),
+        ],
+    )
+    def test_bad_number_error_names_its_entry(self, overrides, named):
+        raw = {"schema_version": 1, "walk": "ssqw", "steps": 1, "half_width": 2, "seed": 3,
+               "theta1": 0.7, "theta2": -0.3, **overrides}
+        if raw["walk"] == "generalized":
+            del raw["theta1"], raw["theta2"]
+        with pytest.raises(cli.ConfigError, match=rf"^{re.escape(named)} must be a finite real number, got "):
+            cli.build_spec(raw)
 
     @pytest.mark.parametrize("command", [["run"], ["compile"], ["localize", "--seeds", "2"]])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
@@ -541,6 +574,44 @@ class TestConfigValidation:
         for command in (["run"], ["compile"]):
             assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 2
             assert f"{flag} must be true or false" in capsys.readouterr().err
+
+
+#: Each kind's angles, table entries and coin_state, spelled as JSON integers.
+INTEGER_SPELLED = {
+    "dtqw": {"walk": "dtqw", "theta": 1, "coin_state": [[0, 1], [0, 0]]},
+    "ssqw": {"walk": "ssqw", "theta1": 1, "theta2": -1, "coin_state": [[1, 0], [0, 0]]},
+    "electric-dtqw": {"walk": "electric-dtqw", "theta": 1, "phi_e": 2},
+    "generalized": {"walk": "generalized", "table2": "random",
+                    "table1": {"chi": 1, "xi": [i % 3 - 1 for i in range(23)], "eta": 0, "theta": list(range(23))}},
+}
+
+
+def float_spelled(value):
+    """``value`` with every integer in it spelled as a float."""
+    if isinstance(value, dict):
+        return {k: float_spelled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [float_spelled(v) for v in value]
+    return float(value) if isinstance(value, int) else value
+
+
+class TestNumbersKeptAsGiven:
+    @pytest.mark.parametrize("kind", INTEGER_SPELLED)
+    def test_integer_spelling_writes_the_float_spelling_bytes(self, tmp_path, kind):
+        """The reader passes numbers on as given; an integer angle writes what its float writes."""
+        commands = [["run"], ["compile", "--verify"]] + [["localize", "--seeds", "2"]] * (kind == "generalized")
+        outputs = {}
+        for spelling, keys in (("int", INTEGER_SPELLED[kind]), ("float", float_spelled(INTEGER_SPELLED[kind]))):
+            directory = tmp_path / spelling
+            directory.mkdir()
+            cfg = directory / "c.json"
+            cfg.write_text(json.dumps({"schema_version": 1, "steps": 9, "half_width": 11, "seed": 5,
+                                       "emit_trajectory": True, **keys}))
+            for command in commands:
+                assert main(command + ["--config", str(cfg), "--out", str(directory / f"{command[0]}.out")]) == 0
+            outputs[spelling] = {p.name: p.read_bytes() for p in directory.iterdir() if p != cfg}
+        assert set(outputs["int"]) == {f"{c[0]}.out" for c in commands} | {"run.summary.json"}
+        assert outputs["int"] == outputs["float"]
 
 
 def ssqw_config(tmp_path, **overrides):
