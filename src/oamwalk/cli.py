@@ -28,10 +28,11 @@ Subcommands
     as ``run`` is: per-seed spread histories, their mean, and the ballistic
     baseline in one JSON file.  The seeds are split into contiguous chunks,
     one per usable CPU; every chunk but the last is evolved in a forked
-    child, which sends its spread history back through a pipe, and each
-    member's row is reduced as it would be alone, so the bytes do not depend
-    on the split.  A chunk whose child fails is evolved again in process, so
-    its error exits with its code here.
+    child, which writes its rows in place into one spread history in
+    anonymous shared memory, mapped before any fork, and each member's row
+    is reduced as it would be alone, so the bytes do not depend on the
+    split.  A chunk whose child fails is evolved again in process, so its
+    error exits with its code here.
 
 All outputs are pure functions of the config file (seed included); running
 a command twice produces byte-identical files.  Exit codes: 0 ok, 2 bad
@@ -50,11 +51,11 @@ import dataclasses
 import functools
 import json
 import math
+import mmap
 import os
 import signal
 import sys
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -412,73 +413,54 @@ def _spreads(specs: list[walk.WalkSpec]) -> np.ndarray:
     return np.sqrt(np.concatenate([variances for *_, variances, _ in walk.distribution_blocks(specs)]))
 
 
-def _fork_spreads(specs: list[walk.WalkSpec]) -> tuple[int, BinaryIO]:
-    """``(pid, read end of a pipe)`` of a forked child that writes the raw bytes of ``_spreads(specs)``.
-
-    The child's whole body ends in ``os._exit``: it never returns into the
-    caller's stack and never flushes the parent's stdio.  It exits 0 once
-    every byte is written, 1 on any error.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            view = memoryview(_spreads(specs)).cast("B")
-            while view:
-                view = view[os.write(write, view):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
-
-
 def _sigma_history(members: list[walk.WalkSpec], baseline: walk.WalkSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Spreads of the ensemble ``members`` at t = 0..T, shape (T+1, S), and of the walk ``baseline``, (T+1,).
+    """Spreads of the ensemble ``members`` at t = 0..T, shape (S, T+1), and of the walk ``baseline``, (T+1,).
 
     The members are split into contiguous chunks in seed order, one per usable
     CPU, whose sizes differ by at most one.  Each chunk but the last is evolved
-    in a forked child (:func:`_fork_spreads`); this process evolves the last
-    chunk and the baseline, then reads each child's history.  It evolves a
-    chunk itself when its child exits nonzero or delivers the wrong byte count
-    (so an error surfaces here), and the chunks it could not fork.  Each
-    member's row is reduced as it would be alone, so the split moves no byte.
-    Children not collected, when this process raises, are killed and reaped.
+    in a forked child, which writes its rows in place into the history, mapped
+    as anonymous shared memory before any fork, and exits 0, or 1 on any error.
+    This process evolves every member from the first chunk it did not fork and
+    the baseline, then evolves again the chunk of each child that did not exit
+    0 (killed by a signal included), so an error surfaces here.  Each member's
+    row is reduced as it would be alone, so the split moves no byte.  Children
+    not collected, when this process raises, are killed and reaped.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = min(cpus, len(members))
     size, extra = divmod(len(members), count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
-    chunks = [members[a:b] for a, b in zip(starts, starts[1:])]
-    children = []  # (pid, read end) of each child not yet reaped, in seed order
+    nbytes = len(members) * (baseline.steps + 1) * 8
     try:
-        for i, chunk in enumerate(chunks[:-1]):
+        history = np.frombuffer(mmap.mmap(-1, nbytes)).reshape(len(members), -1)
+    except OSError as err:
+        raise MemoryError(f"cannot map the {nbytes}-byte spread history: {err}") from err
+    children = {}  # pid: rows of each child not yet reaped
+    try:
+        for a, b in zip(starts[:-2], starts[1:-1]):
             try:
-                children.append(_fork_spreads(chunk))
-            except OSError:  # no pipe or process to spare: this process evolves the rest
-                chunks[i:] = [members[starts[i]:]]
+                pid = os.fork()
+            except OSError:  # no process to spare: this process evolves the rest
                 break
-        last = _spreads(chunks[-1])
+            if pid == 0:
+                status = 1
+                try:
+                    history[a:b] = _spreads(members[a:b]).T
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = slice(a, b)
+        rest = starts[len(children)]
+        history[rest:] = _spreads(members[rest:]).T
         ballistic = _spreads([baseline])[:, 0]
-        histories = []
-        for chunk, (pid, pipe) in zip(chunks, list(children)):
-            with pipe:
-                raw = pipe.read()
+        for pid, rows in list(children.items()):
             status = os.waitpid(pid, 0)[1]
-            children.remove((pid, pipe))
-            whole = status == 0 and len(raw) == (baseline.steps + 1) * len(chunk) * 8
-            histories.append(np.frombuffer(raw).reshape(-1, len(chunk)) if whole else _spreads(chunk))
-        return np.concatenate([*histories, last], axis=1), ballistic
+            del children[pid]
+            if status:
+                history[rows] = _spreads(members[rows]).T
+        return history, ballistic
     finally:
-        for pid, pipe in children:
-            pipe.close()
+        for pid in children:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
@@ -510,10 +492,10 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
         theta1=math.pi / 4,
     )
     history, ballistic = _sigma_history(members, baseline)
-    per_seed = history.T.tolist()
+    per_seed = history.tolist()
     # averaged over a C-ordered (seeds, steps) array, which fixes the order
     # in which the seeds are summed and so the digits of the mean
-    mean = np.mean(np.asarray(per_seed), axis=0).tolist()
+    mean = np.mean(history, axis=0).tolist()
     ballistic = ballistic.tolist()
 
     _write_json(

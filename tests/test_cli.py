@@ -5,9 +5,11 @@ import errno
 import importlib.util
 import json
 import math
+import mmap
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -1160,6 +1162,20 @@ class TestLocalizeChunks:
         assert self.localize(tmp_path, monkeypatch, 5, 3) == reference
         assert len(forks) == 2
 
+    def test_a_killed_child_costs_time_not_bytes(self, tmp_path, monkeypatch, forks):
+        """A child killed by a signal leaves its rows to this process, as one that exits 1 does."""
+        reference = self.localize(tmp_path, monkeypatch, 5, 1)
+        test_pid, blocks = os.getpid(), walk.distribution_blocks
+
+        def killed_in_a_child(specs):
+            if os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return blocks(specs)
+
+        monkeypatch.setattr(walk, "distribution_blocks", killed_in_a_child)
+        assert self.localize(tmp_path, monkeypatch, 5, 3) == reference
+        assert len(forks) == 2
+
     @pytest.mark.parametrize("failing", [1, 2])
     def test_a_failed_fork_leaves_its_chunks_to_this_process(self, tmp_path, monkeypatch, forks, failing):
         reference = self.localize(tmp_path, monkeypatch, 5, 1)
@@ -1173,6 +1189,16 @@ class TestLocalizeChunks:
         monkeypatch.setattr(os, "fork", fork_failing_once_at_call_failing)
         assert self.localize(tmp_path, monkeypatch, 5, 3) == reference
         assert len(forks) == failing - 1
+
+    def test_an_unmappable_history_is_refused_before_any_fork(self, tmp_path, monkeypatch, capsys, forks):
+        def refused(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refused)
+        assert self.localize(tmp_path, monkeypatch, 5, 3) == (2, None)
+        err = capsys.readouterr().err
+        assert "config error" in err and "too large to allocate" in err and "Traceback" not in err
+        assert forks == []
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_a_parent_failing_after_forking_leaves_no_child_and_no_descriptor(self, tmp_path, monkeypatch, capsys,

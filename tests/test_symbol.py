@@ -59,3 +59,20 @@ def test_balanced_plain_walk_variance():
     assert sigma2 == pytest.approx(1 - r, rel=1e-12)
     _, variance = last_moments({"walk": "dtqw", "theta": math.pi / 4, "steps": steps, "half_width": steps + 2})
     assert variance / steps**2 == pytest.approx(1 - r, rel=3e-6)
+
+
+def test_localize_baseline_spreads_as_its_symbol_predicts():
+    """``localize``'s ballistic baseline, the plain walk at theta = pi/4 from the default equal real coin state.
+
+    sigma/T - sqrt(sigma2bar) read 1.2e-5 at T=200 and falls about as 1/T^2.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "ensemble.json", Path(tmp) / "loc.json"
+        path.write_text(json.dumps({"schema_version": 1, "walk": "generalized", "steps": STEPS,
+                                    "half_width": STEPS + 2, "seed": 1}))
+        assert cli.main(["localize", "--config", str(path), "--seeds", "1", "--out", str(out)]) == 0
+        ballistic = json.loads(out.read_text())["sigma_ballistic"]
+    r = 1 / math.sqrt(2)
+    _, sigma2 = spreading_limits("dtqw", math.pi / 4, 0.0, (r, r))
+    assert len(ballistic) == STEPS + 1
+    assert abs(ballistic[-1] / STEPS - math.sqrt(sigma2)) <= 1e-4
