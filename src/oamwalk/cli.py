@@ -21,7 +21,7 @@ Subcommands
     check exits with code 4.
 ``verify``
     Alias for ``compile`` with verification forced on.
-``localize --config c.json --seeds N --out loc.json``
+``localize --config c.json --out loc.json --seeds N``
     Ensemble of disordered generalized walks, evolved together as one batch
     whose coins, shifts and probabilities touch the light cone only, reduced
     ``max(1, 16 // N)`` steps at a time by :func:`walk.distribution_blocks`,
@@ -523,25 +523,16 @@ def localize_command(cfg: dict, out_path: str, n_seeds: int) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oamwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    files = argparse.ArgumentParser(add_help=False)  # the arguments every subcommand takes
+    files.add_argument("--config", required=True)
+    files.add_argument("--out", required=True)
 
-    p_run = sub.add_parser("run", help="evolve a walk and write its distribution")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", required=True)
-
-    p_compile = sub.add_parser("compile", help="emit the optical parts list")
-    p_compile.add_argument("--config", required=True)
-    p_compile.add_argument("--out", required=True)
-    p_compile.add_argument("--verify", action="store_true",
-                           help="certify the train once against the walk's step operator")
-
-    p_verify = sub.add_parser("verify", help="compile with verification forced on")
-    p_verify.add_argument("--config", required=True)
-    p_verify.add_argument("--out", required=True)
-
-    p_loc = sub.add_parser("localize", help="disorder ensemble spread study")
-    p_loc.add_argument("--config", required=True)
-    p_loc.add_argument("--seeds", type=int, required=True, metavar="N")
-    p_loc.add_argument("--out", required=True)
+    sub.add_parser("run", parents=[files], help="evolve a walk and write its distribution")
+    sub.add_parser("compile", parents=[files], help="emit the optical parts list").add_argument(
+        "--verify", action="store_true", help="certify the train once against the walk's step operator")
+    sub.add_parser("verify", parents=[files], help="compile with verification forced on").set_defaults(verify=True)
+    sub.add_parser("localize", parents=[files], help="disorder ensemble spread study").add_argument(
+        "--seeds", type=int, required=True, metavar="N")
     return parser
 
 
@@ -560,13 +551,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "run":
             return run_command(cfg, args.out)
-        if args.command == "compile":
-            return compile_command(cfg, args.out, args.verify)
-        if args.command == "verify":
-            return compile_command(cfg, args.out, True)
         if args.command == "localize":
             return localize_command(cfg, args.out, args.seeds)
-        raise AssertionError(f"unhandled command {args.command}")
+        return compile_command(cfg, args.out, args.verify)  # compile, or verify, whose parser sets verify
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import walk
+from .optics import _as_integer, _as_real
 
 __all__ = [
     "WavepacketSpec",
@@ -39,7 +40,7 @@ __all__ = [
 @dataclass(frozen=True)
 class WavepacketSpec:
     """Gaussian test packet: envelope std dev ``width`` (sites), carrier
-    momentum in radians per site, and a fixed coin vector."""
+    momentum in radians per site, and a fixed coin vector, checked when built."""
 
     width: float
     center: int = 0
@@ -47,7 +48,10 @@ class WavepacketSpec:
     coin: tuple[complex, complex] = walk.SYMMETRIC_COIN
 
     def __post_init__(self):
-        if self.width < 4:
+        object.__setattr__(self, "center", _as_integer("center", self.center))
+        _as_real("momentum", self.momentum)
+        walk._unit_coin("coin", self.coin)
+        if _as_real("width", self.width) < 4:
             raise ValueError("packet width must be at least 4 sites for a meaningful check")
 
     def suggested_half_width(self) -> int:

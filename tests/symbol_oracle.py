@@ -14,6 +14,13 @@ with the group velocities omega'(k) taken by Hellmann-Feynman,
 omega' = Re(i * conj(lambda) * <u|dU/dk|u>), and the integrals as midpoint
 sums on a uniform k grid.
 
+The electric walk multiplies site x by exp(i*phi*x) after each plain step,
+which maps psi(k) to psi(k - phi), so its state after one step is
+U(k - phi) psi(k - phi).  For a rational field phi = 2*pi*p/q (Cedzich et
+al., PRL 111, 160601, 2013) q steps are translation-invariant, with symbol
+V(k) = U(k - phi) U(k - 2*phi) ... U(k - q*phi); the same limits of V, taken
+per q steps, divide by q and q^2 into per-step values.
+
 Everything is built here from the documented coin convention,
 exp(-i*theta*s1) = [[cos t, -i sin t], [-i sin t, cos t]], and the step orders
 of the plain walk (coin, full shift) and the split-step walk (coin theta1,
@@ -51,10 +58,32 @@ def symbol(kind: str, theta1: float, theta2: float, k: np.ndarray) -> tuple[np.n
     raise ValueError(f"no symbol for walk kind {kind!r}")
 
 
+def electric_symbol(theta: float, phi: float, steps: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U(k - phi) U(k - 2*phi) ... U(k - steps*phi), the electric walk's steps, and its k-derivative."""
+    v, dv = np.broadcast_to(np.eye(2, dtype=complex), (len(k), 2, 2)), np.zeros((len(k), 2, 2), dtype=complex)
+    for j in range(1, steps + 1):
+        u, du = symbol("dtqw", theta, 0.0, k - j * phi)
+        v, dv = v @ u, dv @ u + v @ du
+    return v, dv
+
+
+def _grid(points: int) -> np.ndarray:
+    return -np.pi + (np.arange(points) + 0.5) * (2 * np.pi / points)
+
+
 def spreading_limits(kind: str, theta1: float, theta2: float, coin_state, points: int = 8192) -> tuple[float, float]:
     """(vbar, sigma2bar): the limits of mean/T and variance/T^2 for a delta start with ``coin_state``."""
-    k = -np.pi + (np.arange(points) + 0.5) * (2 * np.pi / points)
-    u, du = symbol(kind, theta1, theta2, k)
+    return _limits(*symbol(kind, theta1, theta2, _grid(points)), coin_state)
+
+
+def electric_spreading_limits(theta: float, p: int, q: int, coin_state, points: int = 8192) -> tuple[float, float]:
+    """:func:`spreading_limits` of the electric walk at phi = 2*pi*p/q, from its q-step symbol, per step."""
+    vbar, sigma2bar = _limits(*electric_symbol(theta, 2 * np.pi * p / q, q, _grid(points)), coin_state)
+    return vbar / q, sigma2bar / q**2
+
+
+def _limits(u: np.ndarray, du: np.ndarray, coin_state) -> tuple[float, float]:
+    """(vbar, sigma2bar) per application of the symbol ``u`` (with derivative ``du``) on a uniform k grid."""
     eigenvalues, vectors = np.linalg.eig(u)  # vectors[k, :, band], unit norm
     slope = np.einsum("kab,kbn->kan", du, vectors)
     velocity = np.real(1j * eigenvalues.conj() * np.einsum("kan,kan->kn", vectors.conj(), slope))

@@ -699,12 +699,36 @@ class TestCompile:
         assert code == 0
         assert peak <= 2.25 * dense_bytes
 
-    def test_verify_subcommand_equals_forced_toggle(self, tmp_path):
-        cfg = ssqw_config(tmp_path)
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        main(["compile", "--config", str(cfg), "--out", str(out1), "--verify"])
-        main(["verify", "--config", str(cfg), "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize("kind_keys", [
+        {"walk": "dtqw", "theta": 0.61},
+        {"walk": "ssqw", "theta1": 0.9, "theta2": -0.4},
+        {"walk": "electric-dtqw", "theta": 0.5, "phi_e": 0.37},
+        {"walk": "generalized", "seed": 5},
+    ], ids=["dtqw", "ssqw", "electric-dtqw", "generalized"])
+    def test_verify_subcommand_equals_forced_toggle(self, tmp_path, kind_keys):
+        """``verify``, ``compile --verify`` and ``compile`` of a config with ``"verify": true`` write the same bytes."""
+        raw = {"schema_version": 1, "steps": 2, "half_width": 6, **kind_keys}
+        cfg, forced = tmp_path / "c.json", tmp_path / "forced.json"
+        cfg.write_text(json.dumps(raw))
+        forced.write_text(json.dumps({**raw, "verify": True}))
+        outputs = [tmp_path / f"{name}.json" for name in ("flag", "alias", "key")]
+        for argv, out in zip([["compile", "--verify", "--config", str(cfg)], ["verify", "--config", str(cfg)],
+                              ["compile", "--config", str(forced)]], outputs):
+            assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads(outputs[0].read_text())["verified"] is True
+        assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
+
+    def test_help_names_each_argument_and_verify_takes_no_flag(self, tmp_path, capsys):
+        for command, arguments in [("run", {"--config", "--out"}), ("compile", {"--config", "--out", "--verify"}),
+                                   ("verify", {"--config", "--out"}), ("localize", {"--config", "--out", "--seeds"})]:
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
+            assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == arguments | {"--help"}, command
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--verify", "--config", str(ssqw_config(tmp_path)), "--out", str(tmp_path / "p.json")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --verify" in capsys.readouterr().err
 
     def test_identity_coins_compile_to_full_shift(self, tmp_path):
         cfg = ssqw_config(tmp_path, theta1=0.0, theta2=0.0, steps=1)

@@ -65,6 +65,21 @@ class TestGaussianState:
         with pytest.raises(ValueError, match="width"):
             WavepacketSpec(width=2.0)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"width": math.nan}, "width"),
+        ({"width": math.inf}, "width"),
+        ({"width": "8"}, "width"),
+        ({"momentum": math.nan}, "momentum"),
+        ({"momentum": -math.inf}, "momentum"),
+        ({"center": 0.5}, "center"),
+        ({"center": True}, "center"),
+        ({"coin": (1.0, 1.0)}, "coin"),
+        ({"coin": (math.nan, 0.0)}, "coin"),
+    ])
+    def test_each_field_is_checked_when_built(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            WavepacketSpec(**{"width": 8.0, **fields})
+
 
 class TestDiracRhs:
     def test_linear_in_state(self, rng):

@@ -2,7 +2,7 @@
 
 Run from anywhere inside a source checkout::
 
-    python3 tools/bench_pr.py <pr>                 # 5 pairs of 10 s runs per workload
+    python3 tools/bench_pr.py <pr>                 # 10 pairs of 5 s runs per workload
     python3 tools/bench_pr.py <pr> --base <rev> --workload certify --pairs 10 --seconds 30 --seed 57
 
 The change is this checkout's working tree, uncommitted edits included.  The
@@ -127,8 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("pr", type=int, help="number of the PR; the file is BENCH_<pr>.json")
     parser.add_argument("--base", help="baseline revision (default: the parent of the working tree)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable (default: all)")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=41)
     args = parser.parse_args(argv)
     if args.pairs < 2:
