@@ -11,13 +11,17 @@ photon meets them:
 
 where (alpha, beta) come from the first column of C1† and the gammas are the
 Euler angles of C2·C1.  The script certifies the train against the dense
-step operator, then swaps gamma2 into the final plate's constants - a
-mix-up the printed recipe invites - and shows verification catch it.
+step operator, then builds the train again with gamma2 in the final plate's
+constants - a mix-up the printed recipe invites - and shows verification
+catch it.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 
-from oamwalk import compile_pdc, compile_ssqw, verify
+from oamwalk import JPlate, compile_pdc, compile_ssqw, euler_decompose, su2_normalize, verify
 from oamwalk.walk import CoinParams, CoinTable, coin_matrix, split_step_operator
 
 
@@ -43,7 +47,8 @@ def main():
     for note in train.notes:
         print(f"  note: {note}")
 
-    wrong = compile_ssqw(c1, c2, first_plate="gamma2")
+    split = 0.5 * (euler_decompose(su2_normalize(c2)[0] @ su2_normalize(c1)[0]).gamma2 + math.pi)
+    wrong = dataclasses.replace(train, elements=train.elements[:-1] + (JPlate(0, split, +1, -split, 0.0),))
     bad = verify(wrong, reference)
     print(f"\nwith gamma2 in the final plate: passed={bad.passed}, fidelity={bad.fidelity:.6f}")
 

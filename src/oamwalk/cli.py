@@ -46,6 +46,7 @@ output path that names an existing directory, is refused before any work),
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -115,6 +116,14 @@ _TABLE_KEYS = {"chi", "xi", "eta", "theta"}
 _FLAG_KEYS = ("emit_trajectory", "emit_all_sites", "verify")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``, or ValueError naming a key it repeats."""
+    repeated = [key for key, count in collections.Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ValueError(f"it repeats key {repeated[0]!r}")
+    return dict(pairs)
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -123,8 +132,8 @@ def load_config(path) -> dict:
     except UnicodeDecodeError as err:
         raise ConfigError(f"config {path} is not UTF-8 text: {err}") from err
     try:
-        cfg = json.loads(text)
-    except ValueError as err:  # malformed JSON, or an integer past Python's digit limit
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as err:  # malformed JSON, a repeated key, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     except RecursionError as err:
         raise ConfigError(f"config {path} is nested too deeply: {err}") from err
@@ -358,7 +367,7 @@ def parse_parts_list(document: dict) -> list[CompiledStep]:
     if _key(document, "schema_version", int, "parts list") != PARTS_LIST_VERSION:
         raise ConfigError("parts list has an unsupported schema_version")
     steps = []
-    for block in _key(document, "step_blocks", list, "parts list"):
+    for i, block in enumerate(_key(document, "step_blocks", list, "parts list")):
         records = sorted(_key(block, "elements", list, "step block"),
                          key=lambda r: _key(r, "order", int, "parts-list element"))
         orders = [r["order"] for r in records]
@@ -373,7 +382,11 @@ def parse_parts_list(document: dict) -> list[CompiledStep]:
             phase = optics._as_real("step block key 'phase'", _key(block, "phase", where="step block"))
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        if _key(block, "step", int, "step block") != i:
+            raise ConfigError(f"step block key 'step' must be {i}, the block's position, got {block['step']}")
         steps.append(CompiledStep(elements, provenance, phase, notes))
+    if (count := _key(document, "step_count", int, "parts list")) != len(steps):
+        raise ConfigError(f"parts list key 'step_count' must be {len(steps)}, the number of step blocks, got {count}")
     return steps
 
 
@@ -385,14 +398,10 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
     n = 2 * spec.half_width + 1
     if verify_flag:
         _refuse_unaddressable("dense step operator", (2 * n, 2 * n), 16)
-    elif spec.walk_kind != "ssqw":  # the split-step recipe has no per-site elements
-        _refuse_unaddressable("PDC fields", (n, 2, 2), 16)
-
-    spec = spec.resolved()
-    # the homogeneous split-step keeps its five-element recipe
-    if spec.walk_kind == "ssqw":
+    if spec.walk_kind == "ssqw":  # the five-element recipe builds no per-site element
         one = compiler.compile_ssqw(walk.coin_matrix(spec.theta1), walk.coin_matrix(spec.theta2))
     else:
+        _refuse_unaddressable("PDC fields", (n, 2, 2), 16)
         one = compiler.compile_generalized(spec)
     report = compiler.verify(one, walk.step_operator(spec)) if verify_flag else None
 

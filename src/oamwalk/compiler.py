@@ -16,9 +16,7 @@ a half-waveplate plus a final J-plate whose constant phases split the
 *leading* Euler z-angle.  The train is five elements and equals the step
 operator up to a global phase, which is reported, never dropped.  Printed
 sources disagree on whether the final plate constant carries the leading or
-the middle Euler z-angle; the operator algebra selects the leading one, and
-:func:`compile_ssqw` keeps the alternative reachable (``first_plate``) so
-the failure of that variant stays demonstrable.
+the middle Euler z-angle; the operator algebra selects the leading one.
 
 Any walk kind: each move of its step (:data:`oamwalk.walk.STEP_MOVES`)
 becomes a PDC block and a J-plate, and an electric site phase one more PDC.
@@ -239,21 +237,13 @@ def _wrap_angle(angle: float) -> float:
     return math.remainder(angle, _TWO_PI)
 
 
-def compile_ssqw(c1: np.ndarray, c2: np.ndarray, first_plate: str = "gamma1") -> CompiledStep:
-    """Five-element train for one split-step with homogeneous U(2) coins.
-
-    ``first_plate`` selects which Euler z-angle feeds the constant phases of
-    the output-side J-plate; "gamma1" is the correct convention, "gamma2"
-    reproduces a plausible-looking but inequivalent train for comparison.
-    """
-    if first_plate not in ("gamma1", "gamma2"):
-        raise ValueError("first_plate must be 'gamma1' or 'gamma2'")
+def compile_ssqw(c1: np.ndarray, c2: np.ndarray) -> CompiledStep:
+    """Five-element train for one split-step with homogeneous U(2) coins."""
     c1s, chi1 = su2_normalize(c1)
     c2s, chi2 = su2_normalize(c2)
     col = column_params(c1s)
     eul = euler_decompose(c2s @ c1s)
-    g = eul.gamma1 if first_plate == "gamma1" else eul.gamma2
-    split = 0.5 * (g + math.pi)
+    split = 0.5 * (eul.gamma1 + math.pi)
     elements = (
         VariableWavePlate(-(math.pi - col.beta)),
         JPlate(-1, 0.0, 0, 0.0, col.alpha),
@@ -266,7 +256,7 @@ def compile_ssqw(c1: np.ndarray, c2: np.ndarray, first_plate: str = "gamma1") ->
         f"jplate: left OAM shift on axes rotated by alpha={col.alpha:.12g}",
         f"vwp: exp(i*(pi-beta+gamma3)*s3/2), gamma3={eul.gamma3:.12g}",
         f"hwp: fast axis at gamma2/4, gamma2={eul.gamma2:.12g}",
-        f"jplate: right OAM shift, constant phases +/-({first_plate}+pi)/2={split:.12g}",
+        f"jplate: right OAM shift, constant phases +/-(gamma1+pi)/2={split:.12g}",
     )
     # The SU(2)-reduced train carries a fixed -i relative to the raw product,
     # so the lifted train is exp(i*(pi/2 - chi1 - chi2)) times the original

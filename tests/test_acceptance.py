@@ -41,6 +41,7 @@ from conftest import (
     random_su2,
     state_vector,
 )
+from test_compiler import gamma2_variant
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -151,7 +152,7 @@ def test_criterion_05_split_step_compilation_and_angle_convention():
         ref = walk.split_step_operator(c1, c2, L)
         rep = verify(compile_ssqw(c1, c2), ref)
         worst = min(worst, rep.fidelity)
-        if verify(compile_ssqw(c1, c2, first_plate="gamma2"), ref).passed:
+        if verify(gamma2_variant(c1, c2), ref).passed:
             wrong_passes += 1
     report(
         5,

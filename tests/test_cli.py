@@ -283,6 +283,9 @@ def assert_run_documents_equal_reference(tmp_path, raw):
 
 DTQW = {"schema_version": 1, "walk": "dtqw", "steps": 1, "half_width": 8, "theta": 0.7}
 GENERALIZED = {"schema_version": 1, "walk": "generalized", "steps": 2, "half_width": 4, "seed": 3}
+#: The kind keys of a walk that plain ``compile`` builds from PDC blocks: every kind but ssqw.
+PDC_KIND_KEYS = [{"walk": "generalized", "seed": 1}, {"walk": "dtqw", "theta": 0.7},
+                 {"walk": "electric-dtqw", "theta": 0.7, "phi_e": 0.5}]
 
 
 class TestValidatedWalksRunUnguarded:
@@ -331,6 +334,20 @@ class TestConfigValidation:
         path = tmp_path / "c.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"schema_version": 1, "walk": "ssqw", "steps": 1, "half_width": 8, '
+         '"theta1": "bad", "theta2": 0.2, "theta1": 0.3}', "theta1"),
+        ('{"schema_version": 1, "walk": "generalized", "steps": 1, "half_width": 4, "seed": 1, '
+         '"table1": {"theta": 0.1, "xi": 0.0, "theta": 0.2}}', "theta"),
+    ], ids=["top-level", "table1"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, key):
+        # json keeps a repeated key's last value, so without the check either order of the values would run
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"it repeats key {key!r}" in err and "Traceback" not in err
 
     def test_unnormalized_coin(self, tmp_path):
         cfg = write_config(tmp_path, coin_state=[[1.0, 0.0], [1.0, 0.0]])
@@ -503,19 +520,20 @@ class TestConfigValidation:
 
     # 16 GiB: a lattice-sized table at half-width 2**31 (32 GiB) fails at once if anything builds one
     @pytest.mark.parametrize("address_space_cap", [16 << 30], indirect=True, ids=["16GiB"])
-    @pytest.mark.parametrize("command, half_width, nbytes", [
-        *((["run"], hw, lambda n: 16 * n * 8) for hw in (10**30, 2**62)),
-        *((["compile", "--verify"], hw, lambda n: (2 * n) ** 2 * 16) for hw in (10**30, 2**62, 2**31)),
-        *((["compile"], hw, lambda n: n * 2 * 2 * 16) for hw in (10**30, 2**62)),
-        *((["localize", "--seeds", "2"], hw, lambda n: 2 * 2 * 2 * n * 16) for hw in (10**30, 2**62)),
+    @pytest.mark.parametrize("command, kind_keys, half_width, nbytes", [
+        *((["run"], PDC_KIND_KEYS[0], hw, lambda n: 16 * n * 8) for hw in (10**30, 2**62)),
+        *((["compile", "--verify"], PDC_KIND_KEYS[0], hw, lambda n: (2 * n) ** 2 * 16) for hw in (10**30, 2**62, 2**31)),
+        *((["compile"], PDC_KIND_KEYS[0], hw, lambda n: n * 2 * 2 * 16) for hw in (10**30, 2**62)),
+        *((["localize", "--seeds", "2"], PDC_KIND_KEYS[0], hw, lambda n: 2 * 2 * 2 * n * 16) for hw in (10**30, 2**62)),
+        *((["compile"], keys, 10**30, lambda n: n * 2 * 2 * 16) for keys in PDC_KIND_KEYS[1:]),
     ], ids=["run-1e30", "run-2pow62", "compile-1e30", "compile-2pow62", "compile-2pow31", "compile-plain-1e30",
-            "compile-plain-2pow62", "localize-1e30", "localize-2pow62"])
+            "compile-plain-2pow62", "localize-1e30", "localize-2pow62", "compile-plain-dtqw-1e30",
+            "compile-plain-electric-dtqw-1e30"])
     def test_unaddressable_lattice_is_refused_before_allocation(self, tmp_path, capsys, address_space_cap,
-                                                                 command, half_width, nbytes):
+                                                                 command, kind_keys, half_width, nbytes):
         # the largest array (float blocks, dense operator, PDC fields, coin stacks) is sized before any is built
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "walk": "generalized", "seed": 1, "steps": 1,
-                                   "half_width": half_width}))
+        cfg.write_text(json.dumps({"schema_version": 1, **kind_keys, "steps": 1, "half_width": half_width}))
         code, peak = traced_peak(main, command + ["--config", str(cfg), "--out", str(tmp_path / "x.out")])
         assert code == 2
         err = capsys.readouterr().err
@@ -637,11 +655,14 @@ def pdc_record(**changes) -> dict:
     return {"order": 0, "element_type": "pdc_block", "parameters": params, "provenance": "p"}
 
 
-def parts_list(order=0, provenance="p", phase=0.0, notes=()) -> dict:
-    """A one-step parts list of two half-waveplates, the first with the given ``order`` and ``provenance``."""
+def parts_list(order=0, provenance="p", phase=0.0, notes=(), steps=(0,)) -> dict:
+    """A parts list of two half-waveplates, the first with the given ``order`` and ``provenance``, in one
+    step block per entry of ``steps``, its ``step`` number (None leaves the key out)."""
     records = [{"order": order, "element_type": "half_waveplate", "parameters": {"angle": 0.1}, "provenance": provenance},
                {"order": 1, "element_type": "half_waveplate", "parameters": {"angle": 0.2}, "provenance": "q"}]
-    return {"schema_version": 1, "step_blocks": [{"phase": phase, "notes": list(notes), "elements": records}]}
+    block = {"phase": phase, "notes": list(notes), "elements": records}
+    return {"schema_version": 1, "step_count": len(steps),
+            "step_blocks": [block if step is None else {"step": step, **block} for step in steps]}
 
 
 class TestCompile:
@@ -822,6 +843,16 @@ class TestCompile:
          "cannot build pdc_block from its parameters: q2 entry must be a finite real number, got nan"),
         (lambda: cli.parse_parts_list(parts_list(phase=math.nan)), cli.ConfigError,
          "step block key 'phase' must be a finite real number, got nan"),
+        (lambda: cli.parse_parts_list({**parts_list(steps=(0, 1, 2)), "step_count": 7}), cli.ConfigError,
+         "parts list key 'step_count' must be 3, the number of step blocks, got 7"),
+        (lambda: cli.parse_parts_list({**parts_list(), "step_count": "1"}), cli.ConfigError,
+         "parts list key 'step_count' must be of type int, got '1'"),
+        (lambda: cli.parse_parts_list(parts_list(steps=(2, 1, 2))), cli.ConfigError,
+         "step block key 'step' must be 0, the block's position, got 2"),
+        (lambda: cli.parse_parts_list(parts_list(steps=(0, None, 2))), cli.ConfigError,
+         "step block must be a JSON object with key 'step'"),
+        (lambda: cli.parse_parts_list(parts_list(steps=(0, True))), cli.ConfigError,
+         "step block key 'step' must be of type int, got True"),
     ], ids=["unknown-element", "unknown-element-type", "parts-list-version", "missing-step-blocks",
             "non-object-document", "missing-elements", "step-blocks-not-a-list", "unknown-parameter",
             "missing-parameter", "bad-plate-shape", "boolean-multiplier", "missing-parameters",
@@ -829,7 +860,8 @@ class TestCompile:
             "null-plate-entry", "string-plate-entry", "plate-rows-not-a-list", "string-lattice-min",
             "boolean-lattice-min", "changed-hwp-angle", "boolean-hwp-angle", "string-order", "null-order",
             "string-phase", "non-string-provenance", "non-string-note", "boolean-schema-version", "duplicate-order",
-            "order-gap", "negative-order", "nan-angle", "infinite-jplate-constant", "nan-plate-entry", "nan-phase"])
+            "order-gap", "negative-order", "nan-angle", "infinite-jplate-constant", "nan-plate-entry", "nan-phase",
+            "wrong-step-count", "string-step-count", "misnumbered-step", "missing-step", "boolean-step"])
     def test_parts_list_records_reject_what_they_cannot_read(self, call, error, message):
         with pytest.raises(error, match=message):
             call()

@@ -1,6 +1,7 @@
 """Tests for the optical compiler: decompositions, recipes, verification."""
 
 import contextlib
+import dataclasses
 import math
 import os
 import subprocess
@@ -40,6 +41,13 @@ from conftest import (
     traced_peak,
 )
 from test_walk import four_kinds
+
+
+def gamma2_variant(c1, c2):
+    """The plausible but wrong split-step train, whose final J-plate splits the middle Euler angle of C2 C1."""
+    right = compile_ssqw(c1, c2)
+    s = 0.5 * (euler_decompose(su2_normalize(c2)[0] @ su2_normalize(c1)[0]).gamma2 + math.pi)
+    return dataclasses.replace(right, elements=right.elements[:-1] + (JPlate(0, s, +1, -s, 0.0),))
 
 
 def euler_oracle(angles):
@@ -280,15 +288,11 @@ class TestCompileSsqw:
         failures = 0
         for _ in range(10):
             c1, c2 = random_su2(rng), random_su2(rng)
-            wrong = compile_ssqw(c1, c2, first_plate="gamma2")
+            wrong = gamma2_variant(c1, c2)
             ref = walk.split_step_operator(c1, c2, L)
             rep = verify(wrong, ref)
             failures += not rep.passed
         assert failures == 10
-
-    def test_bad_first_plate_choice(self):
-        with pytest.raises(ValueError, match="first_plate"):
-            compile_ssqw(np.eye(2), np.eye(2), first_plate="gamma3")
 
 
 class TestCompileGeneralized:
@@ -407,7 +411,7 @@ def verify_cases(rng, half_width):
     """
     c1, c2 = random_u2(rng), random_u2(rng)
     ref = walk.split_step_operator(c1, c2, half_width)
-    cases = [("ssqw", compile_ssqw(c1, c2), ref), ("gamma2", compile_ssqw(c1, c2, first_plate="gamma2"), ref)]
+    cases = [("ssqw", compile_ssqw(c1, c2), ref), ("gamma2", gamma2_variant(c1, c2), ref)]
     specs = [s for s in four_kinds(rng, steps=1, half_width=half_width) if s.walk_kind != "generalized"]
     for name, spec in [("generalized", four_angle_spec(rng, half_width)),
                        *((f"{s.walk_kind} moves", s) for s in specs)]:
@@ -489,8 +493,8 @@ def fold_trains(rng, half_width):
     its elements are lifted: its ``lifted`` is None, and only its bits are checked.
     """
     c1, c2 = random_u2(rng), random_u2(rng)
-    trains = [(name, compile_ssqw(c1, c2, first_plate=plate).elements, lifted_at(name, half_width))
-              for name, plate in [("ssqw", "gamma1"), ("gamma2", "gamma2")]]
+    trains = [(name, build(c1, c2).elements, lifted_at(name, half_width))
+              for name, build in [("ssqw", compile_ssqw), ("gamma2", gamma2_variant)]]
     if half_width >= 3:
         spec = four_angle_spec(rng, half_width)
         train = compile_generalized(spec).elements + (HalfWavePlate(0.37), compile_pdc(spec.table2),
@@ -632,7 +636,7 @@ class TestVerifyFold:
             trains = [(compile_generalized(spec), True)]
             if spec.walk_kind == "ssqw":  # the CLI's recipe, and its failing variant
                 c1, c2 = coin_matrix(spec.theta1), coin_matrix(spec.theta2)
-                trains += [(compile_ssqw(c1, c2), True), (compile_ssqw(c1, c2, first_plate="gamma2"), False)]
+                trains += [(compile_ssqw(c1, c2), True), (gamma2_variant(c1, c2), False)]
             for cs, passes in trains:
                 assert verify(cs, walk.step_operator(spec)).passed is passes, spec.walk_kind
 
