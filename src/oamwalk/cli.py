@@ -17,8 +17,8 @@ Subcommands
     Emit the ordered optical parts list for a walk of any kind.  One train
     realizes every step, so it is compiled once, and with ``--verify``
     certified once against the walk's dense step operator (read from comb
-    probes of the step kernel), and repeated in every step block; a failed
-    check exits with code 4.
+    probes of the step kernel), and repeated in every step block, encoded
+    once and written step by step; a failed check exits with code 4.
 ``verify``
     Alias for ``compile`` with verification forced on.
 ``localize --config c.json --out loc.json --seeds N``
@@ -340,8 +340,8 @@ def element_from_record(record: dict):
         raise ConfigError(f"cannot build {kind} from its parameters: {err}") from err
 
 
-def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: VerificationReport | None) -> dict:
-    """The parts list of a walk whose every step is realized by the train ``one``."""
+def _parts_list(spec: walk.WalkSpec, one: CompiledStep, report: VerificationReport | None) -> tuple[dict, dict]:
+    """The parts list of :func:`parts_list_document` without its step blocks, and its one block without ``step``."""
     block = {
         "phase": one.phase,
         "notes": list(one.notes),
@@ -352,14 +352,43 @@ def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: Verifica
     }
     if report is not None:
         block["verification"] = dataclasses.asdict(report)
-    return {
+    head = {
         "schema_version": PARTS_LIST_VERSION,
         "walk": spec.walk_kind,
         "step_count": spec.steps,
         "half_width": spec.half_width,
         "verified": report is not None,
-        "step_blocks": [{"step": i, **block} for i in range(spec.steps)],
     }
+    return head, block
+
+
+def parts_list_document(spec: walk.WalkSpec, one: CompiledStep, report: VerificationReport | None) -> dict:
+    """The parts list of a walk whose every step is realized by the train ``one``."""
+    head, block = _parts_list(spec, one, report)
+    return {**head, "step_blocks": [{"step": i, **block} for i in range(spec.steps)]}
+
+
+def _write_parts_list(path, spec: walk.WalkSpec, one: CompiledStep, report: VerificationReport | None) -> None:
+    """Write :func:`parts_list_document` as :func:`_write_json` does, in memory that does not grow with T.
+
+    Every step block is one block with its own ``"step"``, so the block is
+    encoded once, indented to its depth, and written around each step number
+    to the open file.  A JSON string holds no raw newline, so the cuts below
+    are made at the one line at that indent that holds the key or value.
+    """
+    head, block = _parts_list(spec, one, report)
+    start, _, end = json.dumps({**head, "step_blocks": [0]}, indent=2, sort_keys=True).partition("[\n    0\n  ]")
+    text = json.dumps({**block, "step": 0}, indent=2, sort_keys=True).replace("\n", "\n    ")
+    step = '\n      "step": '  # the block's own key, at the indent of the block's keys
+    before, _, after = text.partition(step + "0")
+    try:
+        with Path(path).open("w") as out:
+            out.write(start + "[")
+            for i in range(spec.steps):
+                out.write(f"{',' if i else ''}\n    {before}{step}{i}{after}")
+            out.write(("\n  ]" if spec.steps else "]") + end + "\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
 
 
 def parse_parts_list(document: dict) -> list[CompiledStep]:
@@ -405,7 +434,7 @@ def compile_command(cfg: dict, out_path: str, verify_flag: bool) -> int:
         one = compiler.compile_generalized(spec)
     report = compiler.verify(one, walk.step_operator(spec)) if verify_flag else None
 
-    _write_json(out_path, parts_list_document(spec, one, report))
+    _write_parts_list(out_path, spec, one, report)
     if report is not None and not report.passed:
         raise VerificationError(
             f"compiled train failed phase-equivalence (worst fidelity {report.fidelity:.12g}); "

@@ -1,10 +1,10 @@
 """Walker states and abstract evolutions for 1-D coined quantum walks.
 
 A walker lives on a truncated integer lattice ``x in [-L, L]`` and carries a
-two-dimensional internal (coin) state.  Amplitudes are stored as a complex
-array of shape ``(2, n_sites)``: row 0 is the left-moving component (coin
-``|0>``, horizontal polarization in the optical picture), row 1 the
-right-moving one (coin ``|1>``, vertical).
+two-dimensional internal (coin) state.  Amplitudes are stored as an array of
+shape ``(2, n_sites)``: row 0 is the left-moving component (coin ``|0>``,
+horizontal polarization in the optical picture), row 1 the right-moving one
+(coin ``|1>``, vertical).  A :class:`WalkerState` holds them as complex128.
 
 Four walk kinds are provided, each step a fixed order of coins and shifts:
 
@@ -40,6 +40,13 @@ once per walk, and the electric phases apply to it in place.  So a step
 allocates no state, and a state the kernel returns is a view of its
 buffers, valid until the next step; :func:`step` and :func:`iterate` copy
 it into a :class:`WalkerState`.
+
+A walk is evolved in float64 when it is real: per-site coin tables that are
+pure theta rotations (:func:`_coins`), a real start coin and no field.
+Anything complex keeps it complex128, and a single-matrix coin always is.
+Each complex product the kernel forms rounds its real multiplies one by
+one, so with zero imaginary parts its real part is the real product's, and
+every probability and output byte is the same in either arithmetic.
 
 An evolution starts from a delta state, so after k steps only the light
 cone, the sites within k moves of ``start``, can be nonzero.  Only this
@@ -423,23 +430,31 @@ class WalkSpec:
 def _coins(specs: Sequence[WalkSpec], lattice_min: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """The two coins of one step of walks that differ only in their tables.
 
-    Angle coins are one shared (2, 2) :func:`coin_matrix` each; tables become
-    (S, 2, 2, n_sites) per-site stacks, filled one table at a time.
+    Angle coins are one shared (2, 2) :func:`coin_matrix` each, always
+    complex; tables become (S, 2, 2, n_sites) per-site stacks, filled one
+    table at a time.  The stacks are float64, the real parts of
+    :meth:`CoinTable.matrices`, when every table is a pure theta rotation
+    (all-zero ``chi``, ``xi`` and ``eta``, so its matrices' imaginary parts
+    are exactly zero), and complex128 otherwise.
     """
     first = specs[0]
     if first.walk_kind != "generalized":
         return coin_matrix(first.theta1), coin_matrix(first.theta2)
-    stacks = tuple(np.empty((len(specs), 2, 2, n_sites), dtype=np.complex128) for _ in range(2))
-    for s, spec in enumerate(specs):
-        if spec.table1 is None or spec.table2 is None:
-            raise ValueError("generalized step needs resolved coin tables; call spec.resolved() first")
-        for stack, table in zip(stacks, (spec.table1, spec.table2)):
+    tables = [(spec.table1, spec.table2) for spec in specs]
+    if any(table is None for pair in tables for table in pair):
+        raise ValueError("generalized step needs resolved coin tables; call spec.resolved() first")
+    real = not any(t.chi.any() or t.xi.any() or t.eta.any() for pair in tables for t in pair)
+    stacks = tuple(np.empty((len(specs), 2, 2, n_sites), dtype=np.float64 if real else np.complex128)
+                   for _ in range(2))
+    for s, pair in enumerate(tables):
+        for stack, table in zip(stacks, pair):
             if (table.lattice_min, table.n_sites) != (lattice_min, n_sites):
                 raise ValueError(
                     f"coin table on [{table.lattice_min}, {table.lattice_max}] does not match "
                     f"state lattice [{lattice_min}, {lattice_min + n_sites - 1}]"
                 )
-            stack[s] = table.matrices().transpose(1, 2, 0)
+            matrices = table.matrices()
+            stack[s] = (matrices.real if real else matrices).transpose(1, 2, 0)
     return stacks
 
 
@@ -452,8 +467,10 @@ def _stepper(
     :func:`_coins`, then the electric phases, built here once per walk.  The
     shift is where a coin lands: landing j, one move's coin, goes through its
     :func:`_landing` view to buffer j % 2 of two zeroed (..., 2, n_sites + 2)
-    buffers allocated on the first step.  So a buffer always takes the same
-    shift pattern, and a column it vacates is never written and stays zero.
+    buffers allocated on the first step, of the ``np.result_type`` of the
+    amplitudes, the coins and the phases, so one complex input keeps the
+    walk complex.  So a buffer always takes the same shift pattern, and a
+    column it vacates is never written and stays zero.
     The returned function takes an optional column ``window`` that holds
     every site the step can touch and returns the last buffer's state view,
     valid until the next step.  Per-site coins (:func:`_coin`) work inside
@@ -472,8 +489,9 @@ def _stepper(
 
     def advance(amps, window=slice(None)):
         if not landings:
+            dtype = np.result_type(amps, *coins, *(() if phases is None else (phases,)))
             for slot, left, right in (moves * 2)[:2]:
-                buffer = np.zeros((*amps.shape[:-1], n_sites + 2), dtype=np.complex128)
+                buffer = np.zeros((*amps.shape[:-1], n_sites + 2), dtype=dtype)
                 landings.append((coins[slot], buffer, _landing(buffer, left, right), left, right))
         first = next(steps) * len(moves)
         for j in range(first, first + len(moves)):
@@ -518,12 +536,14 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
 
     Yields amplitude arrays of shape (S, 2, n_sites) for t = 0..T, row s
     being walk ``specs[s]``; a single walk is the one-member case
-    (:func:`iterate`).  Each is a read-only view of the kernel's buffers,
-    valid until the next one is requested: copy it to keep it.  Each spec is
-    resolved on its own, so a seeded member draws exactly the tables it would
-    draw alone.  Every walk starts as a delta at ``start``, so step k can
-    touch only :func:`_light_cone` ``(spec, k)``, the kernel's window, which
-    validation keeps 2 sites clear of each edge.
+    (:func:`iterate`).  They are float64 when the walk is real: the coin
+    stacks of :func:`_coins` are, the coin state has zero imaginary parts
+    and there is no field; otherwise complex128.  Each is a read-only view
+    of the kernel's buffers, valid until the next one is requested: copy it
+    to keep it.  Each spec is resolved on its own, so a seeded member draws
+    exactly the tables it would draw alone.  Every walk starts as a delta at
+    ``start``, so step k can touch only :func:`_light_cone` ``(spec, k)``,
+    the kernel's window, which validation keeps 2 sites clear of each edge.
     """
     specs = [s.resolved() for s in specs]
     if not specs:
@@ -532,10 +552,12 @@ def iterate_ensemble(specs: Sequence[WalkSpec]) -> Iterator[np.ndarray]:
     if any(_without_tables(s) != _without_tables(first) for s in specs):
         raise ValueError("ensemble walks may differ only in their coin tables and seeds")
     state = first.initial_state()
-    amps = np.repeat(state.amps[np.newaxis], len(specs), axis=0)
+    coins = _coins(specs, state.lattice_min, state.n_sites)
+    real = (coins[0].dtype == np.float64 and not any(complex(c).imag for c in first.coin_state)
+            and _site_angles(first.phi_e, state.lattice_min, state.n_sites) is None)
+    amps = np.repeat((state.amps.real if real else state.amps)[np.newaxis], len(specs), axis=0)
     amps.setflags(write=False)
     yield amps
-    coins = _coins(specs, state.lattice_min, state.n_sites)
     advance = _stepper(first, state.lattice_min, state.n_sites, coins, guard=False)
     for k in range(1, first.steps + 1):
         amps = advance(amps, _light_cone(first, k))

@@ -41,7 +41,7 @@ from conftest import (
     random_su2,
     state_vector,
 )
-from test_compiler import gamma2_variant
+from trains import gamma2_variant
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -66,3 +66,34 @@ def test_wins_follow_each_metric_direction():
     assert [summary["peak_rss_mb"][k] for k in ("wins", "losses", "ties")] == [0, 1, 2]
     assert summary["site_steps_per_s"]["change"] == {"q1": 100.0, "median": 110.0, "q3": 115.0}
     assert summary["site_steps_per_s"]["median_ratio"] == 1.1
+
+
+def synthetic_runs(parent_rates, change_rates, rss=40.0):
+    """Runs whose ``site_steps_per_s`` (higher is better) and ``peak_rss_mb`` (lower is better) are given."""
+    def run(rate, mb):
+        return {"first": False, "correct": True, "failed": 0, "attempted": 3,
+                "metrics": {"setup_s": 0.1, "site_steps_per_s": rate, "peak_rss_mb": mb}}
+
+    return {"parent": [run(r, rss) for r in parent_rates], "change": [run(r, rss * r / 100.0) for r in change_rates]}
+
+
+PARENT_RATES = [96.0, 98.0, 99.0, 100.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+
+
+@pytest.mark.parametrize("change_rates, rate_verdict, rss_verdict", [
+    # every pair won, the median moved 45 against a parent spread of 3
+    ([145.0] * 10, "gain", "worse than bound"),
+    # 8 of 10 pairs won: not enough for a gain, whatever the move
+    ([145.0] * 8 + [90.0] * 2, "unresolved", "worse than bound"),
+    # every pair won, but the median moved 2, less than the parent's spread
+    ([r + 2.0 for r in PARENT_RATES], "unresolved", "unresolved"),
+    # 30% slower: past the 25% bound; the change's memory is 30% lower, every pair won
+    ([70.0] * 10, "worse than bound", "gain"),
+    # 20% slower: inside the bound
+    ([80.0] * 10, "unresolved", "gain"),
+], ids=["gain", "too_few_wins", "inside_the_spread", "worse", "inside_the_bound"])
+def test_verdict_reads_wins_spread_and_bound(change_rates, rate_verdict, rss_verdict):
+    summary = bench_pr.summarize(synthetic_runs(PARENT_RATES, change_rates))
+    assert bench_pr.verdict(summary["site_steps_per_s"]) == rate_verdict
+    assert bench_pr.verdict(summary["peak_rss_mb"]) == rss_verdict
+    assert bench_pr.verdict(summary["setup_s"]) == "unresolved"

@@ -696,6 +696,19 @@ class TestCompile:
             assert v["passed"] and v["fidelity"] >= 1 - 1e-10
             assert len(v["factors"]) == 5
 
+    def test_parts_list_memory_does_not_grow_with_the_step_count(self, tmp_path):
+        """The repeated step block is encoded once and written step by step, so plain ``compile``'s traced
+        peak on one lattice is about the same at T = 200 and T = 800."""
+        peaks = []
+        for steps in (200, 800):
+            cfg = ssqw_config(tmp_path, steps=steps, half_width=802)
+            argv = ["compile", "--config", str(cfg), "--out", str(tmp_path / "parts.json")]
+            assert main(argv) == 0  # one-time imports and caches
+            code, peak = traced_peak(main, argv)
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
     def test_unnamed_element_is_rejected(self):
         """Elements pair with their provenance one to one, as in ``compiler.verify``; none is dropped."""
         one = compiler.CompiledStep((HalfWavePlate(0.0), HalfWavePlate(0.3)), ("only one name",), 0.0)
@@ -1386,10 +1399,16 @@ class TestUnwritableOutput:
     def test_write_failure_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys, command):
         cfg, extra = self.configs(tmp_path)[command]
 
-        def disk_full(path, *args, **kwargs):
+        open_path = Path.open
+
+        def disk_full(path, mode="r", *args, **kwargs):
+            if "w" not in mode:
+                return open_path(path, mode, *args, **kwargs)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
-        monkeypatch.setattr(Path, "write_text", disk_full)  # passes the pre-flight checks, fails the write
+        # passes the pre-flight checks and reads the config, fails every write: Path.write_text opens through
+        # Path.open, as the streamed parts-list writer does
+        monkeypatch.setattr(Path, "open", disk_full)
         out = tmp_path / "x.out"
         assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
         err = capsys.readouterr().err

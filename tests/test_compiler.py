@@ -1,7 +1,6 @@
 """Tests for the optical compiler: decompositions, recipes, verification."""
 
 import contextlib
-import dataclasses
 import math
 import os
 import subprocess
@@ -41,13 +40,7 @@ from conftest import (
     traced_peak,
 )
 from test_walk import four_kinds
-
-
-def gamma2_variant(c1, c2):
-    """The plausible but wrong split-step train, whose final J-plate splits the middle Euler angle of C2 C1."""
-    right = compile_ssqw(c1, c2)
-    s = 0.5 * (euler_decompose(su2_normalize(c2)[0] @ su2_normalize(c1)[0]).gamma2 + math.pi)
-    return dataclasses.replace(right, elements=right.elements[:-1] + (JPlate(0, s, +1, -s, 0.0),))
+from trains import gamma2_variant
 
 
 def euler_oracle(angles):

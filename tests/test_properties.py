@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamwalk import cli, optics, walk
-from oamwalk.compiler import PdcBlock, compile_ssqw, euler_decompose, euler_recompose, su2_normalize, verify
+from oamwalk.compiler import (
+    PdcBlock,
+    compile_generalized,
+    compile_ssqw,
+    euler_decompose,
+    euler_recompose,
+    su2_normalize,
+    verify,
+)
 from oamwalk.optics import HalfWavePlate, JPlate, VariableWavePlate
 
 from conftest import random_u2
@@ -333,6 +341,37 @@ def test_validated_light_cones_keep_clear_of_the_edges(kind, steps, start, extra
     assert err.value.required_half_width == need
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, count=st.integers(1, 5), steps=st.integers(0, 30), start=st.integers(-12, 12),
+       angle=st.floats(-math.pi, math.pi), exact_share=st.floats(0, 1))
+def test_real_walks_have_the_complex_kernels_probabilities(seed, count, steps, start, angle, exact_share):
+    """An ensemble of pure theta tables from a real coin state evolves in float64, and the site probabilities of
+    every state it yields are, byte for byte, those of the same walk advanced by ``walk.step``, which runs complex.
+
+    Some angles are multiples of pi/2, whose coins hold exact zeros and exact +-1 entries.
+    """
+    rng = np.random.default_rng(seed)
+    spec = walk.WalkSpec("generalized", steps, 1, coin_state=(math.cos(angle), math.sin(angle)), start=start, seed=0)
+    half_width = spec.required_half_width()
+    n = 2 * half_width + 1
+    tables = []
+    for _ in range(2 * count):
+        exact = rng.random(n) < exact_share
+        theta = np.where(exact, rng.integers(0, 4, n) * (math.pi / 2), rng.uniform(0, 2 * math.pi, n))
+        tables.append(walk.CoinTable(-half_width, np.zeros(n), np.zeros(n), np.zeros(n), theta))
+    members = [dataclasses.replace(spec, half_width=half_width, table1=a, table2=b)
+               for a, b in zip(tables[::2], tables[1::2])]
+    states = [m.initial_state() for m in members]
+    for t, batch in enumerate(walk.iterate_ensemble(members)):
+        assert batch.dtype == np.float64
+        if t:
+            states = [walk.step(state, m) for state, m in zip(states, members)]
+        for row, state in zip(batch, states, strict=True):
+            assert state.amps.dtype == np.complex128
+            assert walk.site_probabilities(row).tobytes() == walk.site_probabilities(state.amps).tobytes(), t
+    assert t == steps
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=seeds, count=st.integers(1, 5), half_width=st.integers(0, 60), zero_share=st.floats(0, 1))
 def test_batched_site_coin_equals_single_applications(seed, count, half_width, zero_share):
@@ -401,6 +440,34 @@ def test_summary_template_writes_json_dumps(kind, steps, half_width, data):
     summary = {"schema_version": 1, "walk": kind, "steps": steps, "half_width": half_width, "moments": moments}
     text = cli._summary_text(walk.WalkSpec(kind, steps, half_width), means, variances, totals)
     assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(walk.STEP_MOVES)), steps=st.integers(0, 12), extra=st.integers(0, 4),
+       seed=seeds, verified=st.booleans(), data=st.data())
+def test_parts_list_writer_writes_json_dumps(kind, steps, extra, seed, verified, data):
+    """``compile``'s parts-list writer, which encodes the step block once, writes the text
+    ``json.dumps(parts_list_document(...), indent=2, sort_keys=True)`` writes.
+
+    For every walk kind, with and without a verification report, and with
+    arbitrary notes and provenance, which may spell a ``"step"`` key, quotes
+    and newlines inside their strings.
+    """
+    rng = np.random.default_rng(seed)
+    spec = walk.WalkSpec(kind, steps, 1, theta1=rng.uniform(-3, 3), theta2=rng.uniform(-3, 3),
+                         phi_e=rng.uniform(-3, 3) if kind == "electric-dtqw" else 0.0, seed=seed)
+    spec = dataclasses.replace(spec, half_width=spec.required_half_width() + extra).resolved()
+    one = (compile_ssqw(walk.coin_matrix(spec.theta1), walk.coin_matrix(spec.theta2)) if kind == "ssqw"
+           else compile_generalized(spec))
+    texts = st.one_of(st.text(max_size=30), st.sampled_from(['\n      "step": 0', '"step": 0,', "\n    0\n  ]"]))
+    one = dataclasses.replace(one, notes=tuple(data.draw(st.lists(texts, max_size=3))),
+                              provenance=tuple(data.draw(texts) for _ in one.elements))
+    report = verify(one, walk.step_operator(spec)) if verified else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "parts.json"
+        cli._write_parts_list(path, spec, one, report)
+        text = path.read_text()
+    assert text == json.dumps(cli.parts_list_document(spec, one, report), indent=2, sort_keys=True) + "\n"
 
 
 def table_config(table):

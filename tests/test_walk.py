@@ -1,5 +1,6 @@
 """Tests for the abstract walk layer: states, the step kernel's coins and shifts, evolutions."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -980,3 +981,59 @@ class TestEnsemble:
         for _ in walk.distribution_blocks(members):
             assert [t for t, ref in enumerate(streamed) if ref() is not None] == [len(streamed) - 1]
         assert len(streamed) == 21
+
+
+def exponential_coins(table):
+    """``table``'s per-site coins from eigenvalue exponentials only, as ``TestU2Matrix``'s oracle builds one."""
+    return [np.exp(1j * chi) * expm_unitary(xi * SIGMA2) @ expm_unitary(eta * SIGMA3)
+            @ expm_unitary(theta * SIGMA2) for chi, xi, eta, theta in zip(table.chi, table.xi, table.eta, table.theta)]
+
+
+def real_ensemble(rng, count=3, steps=6, half_width=8):
+    """Generalized walks with pure theta tables (``CoinTable.random_disorder``) from the real default coin state."""
+    tables = [CoinTable.random_disorder(half_width, rng) for _ in range(2 * count)]
+    return [WalkSpec("generalized", steps, half_width, table1=a, table2=b)
+            for a, b in zip(tables[::2], tables[1::2])]
+
+
+def with_angle(spec, name, rng):
+    """``spec`` whose first table has a random nonzero angle column ``name``."""
+    column = rng.uniform(0.1, 3.0, spec.table1.n_sites)
+    return dataclasses.replace(spec, table1=dataclasses.replace(spec.table1, **{name: column}))
+
+
+#: Each edit of a real ensemble, and the dtype its walks must evolve in.
+DTYPE_CASES = {
+    "real": (lambda members, rng: members, np.float64),
+    "complex_coin_state": (lambda members, rng: [dataclasses.replace(m, coin_state=(2**-0.5, 1j * 2**-0.5))
+                                                 for m in members], np.complex128),
+    "one_member_with_chi": (lambda members, rng: members[:-1] + [with_angle(members[-1], "chi", rng)], np.complex128),
+    "table_with_xi_only": (lambda members, rng: [with_angle(members[0], "xi", rng)] + members[1:], np.complex128),
+    "table_with_eta_only": (lambda members, rng: [with_angle(members[0], "eta", rng)] + members[1:], np.complex128),
+    "field": (lambda members, rng: [dataclasses.replace(m, phi_e=0.37) for m in members], np.complex128),
+}
+
+
+class TestRealWalks:
+    """A walk with pure theta tables, a real start and no field evolves in float64; any complex input keeps it
+    complex."""
+
+    @pytest.mark.parametrize("case", DTYPE_CASES)
+    def test_a_walk_evolves_real_only_when_every_input_is(self, rng, case):
+        edit, dtype = DTYPE_CASES[case]
+        members = edit(real_ensemble(rng), rng)
+        assert [a.dtype for a in walk.iterate_ensemble(members)] == [dtype] * (members[0].steps + 1)
+        assert all(state.amps.dtype == np.complex128 for state in walk.iterate(members[0]))
+
+    @pytest.mark.parametrize("name", ["chi", "xi", "eta"])
+    def test_tables_with_one_more_angle_follow_the_dense_oracle(self, rng, name):
+        """Each member's first table has one nonzero angle column besides theta, its second is pure theta."""
+        L, members = 8, [with_angle(m, name, rng) for m in real_ensemble(rng, count=2)]
+        ops = [dense_shift_plus(L) @ dense_coin(exponential_coins(m.table2), L)
+               @ dense_shift_minus(L) @ dense_coin(exponential_coins(m.table1), L) for m in members]
+        vecs = [state_vector(m.initial_state()) for m in members]
+        for t, batch in enumerate(walk.iterate_ensemble(members)):
+            if t:
+                vecs = [op @ vec for op, vec in zip(ops, vecs)]
+            for row, vec in zip(batch, vecs, strict=True):
+                assert np.max(np.abs(row.reshape(-1) - vec)) < 1e-12, t

@@ -19,7 +19,10 @@ included), every run's end-to-end metrics, ``correct`` and ``failed``, and for
 each workload and metric both sides' median and quartiles and the pairs the
 change won, lost and tied.  :func:`check` is the file's schema: it also
 recomputes every summary from the runs.  A failed or hung run stops the whole
-measurement with its exit code and the tail of its standard error.
+measurement with its exit code and the tail of its standard error.  After
+writing the file, the runner prints one line per workload and metric: both
+medians, their ratio, the pairs won, lost and tied, the parent's quartile
+spread and the :func:`verdict`.
 """
 
 from __future__ import annotations
@@ -84,6 +87,23 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
                      ties=sum(m == 0 for m in margins))
         summary[name] = entry
     return summary
+
+
+def verdict(entry: dict) -> str:
+    """``gain``, ``worse than bound`` or ``unresolved``: what one metric's :func:`summarize` entry shows.
+
+    A gain wins at least 9 of 10 pairs and moves the median the better way
+    by more than the parent's quartile spread; worse than bound moves it the
+    other way by more than the metric's relative bound.
+    """
+    sign = 1 if entry["better"] == "higher" else -1
+    parent, change = entry["parent"], entry["change"]
+    pairs = entry["wins"] + entry["losses"] + entry["ties"]
+    if entry["wins"] >= 0.9 * pairs and sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"]:
+        return "gain"
+    if sign * (change["median"] - parent["median"]) < -entry["bound"] * parent["median"]:
+        return "worse than bound"
+    return "unresolved"
 
 
 def check(document: dict) -> None:
@@ -165,6 +185,13 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
+    for workload, record in document["workloads"].items():
+        for name, entry in record["summary"].items():
+            parent, change = entry["parent"], entry["change"]
+            print(f"{workload} {name}: {parent['median']:.4g} -> {change['median']:.4g}, "
+                  f"ratio {entry['median_ratio']:.3f}, "
+                  f"won/lost/tied {entry['wins']}/{entry['losses']}/{entry['ties']}, "
+                  f"parent spread {parent['q3'] - parent['q1']:.3g}: {verdict(entry)}")
     return 0
 
 
